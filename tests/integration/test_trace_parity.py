@@ -7,7 +7,10 @@ invocation produces exactly one provider_evaluation event, and the
 checked-in golden trace stays schema-valid.
 """
 
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +30,7 @@ from repro.obs import TraceRecorder, load_trace
 from repro.obs.trace import validate_trace
 
 GOLDEN_TRACE = Path(__file__).parent.parent / "data" / "golden_trace.jsonl"
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture()
@@ -214,3 +218,16 @@ class TestGoldenTrace:
             "reduce_finished", "job_succeeded", "metrics_snapshot",
         ):
             assert expected in types, f"golden trace missing {expected}"
+
+    def test_golden_trace_regenerates_byte_identically(self, tmp_path):
+        # The committed file is a byte-level pin of the simulated event
+        # stream: any change to what the engine or a provider records
+        # must come with a deliberate regeneration of the file. A fresh
+        # interpreter, because task ids come from a process-wide counter.
+        out = tmp_path / "golden.jsonl"
+        subprocess.run(
+            [sys.executable, str(GOLDEN_TRACE.parent / "make_golden_trace.py"), str(out)],
+            check=True, capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert out.read_bytes() == GOLDEN_TRACE.read_bytes()
