@@ -1,6 +1,6 @@
 """Ablation: "wait and see" while uninformed (DESIGN.md / provider notes).
 
-Our SamplingInputProvider answers NO_INPUT_AVAILABLE while it has no
+The LIMIT-k demand rule answers NO_INPUT_AVAILABLE while it has no
 selectivity signal and work is still in flight, instead of grabbing a
 full GrabLimit quantum at every 4-second evaluation. This ablation
 removes the wait and lets the provider grab blindly.
@@ -11,8 +11,10 @@ processing far more partitions and losing the size-independent response
 time that is the paper's headline property.
 """
 
-from repro.core.input_provider import ProviderResponse, default_providers
-from repro.core.sampling_provider import SamplingInputProvider
+from functools import partial
+
+from repro.core.demand import LimitDemand
+from repro.core.input_provider import InputProvider, default_providers
 from repro.core.sampling_job import make_sampling_conf
 from repro.cluster import paper_topology
 from repro.data.predicates import predicate_for_skew
@@ -21,29 +23,16 @@ from repro.experiments.report import render_table
 from repro.experiments.setup import dataset_for
 
 
-class BlindGrabProvider(SamplingInputProvider):
-    """The paper's provider minus the uninformed-wait guard."""
+class BlindDemand(LimitDemand):
+    """The paper's demand rule minus the uninformed-wait guard."""
 
-    def evaluate(self, progress, cluster):
-        self.estimator.observe_totals(
-            progress.records_processed, progress.outputs_produced
-        )
-        if progress.outputs_produced >= self.sample_size:
-            return ProviderResponse.end_of_input()
-        if self.remaining_splits == 0:
-            return ProviderResponse.end_of_input()
-        expected = self.estimator.expected_matches(progress.records_pending)
-        if self.sample_size - progress.outputs_produced - expected <= 0:
-            return ProviderResponse.no_input()
-        chosen = self.take_random(self.grab_limit(cluster))
-        if not chosen:
-            return ProviderResponse.no_input()
-        return ProviderResponse.input_available(chosen)
+    def wait_uninformed(self, progress):
+        return False
 
 
 def run_variant(provider_name: str, scale: int, seed: int):
     providers = default_providers()
-    providers.register("blind", BlindGrabProvider)
+    providers.register("blind", partial(InputProvider, demand=BlindDemand))
     cluster = SimulatedCluster(paper_topology(), providers=providers, seed=seed)
     predicate = predicate_for_skew(0)
     cluster.load_dataset("/d", dataset_for(scale, 0, seed))

@@ -2,16 +2,16 @@
 
 The paper chooses every increment "randomly with a uniform distribution
 from the set of un-processed input partitions ... to introduce
-randomness in the produced sample". This ablation swaps in sequential
-(file-order) selection and measures the consequence on real data with
+randomness in the produced sample". This ablation swaps in a sequential
+(file-order) split pool and measures the consequence on real data with
 the LocalRunner: the sample's contributing partitions collapse onto a
 prefix of the file, i.e. the sample stops being random over the dataset.
 """
 
-import random
+from functools import partial
 
-from repro.core.input_provider import default_providers
-from repro.core.sampling_provider import SamplingInputProvider
+from repro.core.input_provider import InputProvider, default_providers
+from repro.core.pool import SplitPool
 from repro.core.sampling_job import make_sampling_conf
 from repro.cluster import paper_topology
 from repro.data import build_materialized_dataset, dataset_spec_for_scale, predicate_for_skew
@@ -20,17 +20,20 @@ from repro.engine.runtime import LocalRunner
 from repro.experiments.report import render_table
 
 
-class SequentialSamplingProvider(SamplingInputProvider):
-    """Identical estimation, but takes splits in file order."""
+class SequentialPool(SplitPool):
+    """Takes splits in file order; estimation and budget stay the paper's."""
 
-    def take_random(self, count):
-        if count <= 0 or not self._remaining:
-            return []
-        take = len(self._remaining) if count >= len(self._remaining) else int(count)
-        self._remaining.sort(key=lambda split: split.index)
-        taken = self._remaining[:take]
-        del self._remaining[:take]
-        return taken
+    def _choose(self, count):
+        self.remaining.sort(key=lambda split: split.index)
+        return self.remaining[:count]
+
+    def take_all(self):
+        taken, self.remaining = self.remaining, []
+        return sorted(taken, key=lambda split: split.index)
+
+
+def sequential_pool(splits, conf, rng):
+    return SequentialPool(splits, rng)
 
 
 def build_world(seed=0):
@@ -53,7 +56,7 @@ def contributing_partitions(result):
 
 def run_variant(provider_name: str, seed: int):
     providers = default_providers()
-    providers.register("sequential", SequentialSamplingProvider)
+    providers.register("sequential", partial(InputProvider, pool=sequential_pool))
     predicate, splits = build_world(seed)
     runner = LocalRunner(providers=providers, seed=seed)
     conf = make_sampling_conf(
@@ -69,26 +72,24 @@ def sampled_partition_spread(provider_name: str, seeds) -> tuple[float, int]:
     max_indices, distinct = [], set()
     for seed in seeds:
         providers = default_providers()
-        providers.register("sequential", SequentialSamplingProvider)
         predicate, splits = build_world(seed)
         runner = LocalRunner(providers=providers, seed=seed)
 
-        # Track which splits were actually executed by wrapping iter_rows
-        # bookkeeping: LocalRunner reports splits_processed in order of
-        # execution via the result's counter only, so instead intercept
-        # through the provider: record what it hands out.
+        # Record every split the pool hands out: the LocalRunner reports
+        # only how many splits it processed, not which.
         handed = []
+        base = SequentialPool if provider_name == "sequential" else SplitPool
 
-        class Recording(
-            SequentialSamplingProvider if provider_name == "sequential"
-            else SamplingInputProvider
-        ):
-            def take_random(self, count):
-                taken = super().take_random(count)
+        class Recording(base):
+            def take(self, count):
+                taken = super().take(count)
                 handed.extend(split.index for split in taken)
                 return taken
 
-        providers.register("recording", Recording)
+        providers.register(
+            "recording",
+            partial(InputProvider, pool=lambda splits, conf, rng: Recording(splits, rng)),
+        )
         conf = make_sampling_conf(
             name=f"spread-{provider_name}-{seed}", input_path="/t",
             predicate=predicate, sample_size=60, policy_name="C",

@@ -34,11 +34,9 @@ from repro.core import (
     PolicyRegistry,
     ProviderResponse,
     ResponseKind,
-    SamplingInputProvider,
     SamplingMapper,
     SamplingReducer,
     SelectivityEstimator,
-    StaticInputProvider,
     make_sampling_conf,
     make_scan_conf,
     paper_policies,
@@ -90,13 +88,11 @@ __all__ = [
     "Reducer",
     "ReproError",
     "ResponseKind",
-    "SamplingInputProvider",
     "SamplingMapper",
     "SamplingReducer",
     "SelectivityEstimator",
     "SimulatedCluster",
     "Simulator",
-    "StaticInputProvider",
     "ZipfDistribution",
     "build_materialized_dataset",
     "build_profiled_dataset",

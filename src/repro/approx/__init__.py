@@ -1,8 +1,8 @@
 """Error-bounded aggregation (ROADMAP item 2, EARL-style).
 
 COUNT/SUM/AVG (+ GROUP BY) answered from a growing split sample, with
-the Input Provider stopping on "CI half-width <= error target" instead
-of "k matches". See DESIGN.md §10.
+the Input Provider's demand rule stopping on "CI half-width <= error
+target" instead of "k matches". See DESIGN.md §10.
 """
 
 from repro.approx.estimators import (
@@ -16,10 +16,10 @@ from repro.approx.job import (
     finalize_rows,
     make_approx_conf,
 )
-from repro.approx.provider import AccuracyProvider
+from repro.approx.demand import AccuracyDemand
 
 __all__ = [
-    "AccuracyProvider",
+    "AccuracyDemand",
     "AggregateEstimator",
     "AggregateSpec",
     "ApproxAggregationMapper",

@@ -8,8 +8,9 @@ match in a grabbed split contributes to the estimate.
 
 Reduce side: one task folds each group's candidates into exact
 ``{count, sum}`` totals over the *scanned* splits. The statistical
-answer itself lives with the :class:`AccuracyProvider`'s estimator
-(fed per-split via ``observe_split``); :func:`finalize_rows` joins the
+answer itself lives with the estimator of
+:class:`~repro.approx.demand.AccuracyDemand` (fed per-split via
+``observe_split``); :func:`finalize_rows` joins the
 two and cross-checks that the reducer's totals equal the estimator's —
 a cheap end-to-end invariant that either side would fail loudly if the
 observation plumbing dropped or duplicated a split.

@@ -1,7 +1,7 @@
 """Continuous benchmarking: suites, history, and regression comparison.
 
-``benchmarks/perf/`` holds the one-shot PR-to-PR harnesses; this package
-is the durable successor exposed as ``repro bench``:
+Exposed as ``repro bench`` (whole-query latency lives in the standalone
+``benchmarks/query`` harness):
 
 * :mod:`repro.bench.suites` — a declarative registry of benchmark
   suites (kernel, scan modes, end-to-end policy run, sweep), each a

@@ -17,9 +17,13 @@ import enum
 import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import partial
+from typing import TYPE_CHECKING, Callable
 
+from repro.core.budget import LadderBudget, PolicyBudget
+from repro.core.demand import AllInput, Demand, LimitDemand
 from repro.core.policy import Policy
+from repro.core.pool import SplitPool, split_pool
 from repro.core.protocol import ClusterStatus, JobProgress
 from repro.dfs.split import InputSplit
 from repro.errors import InputProviderError
@@ -63,28 +67,40 @@ class ProviderResponse:
 
 
 class InputProvider:
-    """Base class for Input Providers.
+    """An Input Provider built from a split pool, a demand rule and a
+    grab budget.
 
     Lifecycle: ``initialize`` once with the complete input partition set
-    (paper §IV: "As part of its initialization, the Input Provider is
-    provided with the set of input partitions that form the complete
-    input for the job"), then ``initial_input`` once at submission, then
+    (paper §IV), then ``initial_input`` once at submission, then
     ``evaluate`` at each evaluation point until END_OF_INPUT.
+    ``initialize`` builds the parts from the job's conf:
 
-    The base class manages the unprocessed-split pool and the random,
-    GrabLimit-capped selection both built-in providers share.
+    * ``pool(splits, conf, rng)`` — which splits come next
+      (:mod:`repro.core.pool`; default: by ``sampling.stats.mode``);
+    * ``demand(conf, pool)`` — whether input is complete and how many
+      more splits are needed (:mod:`repro.core.demand`; default: LIMIT k);
+    * ``budget(conf, policy)`` — whose GrabLimit caps a grab
+      (:mod:`repro.core.budget`; default: the job's policy).
+
+    Custom providers may instead subclass and override ``initial_input``
+    and ``evaluate``, using ``take_random``, ``take_all`` and
+    ``grab_limit``.
     """
 
-    def __init__(self) -> None:
-        self._remaining: list[InputSplit] = []
+    def __init__(
+        self,
+        *,
+        pool: Callable[..., SplitPool] = split_pool,
+        demand: Callable[..., Demand] = LimitDemand,
+        budget: Callable[..., PolicyBudget] = PolicyBudget,
+    ) -> None:
+        self._parts = (pool, demand, budget)
+        self.pool: SplitPool | None = None
+        self.demand: Demand | None = None
+        self.budget: PolicyBudget | None = None
         self._conf: "JobConf | None" = None
         self._policy: Policy | None = None
-        self._rng: random.Random | None = None
-        self._initialized = False
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     def initialize(
         self,
         splits: list[InputSplit],
@@ -92,28 +108,42 @@ class InputProvider:
         policy: Policy,
         rng: random.Random,
     ) -> None:
-        if self._initialized:
+        if self._conf is not None:
             raise InputProviderError("InputProvider.initialize called twice")
-        self._remaining = list(splits)
         self._conf = conf
         self._policy = policy
-        self._rng = rng
-        self._initialized = True
-        self.on_initialize()
-
-    def on_initialize(self) -> None:
-        """Subclass hook; runs after base initialization."""
+        pool, demand, budget = self._parts
+        self.pool = pool(splits, conf, rng)
+        self.demand = demand(conf, self.pool)
+        self.budget = budget(conf, policy)
 
     def initial_input(self, cluster: ClusterStatus) -> tuple[list[InputSplit], bool]:
         """The initial split set, plus whether input is already complete."""
         self._check_initialized()
-        taken = self.take_random(self.grab_limit(cluster))
-        return taken, not self._remaining
+        if self.demand.upfront:
+            return self.pool.take_all(), True
+        taken = self.pool.take(self.grab_limit(cluster))
+        return taken, not self.pool
 
     def evaluate(
         self, progress: JobProgress, cluster: ClusterStatus
     ) -> ProviderResponse:
-        raise NotImplementedError
+        self._check_initialized()
+        self.budget.observe(progress)
+        # Enough input, or nothing left to add: the in-flight maps finish
+        # the job and reduce starts once they do.
+        if self.demand.complete(progress) or not self.pool:
+            return ProviderResponse.end_of_input()
+        need = self.demand.need(progress)
+        if need is None:
+            return ProviderResponse.no_input()
+        limit = self.grab_limit(cluster)
+        if limit <= 0:
+            return ProviderResponse.no_input()
+        chosen = self.pool.take(min(need, limit))
+        if not chosen:
+            return ProviderResponse.no_input()
+        return ProviderResponse.input_available(chosen)
 
     def observe_split(
         self,
@@ -123,18 +153,15 @@ class InputProvider:
         outputs: int,
         rows: list | None = None,
     ) -> None:
-        """Per-completed-split observation hook (no-op by default).
+        """Per-completed-split observation, passed to the demand rule.
 
         The execution substrate calls this once per finished map task,
         before the next :meth:`evaluate`. ``rows`` carries the task's
         materialized map outputs when the substrate has them (LocalRunner)
         and ``None`` when only counters exist (simulated profile mode).
-        Providers that estimate from per-split statistics — the accuracy
-        provider's split-level aggregates — override this.
         """
+        self.demand.observe_split(split_id, records=records, outputs=outputs, rows=rows)
 
-    # ------------------------------------------------------------------
-    # Helpers for subclasses
     # ------------------------------------------------------------------
     @property
     def conf(self) -> "JobConf":
@@ -148,100 +175,96 @@ class InputProvider:
 
     @property
     def remaining_splits(self) -> int:
-        return len(self._remaining)
+        return len(self.pool)
 
+    @property
+    def splits_pruned(self) -> int:
+        """Cumulative splits retired via split statistics without dispatch."""
+        return self.pool.pruned
+
+    @property
+    def ci_state(self) -> dict | None:
+        """The demand rule's interval snapshot (accuracy jobs only)."""
+        return self.demand.ci_state
+
+    def approx_summary(self) -> dict | None:
+        """The demand rule's final answer (accuracy jobs only)."""
+        return self.demand.summary()
+
+    # ------------------------------------------------------------------
     def grab_limit(self, cluster: ClusterStatus) -> float:
-        """This step's GrabLimit under the configured policy.
+        """This step's GrabLimit under the budget's policy.
 
         The policy boundary: whatever ``Policy.max_grab`` produced is
         validated here, so a broken policy surfaces as a clear error at
         the evaluation that used it instead of a silent empty grab (or a
         cryptic ``int(nan)`` crash) somewhere inside split selection.
         """
-        limit = self.policy.max_grab(
+        self._check_initialized()
+        policy = self.budget.policy_for(cluster)
+        limit = policy.max_grab(
             total_slots=cluster.total_map_slots,
             available_slots=cluster.available_map_slots,
         )
         if not isinstance(limit, (int, float)) or isinstance(limit, bool):
             raise InputProviderError(
-                f"policy {self.policy.name!r} produced a non-numeric "
+                f"policy {policy.name!r} produced a non-numeric "
                 f"grab limit: {limit!r}"
             )
         if math.isnan(limit):
             raise InputProviderError(
-                f"policy {self.policy.name!r} produced a NaN grab limit"
+                f"policy {policy.name!r} produced a NaN grab limit"
             )
         if limit < 0:
             raise InputProviderError(
-                f"policy {self.policy.name!r} produced a negative grab "
+                f"policy {policy.name!r} produced a negative grab "
                 f"limit: {limit!r}"
             )
         return limit
 
     def take_all(self) -> list[InputSplit]:
-        """Remove every remaining split, in random order.
-
-        The explicit unbounded grab (static provider, and sampling
-        providers whose need or GrabLimit is unbounded) — callers no
-        longer spell it as ``take_random(float("inf"))``, though that
-        remains equivalent.
-        """
+        """Remove every remaining split from the pool."""
         self._check_initialized()
-        if not self._remaining:
-            return []
-        taken = list(self._remaining)
-        self._remaining.clear()
-        self._rng.shuffle(taken)  # type: ignore[union-attr]
-        return taken
+        return self.pool.take_all()
 
     def take_random(self, count: float) -> list[InputSplit]:
-        """Remove up to ``count`` splits, chosen uniformly at random.
-
-        Random selection is what makes the produced sample random
-        (paper §IV); ``count`` may be ``inf``, equivalent to
-        :meth:`take_all`. NaN is rejected — it compares false against
-        everything, so it would silently select nothing.
-        """
+        """Remove up to ``count`` splits from the pool (``inf`` = all)."""
         self._check_initialized()
-        if isinstance(count, float) and math.isnan(count):
-            raise InputProviderError("take_random(count) must not be NaN")
-        if count <= 0 or not self._remaining:
-            return []
-        if count >= len(self._remaining):
-            return self.take_all()
-        taken = self._rng.sample(self._remaining, int(count))  # type: ignore[union-attr]
-        taken_ids = {split.split_id for split in taken}
-        self._remaining = [
-            split for split in self._remaining if split.split_id not in taken_ids
-        ]
-        return taken
+        return self.pool.take(count)
 
     def _check_initialized(self) -> None:
-        if not self._initialized:
+        if self._conf is None:
             raise InputProviderError("InputProvider used before initialize()")
 
 
 class ProviderRegistry:
-    """Maps the ``dynamic.input.provider`` JobConf value to a class."""
+    """Maps the ``dynamic.input.provider`` JobConf value to a factory.
+
+    A factory is any zero-argument callable returning an
+    :class:`InputProvider`: a subclass, or a ``functools.partial`` of
+    :class:`InputProvider` naming its parts.
+    """
 
     def __init__(self) -> None:
-        self._providers: dict[str, type[InputProvider]] = {}
+        self._providers: dict[str, Callable[[], InputProvider]] = {}
 
-    def register(self, name: str, cls: type[InputProvider], *, replace: bool = False) -> None:
+    def register(
+        self, name: str, factory: Callable[[], InputProvider], *, replace: bool = False
+    ) -> None:
         if not name:
             raise InputProviderError("provider name must be non-empty")
         if name in self._providers and not replace:
             raise InputProviderError(f"provider {name!r} already registered")
-        self._providers[name] = cls
+        self._providers[name] = factory
 
     def create(self, name: str) -> InputProvider:
         try:
-            cls = self._providers[name]
+            factory = self._providers[name]
         except KeyError:
             raise InputProviderError(
                 f"unknown input provider {name!r}; registered: {sorted(self._providers)}"
             ) from None
-        return cls()
+        return factory()
 
     def names(self) -> list[str]:
         return sorted(self._providers)
@@ -251,24 +274,22 @@ class ProviderRegistry:
 
 
 def default_providers() -> ProviderRegistry:
-    """Registry with the built-in providers.
+    """Registry with the built-in compositions.
 
-    ``sampling`` and ``static`` implement the paper; ``adaptive``
-    implements its §VII future-work direction (runtime policy switching);
-    ``stats`` adds zone-map/bloom split pruning on top of ``sampling``;
-    ``accuracy`` stops on confidence-interval width instead of k matches.
+    ``sampling`` and ``static`` implement the paper; ``stats`` is the same
+    composition as ``sampling`` (kept as a name: both prune, rank or
+    stratify by ``sampling.stats.mode``); ``adaptive`` swaps in the
+    ladder budget of the §VII future-work direction (runtime policy
+    switching); ``accuracy`` stops on confidence-interval width instead
+    of k matches.
     """
     # Imported here to avoid a circular import at module load.
-    from repro.approx.provider import AccuracyProvider
-    from repro.core.adaptive import AdaptiveSamplingProvider
-    from repro.core.sampling_provider import SamplingInputProvider
-    from repro.core.static_provider import StaticInputProvider
-    from repro.core.stats_provider import StatsAwareProvider
+    from repro.approx.demand import AccuracyDemand
 
     registry = ProviderRegistry()
-    registry.register("sampling", SamplingInputProvider)
-    registry.register("static", StaticInputProvider)
-    registry.register("adaptive", AdaptiveSamplingProvider)
-    registry.register("stats", StatsAwareProvider)
-    registry.register("accuracy", AccuracyProvider)
+    registry.register("sampling", InputProvider)
+    registry.register("static", partial(InputProvider, demand=AllInput))
+    registry.register("adaptive", partial(InputProvider, budget=LadderBudget))
+    registry.register("stats", InputProvider)
+    registry.register("accuracy", partial(InputProvider, demand=AccuracyDemand))
     return registry

@@ -249,9 +249,8 @@ def make_sampling_conf(
     ``reservoir=True`` swaps Algorithm 2's first-k reduce for the
     paper-footnote reservoir variant (uniform over all candidates).
 
-    ``stats_mode`` (off/prune/rank/stratified) enables split-statistics
-    use; any mode other than ``off`` routes the job to the ``stats``
-    provider unless ``provider_name`` was set explicitly.
+    ``stats_mode`` (off/prune/rank/stratified) picks the provider's
+    split pool (:func:`repro.core.pool.split_pool`).
     """
     if sample_size <= 0:
         raise JobConfError(f"sample size must be positive, got {sample_size}")
@@ -259,8 +258,6 @@ def make_sampling_conf(
         raise JobConfError(
             f"invalid stats_mode={stats_mode!r}; one of {STATS_MODES}"
         )
-    if stats_mode not in (None, "off") and provider_name == "sampling":
-        provider_name = "stats"
     conf = JobConf(
         name=name,
         input_path=input_path,

@@ -67,8 +67,9 @@ class JobResult:
     """Splits the provider retired via split statistics without
     dispatching a map task (provably zero matches)."""
     approx: dict | None = None
-    """Error-bounded aggregation summary (``AccuracyProvider
-    .approx_summary()``): per-group estimates with CI half-widths.
+    """Error-bounded aggregation summary (``InputProvider
+    .approx_summary()`` of an accuracy job): per-group estimates with CI
+    half-widths.
     None for every other provider / job shape."""
 
     @property

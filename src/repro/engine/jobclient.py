@@ -38,7 +38,7 @@ from repro.engine.jobconf import JobConf
 from repro.engine.jobtracker import JobTracker
 from repro.errors import JobConfError, JobError
 from repro.obs import profile as _profile
-from repro.obs.trace import policy_knobs
+from repro.obs.trace import record_provider_evaluation
 from repro.sim.random_source import RandomSource
 from repro.sim.simulator import PeriodicTask, Simulator
 
@@ -134,21 +134,12 @@ class JobClient:
             total_splits_known=len(splits),
             listener=self._completion_listener(on_complete),
         )
-        trace = self._jobtracker.trace
-        if trace is not None:
-            trace.provider_evaluation(
-                self._sim.now,
-                job_id=job.job_id,
-                phase="initial",
-                policy=policy.name,
-                knobs=policy_knobs(policy),
-                progress=None,
-                cluster=cluster,
-                response_kind="END_OF_INPUT" if complete else "INPUT_AVAILABLE",
-                splits=len(initial),
-                pruned=getattr(provider, "splits_pruned", 0),
-                ci=getattr(provider, "ci_state", None),
-            )
+        record_provider_evaluation(
+            self._jobtracker.trace, self._sim.now, provider,
+            job_id=job.job_id, phase="initial", progress=None, cluster=cluster,
+            response_kind="END_OF_INPUT" if complete else "INPUT_AVAILABLE",
+            splits=len(initial),
+        )
         # The handle is kept even when the initial grab already completed
         # the input: the completion listener still needs the provider to
         # feed it the finished maps and collect its final summary.
@@ -172,9 +163,7 @@ class JobClient:
                 # Maps that landed after the last evaluation (in-flight
                 # work at END_OF_INPUT) still belong in the estimate.
                 self._feed_completed(handle)
-                summary = getattr(handle.provider, "approx_summary", None)
-                if summary is not None:
-                    job.approx = summary()
+                job.approx = handle.provider.approx_summary()
             if on_complete is not None:
                 on_complete(job.to_result())
 
@@ -217,21 +206,12 @@ class JobClient:
         cluster = self._jobtracker.cluster_status()
         with _profile.profiled_span(_profile.PHASE_EVALUATE):
             response = handle.provider.evaluate(progress, cluster)
-        trace = self._jobtracker.trace
-        if trace is not None:
-            trace.provider_evaluation(
-                self._sim.now,
-                job_id=job.job_id,
-                phase="evaluate",
-                policy=handle.policy.name,
-                knobs=policy_knobs(handle.policy),
-                progress=progress,
-                cluster=cluster,
-                response_kind=response.kind.name,
-                splits=len(response.splits),
-                pruned=getattr(handle.provider, "splits_pruned", 0),
-                ci=getattr(handle.provider, "ci_state", None),
-            )
+        record_provider_evaluation(
+            self._jobtracker.trace, self._sim.now, handle.provider,
+            job_id=job.job_id, phase="evaluate", progress=progress,
+            cluster=cluster, response_kind=response.kind.name,
+            splits=len(response.splits),
+        )
         if response.kind is ResponseKind.END_OF_INPUT:
             if handle.evaluation_task is not None:
                 handle.evaluation_task.cancel()

@@ -22,6 +22,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from repro.core.input_provider import (
+    InputProvider,
     ProviderRegistry,
     ResponseKind,
     default_providers,
@@ -36,7 +37,7 @@ from repro.errors import JobConfError, JobError
 from repro.obs import hub as _hub
 from repro.obs import profile as _profile
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import policy_knobs
+from repro.obs.trace import record_provider_evaluation
 from repro.scan.engine import ScanOptions, ScanSpan, run_map_task
 from repro.scan.proc import (
     ScanTask,
@@ -146,12 +147,11 @@ class LocalRunner:
             )
         approx = None
         if conf.is_dynamic:
-            map_results, evaluations, increments, pruned, provider = (
-                self._run_dynamic(conf, splits, job_id)
+            map_results, evaluations, increments, provider = self._run_dynamic(
+                conf, splits, job_id
             )
-            summary = getattr(provider, "approx_summary", None)
-            if summary is not None:
-                approx = summary()
+            pruned = provider.splits_pruned
+            approx = provider.approx_summary()
         else:
             map_results = self._run_map_batch(conf, splits, job_id=job_id)
             evaluations, increments, pruned = 0, 1, 0
@@ -217,7 +217,7 @@ class LocalRunner:
     # ------------------------------------------------------------------
     def _run_dynamic(
         self, conf: JobConf, splits: list[InputSplit], job_id: str
-    ) -> tuple[list[LocalMapResult], int, int, int, object]:
+    ) -> tuple[list[LocalMapResult], int, int, InputProvider]:
         conf.validate_dynamic()
         policy = self._policies.get(conf.policy_name)  # type: ignore[arg-type]
         provider = self._providers.create(conf.input_provider_name)  # type: ignore[arg-type]
@@ -230,20 +230,12 @@ class LocalRunner:
         # span per provider invocation, matching provider_evaluation events.
         with _profile.profiled_span(_profile.PHASE_EVALUATE):
             batch, complete = provider.initial_input(cluster)
-        if self.trace is not None:
-            self.trace.provider_evaluation(
-                0.0,
-                job_id=job_id,
-                phase="initial",
-                policy=policy.name,
-                knobs=policy_knobs(policy),
-                progress=None,
-                cluster=cluster,
-                response_kind="END_OF_INPUT" if complete else "INPUT_AVAILABLE",
-                splits=len(batch),
-                pruned=getattr(provider, "splits_pruned", 0),
-                ci=getattr(provider, "ci_state", None),
-            )
+        record_provider_evaluation(
+            self.trace, 0.0, provider, job_id=job_id, phase="initial",
+            progress=None, cluster=cluster,
+            response_kind="END_OF_INPUT" if complete else "INPUT_AVAILABLE",
+            splits=len(batch),
+        )
         map_results: list[LocalMapResult] = []
         evaluations = 0
         increments = 1 if batch else 0
@@ -266,20 +258,11 @@ class LocalRunner:
             cluster = self._cluster_status()
             with _profile.profiled_span(_profile.PHASE_EVALUATE):
                 response = provider.evaluate(progress, cluster)
-            if self.trace is not None:
-                self.trace.provider_evaluation(
-                    0.0,
-                    job_id=job_id,
-                    phase="evaluate",
-                    policy=policy.name,
-                    knobs=policy_knobs(policy),
-                    progress=progress,
-                    cluster=cluster,
-                    response_kind=response.kind.name,
-                    splits=len(response.splits),
-                    pruned=getattr(provider, "splits_pruned", 0),
-                    ci=getattr(provider, "ci_state", None),
-                )
+            record_provider_evaluation(
+                self.trace, 0.0, provider, job_id=job_id, phase="evaluate",
+                progress=progress, cluster=cluster,
+                response_kind=response.kind.name, splits=len(response.splits),
+            )
             if response.kind is ResponseKind.END_OF_INPUT:
                 break
             if response.kind is ResponseKind.INPUT_AVAILABLE:
@@ -296,13 +279,7 @@ class LocalRunner:
                     f"job {conf.name!r}: provider waited {idle_evaluations} times "
                     "with no work in flight; the provider is livelocked"
                 )
-        return (
-            map_results,
-            evaluations,
-            increments,
-            getattr(provider, "splits_pruned", 0),
-            provider,
-        )
+        return map_results, evaluations, increments, provider
 
     def _progress(
         self, conf: JobConf, total_splits: int, map_results: list[LocalMapResult]

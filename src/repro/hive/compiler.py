@@ -170,9 +170,11 @@ class QueryCompiler:
             confidence_pct=confidence_pct,
             group_by=group_by,
             policy_name=params.get(PARAM_POLICY, DEFAULT_POLICY),
-            # Always the accuracy provider: a session-level provider
-            # override targets sampling queries (e.g. "stats"), whose
-            # providers cannot run a CI stopping rule.
+            # Always the accuracy provider on the uniform pool: a
+            # session-level provider override targets sampling queries,
+            # whose demand rule is not a CI stopping rule, and a session
+            # stats mode would prune splits out of the estimator's
+            # population (the accuracy demand rejects it).
             provider_name=DEFAULT_ACCURACY_PROVIDER,
             fallback_selectivity=float(fallback) if fallback is not None else None,
             user=user,

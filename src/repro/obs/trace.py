@@ -87,6 +87,21 @@ def policy_knobs(policy) -> dict:
     }
 
 
+def record_provider_evaluation(trace, time: float, provider, **event) -> None:
+    """Emit one ``provider_evaluation`` event for an Input Provider call.
+
+    The one place both substrates trace a provider invocation (a no-op
+    without a recorder): the policy, its knobs, the pruned count and the
+    interval snapshot come from the provider; ``event`` carries the rest
+    of :meth:`TraceRecorder.provider_evaluation`'s fields.
+    """
+    if trace is not None:
+        trace.provider_evaluation(
+            time, policy=provider.policy.name, knobs=policy_knobs(provider.policy),
+            pruned=provider.splits_pruned, ci=provider.ci_state, **event,
+        )
+
+
 def _jsonable(value: Any) -> Any:
     """Best-effort conversion to JSON-safe structures."""
     if is_dataclass(value) and not isinstance(value, type):

@@ -1,4 +1,4 @@
-"""Tests for the adaptive provider (paper §VII future work)."""
+"""Tests for the adaptive provider: the ladder budget (paper §VII future work)."""
 
 import random
 
@@ -6,9 +6,8 @@ import pytest
 
 from repro import SimulatedCluster, make_sampling_conf, make_scan_conf
 from repro.cluster import paper_topology
-from repro.core import paper_policies
-from repro.core.adaptive import AdaptiveSamplingProvider
-from repro.core.protocol import ClusterStatus, JobProgress
+from repro.core import default_providers, paper_policies
+from repro.core.protocol import ClusterStatus
 from repro.data import build_profiled_dataset, dataset_spec_for_scale, predicate_for_skew
 from repro.dfs import DistributedFileSystem
 from repro.engine.job import JobState
@@ -40,7 +39,7 @@ def make_provider(params=None, num_partitions=16):
     )
     for key, value in (params or {}).items():
         conf.set(key, value)
-    provider = AdaptiveSamplingProvider()
+    provider = default_providers().create("adaptive")
     provider.initialize(
         dfs.open_splits("/t"), conf, paper_policies().get("LA"), random.Random(0)
     )
@@ -50,33 +49,23 @@ def make_provider(params=None, num_partitions=16):
 class TestPolicySelection:
     def test_idle_cluster_selects_most_aggressive(self):
         provider = make_provider()
-        policy = provider.select_policy(
-            JobProgress("j", 16, 0, 0, 0, 0, 0, 0), status(available=40)
-        )
+        policy = provider.budget.policy_for(status(available=40))
         assert policy.name == "HA"
 
     def test_saturated_cluster_selects_most_conservative(self):
         provider = make_provider()
-        policy = provider.select_policy(
-            JobProgress("j", 16, 0, 0, 0, 0, 0, 0), status(available=0)
-        )
+        policy = provider.budget.policy_for(status(available=0))
         assert policy.name == "C"
 
     def test_intermediate_load_selects_middle_rung(self):
         provider = make_provider()
-        policy = provider.select_policy(
-            JobProgress("j", 16, 0, 0, 0, 0, 0, 0), status(available=20)
-        )
+        policy = provider.budget.policy_for(status(available=20))
         assert policy.name in ("LA", "MA")
 
     def test_custom_ladder(self):
         provider = make_provider({"dynamic.adaptive.ladder": "C,HA"})
-        idle = provider.select_policy(
-            JobProgress("j", 16, 0, 0, 0, 0, 0, 0), status(available=40)
-        )
-        busy = provider.select_policy(
-            JobProgress("j", 16, 0, 0, 0, 0, 0, 0), status(available=0)
-        )
+        idle = provider.budget.policy_for(status(available=40))
+        busy = provider.budget.policy_for(status(available=0))
         assert idle.name == "HA"
         assert busy.name == "C"
 
@@ -97,18 +86,14 @@ class TestPolicySelection:
     def test_skew_signal_escalates_one_rung(self):
         provider = make_provider()
         # Feed an erratic yield history: bursts and droughts.
-        provider._yield_history = [0.0, 0.0, 50.0, 0.0, 0.0]
-        busy = provider.select_policy(
-            JobProgress("j", 16, 0, 0, 0, 0, 0, 0), status(available=0)
-        )
+        provider.budget._yield_history = [0.0, 0.0, 50.0, 0.0, 0.0]
+        busy = provider.budget.policy_for(status(available=0))
         assert busy.name == "LA"  # one rung above C
 
     def test_stable_yield_does_not_escalate(self):
         provider = make_provider()
-        provider._yield_history = [10.0, 11.0, 9.0, 10.0]
-        busy = provider.select_policy(
-            JobProgress("j", 16, 0, 0, 0, 0, 0, 0), status(available=0)
-        )
+        provider.budget._yield_history = [10.0, 11.0, 9.0, 10.0]
+        busy = provider.budget.policy_for(status(available=0))
         assert busy.name == "C"
 
 

@@ -11,7 +11,7 @@ forever, no flake budget):
   (e.g. dropping the FPC, or a z- instead of t-quantile) fails by a
   wide margin.
 
-* 20 end-to-end trials through the LocalRunner + AccuracyProvider with
+* 20 end-to-end trials through the LocalRunner + accuracy provider with
   the adaptive stopping rule engaged, since stopping on a data-dependent
   condition can in principle distort coverage.
 """

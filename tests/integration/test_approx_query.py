@@ -30,6 +30,7 @@ from repro.data import (
 from repro.dfs import DistributedFileSystem
 from repro.errors import JobError
 from repro.hive import HiveSession
+from repro.obs import TraceRecorder, load_trace
 
 NUM_PARTITIONS = 32
 SELECTIVITY = 0.2
@@ -196,6 +197,42 @@ class TestHiveWithinError:
         )
         assert result.job.approx is not None
         assert result.job.approx["error_pct"] == 5.0
+
+
+class TestWithinErrorKeepsUniformPool:
+    """Approximate queries ignore a session stats mode: pruned splits
+    would leave the estimator's finite-population correction with a
+    population it never samples."""
+
+    def scanned_splits(self, tmp_path, dfs, mode, sql):
+        path = tmp_path / f"{mode}.jsonl"
+        with TraceRecorder(path) as trace:
+            session = HiveSession(runner=LocalRunner(seed=1, trace=trace), dfs=dfs)
+            session.register_table("lineitem", "/warehouse/lineitem", LINEITEM_SCHEMA)
+            session.execute(f"SET sampling.stats.mode = {mode}")
+            result = session.execute(sql)
+        scans = [e["split_id"] for e in load_trace(path) if e["type"] == "scan_span"]
+        return result, scans
+
+    def test_session_prune_mode_reads_the_splits_of_off(self, tmp_path):
+        pred = predicate_for_skew(2)
+        data = build_materialized_dataset(
+            dataset_spec_for_scale(8_000 / 6_000_000, num_partitions=16),
+            {pred: 2.0}, seed=0, selectivity=0.02, layout="mmap",
+            mmap_path=str(tmp_path / "lineitem.rcs"), stats=True,
+        )
+        dfs = DistributedFileSystem(paper_topology().storage_locations())
+        dfs.write_dataset("/warehouse/lineitem", data)
+        within = "SELECT COUNT(*) FROM lineitem WHERE l_quantity = 51 WITHIN 5% ERROR"
+        off, off_scans = self.scanned_splits(tmp_path, dfs, "off", within)
+        pruned, pruned_scans = self.scanned_splits(tmp_path, dfs, "prune", within)
+        assert pruned_scans == off_scans
+        assert pruned.rows == off.rows
+        assert pruned.job.splits_pruned == 0
+        # The same session setting does prune a LIMIT query on this data.
+        limit = "SELECT * FROM lineitem WHERE l_quantity = 51 LIMIT 10"
+        sample, _ = self.scanned_splits(tmp_path, dfs, "prune", limit)
+        assert sample.job.splits_pruned > 0
 
 
 class TestSimulatedClusterApprox:

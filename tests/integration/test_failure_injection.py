@@ -4,7 +4,7 @@ import pytest
 
 from repro import SimulatedCluster, make_sampling_conf
 from repro.cluster import paper_topology
-from repro.core import SamplingInputProvider, default_providers
+from repro.core import InputProvider, default_providers
 from repro.data import (
     build_materialized_dataset,
     build_profiled_dataset,
@@ -166,7 +166,7 @@ class TestRetryAccountingAcrossScanModes:
     def test_provider_sees_failed_split_as_pending(self, dataset):
         observed = []
 
-        class RecordingProvider(SamplingInputProvider):
+        class RecordingProvider(InputProvider):
             def evaluate(self, progress, cluster):
                 observed.append(progress)
                 return super().evaluate(progress, cluster)

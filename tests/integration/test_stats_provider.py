@@ -73,6 +73,16 @@ class TestPruneMode:
         assert off.outputs_produced == prune.outputs_produced == total
         assert sorted(map(repr, off.sample)) == sorted(map(repr, prune.sample))
 
+    @pytest.mark.parametrize("provider", ["static", "adaptive"])
+    def test_every_limit_composition_prunes(self, stats_splits, provider):
+        # The pool follows the stats mode whatever the demand rule and
+        # grab budget: all-input and ladder-budget jobs skip empty splits.
+        pred, data, splits = stats_splits
+        result = run_mode(splits, pred, "prune", k=ROWS, provider_name=provider)
+        assert result.splits_pruned > 0
+        assert result.splits_processed + result.splits_pruned == PARTITIONS
+        assert result.outputs_produced == data.total_matches(pred.name)
+
     def test_stats_free_layout_degrades_to_baseline(self):
         pred = predicate_for_skew(2)
         spec = dataset_spec_for_scale(0.0005, num_partitions=8)
@@ -134,8 +144,8 @@ class TestRankAndStratified:
     def test_rank_seeds_prior_from_zone_maps(self, stats_splits):
         pred, _data, splits = stats_splits
         provider = self.make_rank_provider(pred, splits)
-        assert provider.estimator.estimate is not None
-        assert provider.estimator.estimate > 0
+        assert provider.demand.estimator.estimate is not None
+        assert provider.demand.estimator.estimate > 0
 
     def test_rank_zero_zone_map_evidence_stays_uninformed(
         self, stats_splits, monkeypatch
@@ -150,7 +160,7 @@ class TestRankAndStratified:
             prune, "estimate_matches", lambda predicate, stats: 0.0
         )
         provider = self.make_rank_provider(pred, splits)
-        assert provider.estimator.estimate is None
+        assert provider.demand.estimator.estimate is None
         result = run_mode(splits, pred, "rank", k=10)
         assert result.outputs_produced == 10
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import paper_topology
-from repro.core import SamplingInputProvider, paper_policies
+from repro.core import InputProvider, paper_policies
 from repro.core.input_provider import ResponseKind
 from repro.core.protocol import ClusterStatus, JobProgress
 from repro.core.sampling_job import make_sampling_conf
@@ -41,7 +41,7 @@ def make_provider(policy_name, num_partitions, k, seed):
         name="prop", input_path="/t", predicate=pred, sample_size=k,
         policy_name=policy_name,
     )
-    provider = SamplingInputProvider()
+    provider = InputProvider()
     provider.initialize(
         splits, conf, paper_policies().get(policy_name), random.Random(seed)
     )

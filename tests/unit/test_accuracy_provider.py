@@ -1,4 +1,4 @@
-"""Unit tests for the accuracy-aware (error-bounded) Input Provider."""
+"""Unit tests for the accuracy (error-bounded) demand rule and its provider."""
 
 import random
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.approx.estimators import AggregateSpec
 from repro.approx.job import make_approx_conf
-from repro.approx.provider import MIN_SPLITS_TO_STOP, AccuracyProvider
+from repro.approx.demand import MIN_SPLITS_TO_STOP
 from repro.cluster import paper_topology
 from repro.core import ResponseKind, default_providers, paper_policies
 from repro.core.protocol import ClusterStatus, JobProgress
@@ -72,7 +72,7 @@ def accuracy_provider(
         group_by=group_by,
         policy_name="LA",
     )
-    provider = AccuracyProvider()
+    provider = default_providers().create("accuracy")
     provider.initialize(
         splits, conf, paper_policies().get("LA"), random.Random(seed)
     )
@@ -98,8 +98,23 @@ class TestSetupValidation:
             aggregate=AggregateSpec("count", None), error_pct=1.0,
         )
         conf.params.pop("sampling.error.pct")
-        provider = AccuracyProvider()
+        provider = default_providers().create("accuracy")
         with pytest.raises(InputProviderError):
+            provider.initialize(
+                splits, conf, paper_policies().get("LA"), random.Random(0)
+            )
+
+    def test_rejects_stats_pruning(self):
+        # Pruned splits would leave the FPC population without entering
+        # the estimator, so an accuracy job keeps the uniform pool.
+        pred, splits = make_splits()
+        conf = make_approx_conf(
+            name="t", input_path="/t", predicate=pred,
+            aggregate=AggregateSpec("count", None), error_pct=1.0,
+        )
+        conf.set("sampling.stats.mode", "prune")
+        provider = default_providers().create("accuracy")
+        with pytest.raises(InputProviderError, match="sampling.stats.mode"):
             provider.initialize(
                 splits, conf, paper_policies().get("LA"), random.Random(0)
             )
@@ -110,7 +125,7 @@ class TestSetupValidation:
             name="t", input_path="/t", predicate=pred,
             aggregate=AggregateSpec("count", None), error_pct=1.0,
         )
-        provider = AccuracyProvider()
+        provider = default_providers().create("accuracy")
         with pytest.raises(InputProviderError):
             provider.initialize(
                 [], conf, paper_policies().get("LA"), random.Random(0)
@@ -123,9 +138,9 @@ class TestStoppingRule:
         # Identical counts => zero width, but below the floor the target
         # must not be considered met.
         drain_counts(provider, [10] * (MIN_SPLITS_TO_STOP - 1))
-        assert not provider.target_met
+        assert not provider.demand.target_met
         drain_counts(provider, [10], start=MIN_SPLITS_TO_STOP - 1)
-        assert provider.target_met
+        assert provider.demand.target_met
 
     def test_end_of_input_once_met(self):
         provider = accuracy_provider(error_pct=50.0)
@@ -164,7 +179,7 @@ class TestStoppingRule:
         # (full) scan may certify, so the provider keeps grabbing.
         provider = accuracy_provider(error_pct=5.0)
         drain_counts(provider, [0] * 16)
-        assert not provider.target_met
+        assert not provider.demand.target_met
         response = provider.evaluate(progress(added=16, completed=16), status())
         assert response.kind is ResponseKind.INPUT_AVAILABLE
 
@@ -178,26 +193,26 @@ class TestNeededSplitsProjection:
         provider = accuracy_provider(error_pct=1.0)
         rng = random.Random(5)
         drain_counts(provider, [rng.randint(280, 320) for _ in range(8)])
-        needed = provider._needed_splits()
+        needed = provider.demand._needed_splits()
         assert 1 <= needed < provider.remaining_splits
 
     def test_projection_unbounded_without_interval(self):
         provider = accuracy_provider(error_pct=1.0)
         drain_counts(provider, [0] * 10)
-        assert provider._needed_splits() == float("inf")
+        assert provider.demand._needed_splits() == float("inf")
 
     def test_below_floor_asks_for_the_floor(self):
         provider = accuracy_provider(error_pct=5.0)
         drain_counts(provider, [10, 20])
-        assert provider._needed_splits() == float(MIN_SPLITS_TO_STOP - 2)
+        assert provider.demand._needed_splits() == float(MIN_SPLITS_TO_STOP - 2)
 
 
 class TestObservation:
     def test_counts_only_suffices_for_ungrouped_count(self):
         provider = accuracy_provider()
         provider.observe_split("s0", records=100, outputs=7, rows=None)
-        assert provider.estimator.observed_splits == 1
-        [g] = provider.estimator.estimates()
+        assert provider.demand.estimator.observed_splits == 1
+        [g] = provider.demand.estimator.estimates()
         assert g.sample_count == 7
 
     def test_counts_only_rejected_for_sum(self):
@@ -218,7 +233,7 @@ class TestObservation:
             "s0", records=10, outputs=3,
             rows=[("A", 2.0), ("A", 3.0), ("R", 10.0)],
         )
-        groups = {g.group: g for g in provider.estimator.estimates()}
+        groups = {g.group: g for g in provider.demand.estimator.estimates()}
         assert groups["A"].sample_count == 2
         assert groups["A"].sample_sum == pytest.approx(5.0)
         assert groups["R"].sample_sum == pytest.approx(10.0)

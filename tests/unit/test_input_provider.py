@@ -1,4 +1,4 @@
-"""Unit tests for the Input Provider protocol and built-in providers."""
+"""Unit tests for the Input Provider protocol and its built-in compositions."""
 
 import math
 import random
@@ -10,11 +10,10 @@ from repro.core import (
     InputProvider,
     ProviderResponse,
     ResponseKind,
-    SamplingInputProvider,
-    StaticInputProvider,
     default_providers,
     paper_policies,
 )
+from repro.core.pool import SplitPool
 from repro.core.protocol import ClusterStatus, JobProgress
 from repro.data import build_materialized_dataset, dataset_spec_for_scale, predicate_for_skew
 from repro.dfs import DistributedFileSystem
@@ -66,7 +65,7 @@ def sampling_provider(policy_name="LA", k=100, num_partitions=16, seed=0):
         name="t", input_path="/t", predicate=pred, sample_size=k,
         policy_name=policy_name,
     )
-    provider = SamplingInputProvider()
+    provider = InputProvider()
     provider.initialize(splits, conf, paper_policies().get(policy_name), random.Random(seed))
     return provider
 
@@ -88,7 +87,7 @@ class TestProviderResponse:
 
 class TestBaseProvider:
     def test_use_before_initialize_rejected(self):
-        provider = SamplingInputProvider()
+        provider = InputProvider()
         with pytest.raises(InputProviderError):
             provider.initial_input(status())
 
@@ -151,8 +150,13 @@ class BrokenLimitPolicy:
 
 
 def provider_with_policy(policy):
-    provider = sampling_provider()
-    provider._policy = policy
+    pred, splits = make_splits()
+    conf = make_sampling_conf(
+        name="t", input_path="/t", predicate=pred, sample_size=100,
+        policy_name="LA",
+    )
+    provider = InputProvider()
+    provider.initialize(splits, conf, policy, random.Random(0))
     return provider
 
 
@@ -179,11 +183,14 @@ class TestStaticProvider:
             name="t", input_path="/t", predicate=pred, sample_size=10,
             policy_name="LA", provider_name="static",
         )
-        provider = StaticInputProvider()
-        provider.initialize(splits, conf, paper_policies().get("Hadoop"), random.Random(0))
+        provider = default_providers().create("static")
+        # C caps a grab at 4 splits; all-input demand ignores the budget.
+        provider.initialize(splits, conf, paper_policies().get("C"), random.Random(0))
         taken, complete = provider.initial_input(status())
         assert len(taken) == 8
         assert complete is True
+        response = provider.evaluate(progress(total=8, added=8), status())
+        assert response.kind is ResponseKind.END_OF_INPUT
 
 
 class TestSamplingProviderInitialInput:
@@ -213,7 +220,7 @@ class TestSamplingProviderInitialInput:
             policy_name="LA",
         )
         del conf.params["sampling.size"]
-        provider = SamplingInputProvider()
+        provider = InputProvider()
         with pytest.raises(InputProviderError):
             provider.initialize(splits, conf, paper_policies().get("LA"), random.Random(0))
 
@@ -285,7 +292,7 @@ class TestSamplingProviderEvaluate:
         provider.evaluate(
             progress(added=4, completed=4, records=10_000, outputs=5), status()
         )
-        assert provider.estimator.estimate == pytest.approx(0.0005)
+        assert provider.demand.estimator.estimate == pytest.approx(0.0005)
 
 
 class TestProviderRegistry:
@@ -293,7 +300,7 @@ class TestProviderRegistry:
         registry = default_providers()
         assert "sampling" in registry
         assert "static" in registry
-        assert isinstance(registry.create("sampling"), SamplingInputProvider)
+        assert isinstance(registry.create("sampling"), InputProvider)
 
     def test_unknown_rejected(self):
         with pytest.raises(InputProviderError):
@@ -310,3 +317,43 @@ class TestProviderRegistry:
         with pytest.raises(InputProviderError):
             registry.register("custom", Custom)
         registry.register("custom", Custom, replace=True)
+
+
+class FileOrderPool(SplitPool):
+    """Takes splits in file order instead of at random."""
+
+    def _choose(self, count):
+        return sorted(self.remaining, key=lambda split: split.index)[:count]
+
+
+class TestComposition:
+    def test_every_registry_name_is_a_composed_provider(self):
+        registry = default_providers()
+        assert registry.names() == ["accuracy", "adaptive", "sampling", "static", "stats"]
+        for name in registry.names():
+            assert type(registry.create(name)) is InputProvider
+
+    def test_pool_swap_keeps_demand_and_budget(self):
+        pred, splits = make_splits(16)
+        conf = make_sampling_conf(
+            name="t", input_path="/t", predicate=pred, sample_size=100,
+            policy_name="LA",
+        )
+        provider = InputProvider(pool=lambda splits, conf, rng: FileOrderPool(splits, rng))
+        provider.initialize(splits, conf, paper_policies().get("LA"), random.Random(0))
+        taken, complete = provider.initial_input(status())
+        # LA's GrabLimit (8 of 40 idle slots) still caps the first grab.
+        assert [s.index for s in taken] == list(range(8))
+        assert complete is False
+        response = provider.evaluate(
+            progress(added=8, completed=8, records=20_000, outputs=80), status()
+        )
+        # The LIMIT-k demand still sizes the grab: at selectivity 0.004
+        # and 2,500 records per split, 2 splits cover the last 20.
+        assert [s.index for s in response.splits] == [8, 9]
+
+    def test_reporting_defaults_without_statistics_or_intervals(self):
+        provider = sampling_provider()
+        assert provider.splits_pruned == 0
+        assert provider.ci_state is None
+        assert provider.approx_summary() is None
