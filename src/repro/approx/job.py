@@ -3,8 +3,10 @@
 Map side: evaluate the predicate on each record and emit
 ``(group_key, value)`` for every match — ``value`` is the aggregated
 column's value for SUM/AVG and ``0.0`` for COUNT(*), where the emission
-itself is the observation. No cap: unlike Algorithm 1's k-limit, every
-match in a grabbed split contributes to the estimate.
+itself is the observation. As in SQL, SUM and AVG ignore NULLs: a match
+whose aggregated value is NULL emits nothing, while COUNT(*) counts
+every match. No cap: unlike Algorithm 1's k-limit, every match in a
+grabbed split contributes to the estimate.
 
 Reduce side: one task folds each group's candidates into exact
 ``{count, sum}`` totals over the *scanned* splits. The statistical
@@ -66,9 +68,11 @@ class ApproxAggregationMapper(Mapper):
             self._match = compile_row_matcher(self._predicate)
 
     def _emit_row(self, row: Any, context: MapContext) -> None:
+        value = row[self._spec.column] if self._spec.column is not None else 0.0
+        if value is None:
+            return  # SUM/AVG skip NULLs
         group = row[self._group_by] if self._group_by is not None else None
-        value = float(row[self._spec.column]) if self._spec.column is not None else 0.0
-        context.emit(group, value)
+        context.emit(group, float(value))
 
     def map(self, key: Any, value: Any, context: MapContext) -> None:
         if self._match(value):
@@ -89,9 +93,11 @@ class ApproxAggregationMapper(Mapper):
             batch.columns[self._spec.column] if self._spec.column is not None else None
         )
         for index in hits:
+            value = value_col[index] if value_col is not None else 0.0
+            if value is None:
+                continue  # SUM/AVG skip NULLs
             group = group_col[index] if group_col is not None else None
-            value = float(value_col[index]) if value_col is not None else 0.0
-            context.emit(group, value)
+            context.emit(group, float(value))
         return False
 
 

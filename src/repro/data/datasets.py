@@ -148,7 +148,9 @@ class PartitionData:
 
         mmap-backed partitions return the store of lazy zero-copy views
         over the mapped file — no column data is duplicated; values
-        decode straight out of the page cache on access.
+        decode straight out of the page cache on access, except that a
+        string column keeps the rows that scans read again as one
+        decoded list (:meth:`ColumnStore.scan_columns`).
         """
         if self.columns is None:
             if self.mmap_ref is not None:

@@ -8,11 +8,16 @@ local once per batch. Row dicts remain the logical model — a store can
 synthesize them on demand (:meth:`ColumnStore.row_at`), preserving the
 original column order so row-mode and batch-mode execution produce
 byte-identical output.
+
+Scans read a store through :meth:`ColumnStore.scan_columns`, which
+differs from ``columns`` only for mmap-backed stores: there a string
+column hands a scan the rows that earlier scans already read as one
+decoded list, and later scans index that list.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from repro.data.record import Row, row_at
 from repro.errors import DataGenerationError
@@ -28,7 +33,7 @@ class ColumnStore:
     each name to a list holding that column's values for every row.
     """
 
-    __slots__ = ("names", "columns", "num_rows")
+    __slots__ = ("names", "columns", "num_rows", "_decodes")
 
     def __init__(self, names: tuple[str, ...], columns: dict[str, list]) -> None:
         lengths = {len(columns[name]) for name in names}
@@ -39,6 +44,7 @@ class ColumnStore:
         self.names = tuple(names)
         self.columns = columns
         self.num_rows = lengths.pop() if lengths else 0
+        self._decodes = any(hasattr(column, "decoded") for column in columns.values())
 
     @classmethod
     def from_rows(cls, rows: Iterable[Row]) -> "ColumnStore":
@@ -57,6 +63,17 @@ class ColumnStore:
             for name, append in zip(names, appends):
                 append(row[name])
         return cls(names, columns)
+
+    def scan_columns(self, stop: int) -> Mapping[str, Sequence]:
+        """Column name -> the column as a scan of rows ``[0, stop)`` indexes it.
+
+        Only scans read a store this way; row reads (:meth:`row_at`,
+        :meth:`iter_rows`) go through ``columns`` and never decode. A
+        column with a ``decoded(stop)`` method (the mmap string column)
+        is swapped for what that returns on lookup; every other column,
+        and every column of an in-memory store, is returned as is.
+        """
+        return _ScanView(self.columns, stop) if self._decodes else self.columns
 
     def row_at(self, index: int, columns: tuple[str, ...] | None = None) -> Row:
         """Synthesize the row dict at ``index`` (optionally projected)."""
@@ -87,9 +104,11 @@ class ColumnStore:
 class ColumnBatch:
     """A ``[start, stop)`` window over a :class:`ColumnStore`.
 
-    Batches are views — no column data is copied. Indices handed to
-    matchers and :meth:`row` are absolute store indices, which double as
-    the record keys the row-mode map loop produces via ``enumerate``.
+    Batches are views — no column data is copied; ``columns`` is what
+    :meth:`ColumnStore.scan_columns` gives a scan of the batch. Indices
+    handed to matchers and :meth:`row` are absolute store indices, which
+    double as the record keys the row-mode map loop produces via
+    ``enumerate``.
     """
 
     __slots__ = ("store", "start", "stop")
@@ -100,8 +119,8 @@ class ColumnBatch:
         self.stop = stop
 
     @property
-    def columns(self) -> dict[str, list]:
-        return self.store.columns
+    def columns(self) -> Mapping[str, Sequence]:
+        return self.store.scan_columns(self.stop)
 
     def row(self, index: int, columns: tuple[str, ...] | None = None) -> Row:
         """The row dict at absolute ``index`` (optionally projected)."""
@@ -115,3 +134,25 @@ class ColumnBatch:
 
     def __len__(self) -> int:
         return self.stop - self.start
+
+
+class _ScanView(Mapping):
+    """A store's columns as a scan of rows ``[0, stop)`` indexes them
+    (see :meth:`ColumnStore.scan_columns`)."""
+
+    __slots__ = ("_columns", "_stop")
+
+    def __init__(self, columns: Mapping[str, Sequence], stop: int) -> None:
+        self._columns = columns
+        self._stop = stop
+
+    def __getitem__(self, name: str) -> Sequence:
+        column = self._columns[name]
+        decoded = getattr(column, "decoded", None)
+        return column if decoded is None else decoded(self._stop)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._columns)
+
+    def __len__(self) -> int:
+        return len(self._columns)

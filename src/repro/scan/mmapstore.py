@@ -62,8 +62,23 @@ The writer streams one partition at a time (memory stays bounded by a
 single partition no matter how large the dataset grows — the 100M-row
 path); the reader eagerly touches only the header and footer, handing
 out partitions as :class:`~repro.scan.columnar.ColumnStore` views whose
-columns are ``memoryview`` casts or lazy per-row decoders directly over
-the mapped file. Nothing is copied until a row is actually read.
+columns are ``memoryview`` casts (numeric and bool columns without
+NULLs) or per-row decoders directly over the mapped file (strings, and
+columns with a NULL mask).
+
+Row reads (``iter_rows``, ``row_at``, any ``store.columns[name]``
+lookup) decode value by value and copy nothing else. Scans of a string
+column go through :meth:`StringColumn.decoded`, which trades decoding
+rows a scan may never reach for reusing rows that scans read again:
+the first scan of a row range reads it value by value, like a row read;
+a later scan that reaches rows an earlier scan already read decodes
+them into one Python list, window by window, and every later scan of
+that range indexes the list. The list costs 8 bytes per row and keeps
+one string per distinct value (equal strings share one object); a
+column whose list would hold more than ``max(16, rows / 16)`` distinct
+strings stops decoding and keeps nothing. NULL-bearing numeric columns
+are always read value by value: decoding them would keep a new float or
+int object per row, about 32 bytes.
 """
 
 from __future__ import annotations
@@ -522,7 +537,7 @@ def encode_partition(
 
 
 # ---------------------------------------------------------------------------
-# Lazy column views (decode-on-access; nothing is materialized up front)
+# Lazy column views (decode on access; string lists for re-scanned rows)
 # ---------------------------------------------------------------------------
 class _StructColumn:
     """Per-value struct decoding for hosts whose native byte order is not
@@ -538,7 +553,9 @@ class _StructColumn:
     def __len__(self) -> int:
         return self._count
 
-    def __getitem__(self, index: int):
+    def __getitem__(self, index):
+        if isinstance(index, slice):  # a list, where memoryview gives a view
+            return [self[i] for i in range(*index.indices(self._count))]
         if index < 0 or index >= self._count:
             raise IndexError(index)
         return self._struct.unpack_from(self._buf, index * self._struct.size)[0]
@@ -572,15 +589,24 @@ class NullableColumn:
             yield None if flag else value
 
 
-class StringColumn:
-    """Offset-indexed UTF-8 strings decoded per access (zero-copy blob)."""
+#: A decoded string list may hold this many distinct strings, or one per
+#: this many rows if that is more; past that, the column stops decoding.
+_SHARING = 16
 
-    __slots__ = ("_offsets", "_blob", "_mask")
+
+class StringColumn:
+    """Offset-indexed UTF-8 strings decoded per access (zero-copy blob);
+    scans read re-scanned rows from one decoded list (:meth:`decoded`)."""
+
+    __slots__ = ("_offsets", "_blob", "_mask", "_decoded", "_shared", "_reached")
 
     def __init__(self, offsets, blob: memoryview, mask: memoryview | None) -> None:
         self._offsets = offsets
         self._blob = blob
         self._mask = mask
+        self._decoded: list | None = []  # None: too many distinct strings
+        self._shared: dict[str, str] = {}
+        self._reached = 0  # rows [0, _reached) were read by some scan
 
     def __len__(self) -> int:
         return len(self._offsets) - 1
@@ -595,6 +621,47 @@ class StringColumn:
     def __iter__(self) -> Iterator:
         for index in range(len(self)):
             yield self[index]
+
+    def decoded(self, stop: int) -> Sequence:
+        """The column as a scan of rows ``[0, stop)`` should index it.
+
+        That is the decoded list (NULL -> ``None``, equal strings share
+        one object) once it covers ``stop`` rows. Rows no earlier scan
+        reached are read from the column itself, value by value, so a
+        scan that stops early decodes nothing it did not read. Rows an
+        earlier scan reached are decoded onto the list's end, up to
+        ``stop`` or twice the list's length, whichever is more, but never
+        past those rows. The list is replaced, never grown in place: two
+        threads may decode the same rows, but neither sees a partial
+        list. Once the list would hold more than ``max(16, rows / 16)``
+        distinct strings it is dropped, and the column is read value by
+        value from then on.
+        """
+        values = self._decoded
+        if values is None:
+            return self
+        if stop <= len(values):
+            return values
+        if stop > self._reached:
+            self._reached = stop
+            return self
+        start = len(values)
+        end = min(self._reached, max(stop, 2 * start))
+        bounds = self._offsets[start : end + 1]
+        blob = bytes(self._blob[: bounds[-1]])
+        shared = self._shared
+        share = shared.setdefault
+        window = [share(s := blob[a:b].decode(), s) for a, b in zip(bounds, bounds[1:])]
+        if len(shared) > max(_SHARING, end // _SHARING):
+            self._decoded = None
+            self._shared = {}
+            return self
+        if self._mask is not None:
+            mask = self._mask[start:end]
+            window = [None if flag else v for flag, v in zip(mask, window)]
+        values = values + window
+        self._decoded = values
+        return values
 
 
 def _cast(buf: memoryview, fmt: str, count: int):

@@ -6,7 +6,9 @@ the dataset file paths and file ranges of that worker's splits, plus the
 compiled predicate's generated source once — never pickled rows. The
 worker re-``mmap``s the file (the OS shares the page-cache pages with
 every other worker and the parent), compiles the batch matcher once for
-the whole task, scans each partition, and returns only match indices and
+the whole task, scans each partition in batches, as the serial loop does
+(so a string column that a worker's later tasks scan again is decoded
+once per worker and partition), and returns only match indices and
 counters, one :class:`ScanTaskResult` per partition. The parent
 materializes output rows at the hit indices from its own mapping, so job
 output is byte-identical to serial execution:
@@ -15,9 +17,9 @@ output is byte-identical to serial execution:
   order the serial batch loop appends matches.
 * **LIMIT-k accounting** — the generated matcher returns ``index of the
   k-th match + 1`` on early exit, a quantity independent of batch
-  chunking (the batch-size parity tests pin this), so scanning the whole
-  partition range in one call yields the same ``records_read`` as the
-  serial batch-by-batch loop. The limit applies per partition, never
+  chunking (the batch-size parity tests pin this), so the worker's
+  chunks yield the same ``records_read`` as the serial batch loop,
+  whatever their size. The limit applies per partition, never
   across the partitions of a packed task.
 * **Keys** — :class:`ScanTaskSpec.fixed_key` reproduces the sampling
   job's dummy-key emission; ``None`` keys each output by its absolute
@@ -35,6 +37,7 @@ from typing import Any
 from repro.data.record import row_at
 from repro.obs.profile import cpu_clock, wall_clock
 from repro.scan.codegen import compile_batch_matcher_from_source
+from repro.scan.columnar import DEFAULT_BATCH_SIZE
 from repro.scan.mmapstore import MmapDataset, MmapSplitRef, open_mmap_dataset
 
 
@@ -194,13 +197,9 @@ def run_scan_task(task: ScanTask) -> list[ScanTaskResult]:
     Compiles the matcher once and opens each dataset file once for the
     whole task (through the per-process mmap cache, so a worker maps a
     file once no matter how many tasks it runs), then scans each
-    partition's row range with the spec's own ``limit``. Without
-    telemetry (``task.job_id`` unset or no conduit installed) each range
-    goes through one matcher call; with telemetry it is scanned in
-    chunks with a cumulative :class:`WorkerDelta` flushed after each —
-    byte-identical either way, because the generated matcher's LIMIT-k
-    accounting is chunking-independent (the batch-size parity tests pin
-    this). Returns one result per ref, in ``task.refs`` order."""
+    partition's row range with the spec's own ``limit``, chunk by chunk
+    (:func:`_scan_partition`). Returns one result per ref, in
+    ``task.refs`` order."""
     wall0 = wall_clock()
     cpu0 = cpu_clock()
     matcher = compile_batch_matcher_from_source(
@@ -217,15 +216,9 @@ def run_scan_task(task: ScanTask) -> list[ScanTaskResult]:
         store = dataset.partition_store(ref.partition)
         hits: list[int] = []
         scan0 = wall_clock()
-        deltas: tuple[tuple[int, float], ...] = ()
-        if telemetry is None:
-            scanned = matcher(
-                store.columns, 0, store.num_rows, task.spec.limit, hits.append
-            )
-        else:
-            scanned, deltas = _chunked_scan(
-                matcher, store, task, ref.partition, hits, telemetry, scan0
-            )
+        scanned, deltas = _scan_partition(
+            matcher, store, task, ref.partition, hits, telemetry, scan0
+        )
         scan_wall = wall_clock() - scan0
         scan_total += scan_wall
         scans.append((ref.partition, scanned, hits, scan_wall, deltas))
@@ -252,20 +245,25 @@ def run_scan_task(task: ScanTask) -> list[ScanTaskResult]:
     return results
 
 
-def _chunked_scan(
+def _scan_partition(
     matcher, store, task: ScanTask, partition: int, hits: list[int],
-    telemetry: _WorkerTelemetry, scan0: float,
+    telemetry: _WorkerTelemetry | None, scan0: float,
 ) -> tuple[int, tuple[tuple[int, float], ...]]:
-    """Scan one partition in telemetry-sized chunks, flushing progress.
+    """Scan one partition in chunks, flushing progress if telemetry is on.
 
-    Equivalence with the single-call path: each chunk call appends the
-    same ascending absolute indices, and the per-chunk scanned counts
+    Chunks hold :data:`~repro.scan.columnar.DEFAULT_BATCH_SIZE` rows, as
+    the serial batch loop does, so a string column decodes no more rows
+    than the scan reaches; with telemetry (``task.job_id`` set and a
+    conduit installed) they hold the conduit's ``chunk_rows`` and each is
+    followed by a cumulative :class:`WorkerDelta`. Any chunking gives the
+    same result as one call over the whole range: each chunk call appends
+    the same ascending absolute indices, and the per-chunk scanned counts
     (full chunk size, or ``k-th-match-offset + 1`` on early exit) sum to
-    exactly the single call's return value.
+    exactly that call's return value.
     """
     limit = task.spec.limit
     num_rows = store.num_rows
-    chunk = telemetry.chunk_rows
+    chunk = telemetry.chunk_rows if telemetry is not None else DEFAULT_BATCH_SIZE
     scanned = 0
     checkpoints: list[tuple[int, float]] = []
     position = 0
@@ -273,23 +271,24 @@ def _chunked_scan(
         end = min(position + chunk, num_rows)
         remaining = None if limit is None else limit - len(hits)
         chunk0 = wall_clock()
-        sub = matcher(store.columns, position, end, remaining, hits.append)
-        chunk_wall = wall_clock() - chunk0
+        sub = matcher(store.scan_columns(end), position, end, remaining, hits.append)
         scanned += sub
-        checkpoints.append((scanned, wall_clock() - scan0))
-        telemetry.flush(
-            WorkerDelta(
-                job_id=task.job_id,
-                partition=partition,
-                rows_scanned=scanned,
-                hits=len(hits),
-                chunk_rows=sub,
-                wall_s=chunk_wall,
+        if telemetry is not None:
+            chunk_wall = wall_clock() - chunk0
+            checkpoints.append((scanned, wall_clock() - scan0))
+            telemetry.flush(
+                WorkerDelta(
+                    job_id=task.job_id,
+                    partition=partition,
+                    rows_scanned=scanned,
+                    hits=len(hits),
+                    chunk_rows=sub,
+                    wall_s=chunk_wall,
+                )
             )
-        )
         # limit=0 deliberately never breaks: the generated matcher's
-        # early-exit check (``_n == _limit``) cannot fire for 0, so the
-        # single-call path scans everything and chunking must match.
+        # early-exit check (``_n == _limit``) cannot fire for 0, so one
+        # call over the whole range scans everything and chunks must too.
         if limit is not None and limit > 0 and len(hits) >= limit:
             break
         position = end

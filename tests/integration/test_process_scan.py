@@ -8,6 +8,7 @@ whenever a job cannot be shipped to worker processes.
 """
 
 import os
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -20,6 +21,7 @@ from repro.data import (
     dataset_spec_for_scale,
     predicate_for_skew,
 )
+from repro.data.predicates import And, ColumnCompare
 from repro.dfs import DistributedFileSystem
 from repro.engine.runtime import (
     MAP_EXECUTOR_ENV,
@@ -117,6 +119,68 @@ class TestShortCircuitAccounting:
         assert parallel.records_processed == serial.records_processed
         assert parallel.records_processed < dataset.spec.num_rows
         assert parallel.outputs_produced == 5
+
+
+class TestStringColumns:
+    """A string predicate that projects ``l_shipmode``: process runs must
+    match serial runs byte for byte, LIMIT-k accounting included, also
+    once the workers decode ``l_shipmode`` for partitions they scan
+    again."""
+
+    PREDICATE = And(
+        (ColumnCompare("l_shipmode", "=", "RAIL"), ColumnCompare("l_tax", "=", 0.0))
+    )
+
+    def test_string_predicate_matches_serial_exactly(self, mmap_splits):
+        _predicate, dataset, splits = mmap_splits
+        k = 3
+        confs = [
+            make_sampling_conf(
+                name="q", input_path="/t", predicate=self.PREDICATE, sample_size=k,
+                policy_name=None, columns=("l_shipmode",),
+            ),
+            make_scan_conf(
+                name="q", input_path="/t", predicate=self.PREDICATE,
+                columns=("l_orderkey", "l_shipmode"),
+            ),
+        ]
+        shipmodes = [p.column_store().columns["l_shipmode"] for p in dataset.partitions]
+        # No test in this module scans l_shipmode in the parent before
+        # this one, so the forked workers start from unread columns.
+        assert all(column._reached == 0 for column in shipmodes)
+        with LocalRunner(map_executor="process", map_workers=2) as runner:
+            # Three full scans put every partition on one of the two
+            # workers at least twice: each is decoded in some worker.
+            rounds = [[runner.run(conf, splits) for conf in confs] for _ in range(3)]
+        # The workers scanned; the parent only read hit rows.
+        assert all(column._reached == 0 for column in shipmodes)
+        serial = LocalRunner(map_executor="thread", map_workers=1)
+        for results in rounds:
+            for parallel, conf in zip(results, confs):
+                expected = serial.run(conf, splits)
+                assert fingerprint(parallel) == fingerprint(expected)
+                assert pickle.dumps(parallel.output_data) == pickle.dumps(
+                    expected.output_data
+                )
+
+        expected_records = 0
+        expected_outputs = 0
+        for partition in dataset.partitions:
+            hits = 0
+            for read, row in enumerate(partition.iter_rows(), start=1):
+                if row["l_shipmode"] == "RAIL" and row["l_tax"] == 0.0:
+                    hits += 1
+                    if hits == k:
+                        break
+            expected_records += read
+            expected_outputs += hits
+        for limited, scanned in rounds:
+            assert limited.records_processed == expected_records < dataset.spec.num_rows
+            assert limited.map_outputs_produced == expected_outputs
+            assert len(limited.output_data) == limited.outputs_produced == k
+            assert all(row == {"l_shipmode": "RAIL"} for _key, row in limited.output_data)
+            assert scanned.records_processed == dataset.spec.num_rows
+            assert scanned.output_data
 
 
 class TestFallback:

@@ -6,9 +6,11 @@ import tracemalloc
 
 import pytest
 
+from repro.data.predicates import ColumnCompare
 from repro.data.schema import Field, Schema
 from repro.data.tpch import LINEITEM_SCHEMA
 from repro.errors import MmapStoreError
+from repro.scan.codegen import compile_batch_matcher
 from repro.scan.mmapstore import (
     COLUMN_TYPES,
     MAGIC,
@@ -305,6 +307,41 @@ class TestBoundedMemory:
         tracemalloc.stop()
         assert total == partitions
         assert peak < path.stat().st_size / 10
+
+    @staticmethod
+    def _retained_per_row(tmp_path, code, values, literal):
+        """Bytes per row that three full batch scans of a one-column
+        partition leave allocated."""
+        rows = len(values)
+        path = tmp_path / "c.rcs"
+        with MmapDatasetWriter(path, ("c",), (code,)) as writer:
+            writer.write_partition({"c": values}, rows)
+        store = MmapDataset(path).partition_store(0)
+        matcher = compile_batch_matcher(ColumnCompare("c", "=", literal))
+        tracemalloc.start()
+        before, _ = tracemalloc.get_traced_memory()
+        for _ in range(3):
+            for batch in store.iter_batches():
+                matcher(batch.columns, batch.start, batch.stop, None, [].append)
+        retained, _ = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        return (retained - before) / rows
+
+    def test_low_cardinality_string_scan_keeps_a_pointer_per_row(self, tmp_path):
+        """The decoded list: 8 B/row plus one string per distinct value;
+        one string object per row would add ~50 B/row."""
+        modes = ("AIR", "RAIL", "TRUCK", "MAIL", "SHIP", "FOB", "REG AIR")
+        values = [modes[i * 3 % len(modes)] for i in range(20_000)]
+        assert self._retained_per_row(tmp_path, "s", values, "RAIL") < 12
+
+    def test_high_cardinality_string_scan_keeps_nothing(self, tmp_path):
+        values = [f"comment {i:06d} of a lineitem" for i in range(20_000)]
+        assert self._retained_per_row(tmp_path, "s", values, "none") < 1
+
+    def test_null_bearing_numeric_scan_keeps_nothing(self, tmp_path):
+        """Decoding would keep a new float object per row (~32 B/row)."""
+        values = [None if i % 10 == 0 else i * 0.5 for i in range(20_000)]
+        assert self._retained_per_row(tmp_path, "f", values, 1.5) < 1
 
 
 class TestEncodePartition:

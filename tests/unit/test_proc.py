@@ -3,8 +3,9 @@
 These call :func:`run_scan_task` in process, the way a worker does, so
 the packing contract is checked without a pool: a packed task over
 several partitions answers exactly what one single-partition task each
-would, on the single-call and the chunked telemetry paths alike, and its
-per-split timings share out the task's wall time.
+would, with batch-sized and telemetry-sized chunks alike, its per-split
+timings share out the task's wall time, and a worker decodes a string
+column only for partitions it scans again.
 """
 
 import dataclasses
@@ -19,8 +20,11 @@ from repro.data import (
     dataset_spec_for_scale,
     predicate_for_skew,
 )
+from repro.data.predicates import ColumnCompare
 from repro.dfs import DistributedFileSystem
 from repro.scan import proc
+from repro.scan.columnar import DEFAULT_BATCH_SIZE
+from repro.scan.mmapstore import open_mmap_dataset
 from repro.scan.proc import (
     ScanTask,
     WorkerDelta,
@@ -134,6 +138,55 @@ class TestTelemetryPath:
         results = run_scan_task(ScanTask(refs=refs, spec=spec))
         assert telemetry.items == []
         assert not any(r.deltas for r in results)
+
+
+class TestStringDecode:
+    def test_a_worker_decodes_only_partitions_it_scans_again(self, refs_and_spec):
+        refs, _spec = refs_and_spec
+        conf = make_scan_conf(
+            name="q", input_path="/t", predicate=ColumnCompare("l_shipmode", "=", "RAIL")
+        )
+        task = ScanTask(refs=refs, spec=conf.mapper_factory().scan_task_spec())
+        dataset = open_mmap_dataset(refs[0].path)
+        stores = [dataset.partition_store(ref.partition) for ref in refs]
+        expected = [
+            [i for i, mode in enumerate(store.columns["l_shipmode"]) if mode == "RAIL"]
+            for store in stores
+        ]
+        shipmodes = [store.columns["l_shipmode"] for store in stores]
+        first = run_scan_task(task)
+        assert [r.hits for r in first] == expected
+        assert all(column._decoded == [] for column in shipmodes)
+        second = run_scan_task(task)
+        assert answers(second) == answers(first)
+        assert [len(column._decoded) for column in shipmodes] == [
+            ref.row_count for ref in refs
+        ]
+        assert answers(run_scan_task(task)) == answers(first)
+
+    def test_a_limit_rescan_decodes_one_batch(self, tmp_path):
+        """Partitions longer than a batch are scanned batch by batch, so
+        a LIMIT-k re-scan decodes the batch it stops in, not the whole
+        partition."""
+        spec = dataset_spec_for_scale(0.004, num_partitions=2)  # 12,000 rows each
+        dataset = build_materialized_dataset(
+            spec, {predicate_for_skew(0): 0.0}, seed=0, selectivity=0.01,
+            layout="mmap", mmap_path=str(tmp_path / "big.rcs"),
+        )
+        refs = tuple(partition.mmap_ref for partition in dataset.partitions)
+        assert all(ref.row_count > 2 * DEFAULT_BATCH_SIZE for ref in refs)
+        conf = make_scan_conf(
+            name="q", input_path="/t", predicate=ColumnCompare("l_shipmode", "=", "RAIL")
+        )
+        spec = dataclasses.replace(conf.mapper_factory().scan_task_spec(), limit=3)
+        task = ScanTask(refs=refs, spec=spec)
+        first = run_scan_task(task)
+        assert answers(run_scan_task(task)) == answers(first)
+        reader = open_mmap_dataset(refs[0].path)
+        for ref, result in zip(refs, first):
+            assert len(result.hits) == 3 and result.scanned < DEFAULT_BATCH_SIZE
+            column = reader.partition_store(ref.partition).columns["l_shipmode"]
+            assert len(column._decoded) == DEFAULT_BATCH_SIZE
 
 
 class TestTimings:

@@ -9,8 +9,12 @@ produce identical decisions through:
 
 The same holds for predicates compiled from Hive WHERE expressions,
 whose codegen goes through :func:`repro.hive.expressions.emit_condition`
-instead of the core-predicate emitter.
+instead of the core-predicate emitter, and for their batch scan over the
+same rows written to an mmap partition, cold and with its string column
+decoded.
 """
+
+import itertools
 
 import pytest
 
@@ -30,6 +34,7 @@ from repro.hive.expressions import compile_predicate
 from repro.hive.parser import parse_statement
 from repro.scan.codegen import compile_batch_matcher, compile_row_matcher
 from repro.scan.columnar import ColumnStore
+from repro.scan.mmapstore import MmapDataset, MmapDatasetWriter
 
 COLUMNS = ("a", "b", "c")
 
@@ -112,6 +117,7 @@ HIVE_CONDITIONS = [
     "l_quantity NOT IN (1, 2, 3)",
     "l_shipmode LIKE 'AIR%'",
     "l_shipmode NOT LIKE '%TRUCK%'",
+    "l_shipmode IN ('AIRÉ', '', '✈ TRUCK')",
     "l_tax IS NULL",
     "l_tax IS NOT NULL",
     "NOT (l_quantity < 5 OR l_quantity > 45)",
@@ -127,19 +133,38 @@ hive_rows = st.lists(
                 st.none(), st.sampled_from([0.0, 0.01, 0.03, 0.05, 0.1])
             ),
             "l_shipmode": st.one_of(
-                st.none(), st.sampled_from(["AIR", "TRUCK", "AIR REG", "MAIL"])
+                st.none(),
+                st.sampled_from(
+                    ["AIR", "TRUCK", "AIR REG", "MAIL", "", "AIRÉ", "✈ TRUCK", "MÄIL"]
+                ),
             ),
         }
     ),
     min_size=1,
     max_size=20,
 )
+HIVE_TYPES = {"l_quantity": "i", "l_tax": "f", "l_discount": "f", "l_shipmode": "s"}
+
+
+@pytest.fixture(scope="module")
+def mmap_partition(tmp_path_factory):
+    """Writes rows as a one-partition mmap file and returns its store."""
+    root = tmp_path_factory.mktemp("hive_rows")
+    counter = itertools.count()
+
+    def write(rows):
+        path = root / f"rows{next(counter)}.rcs"
+        with MmapDatasetWriter(path, tuple(HIVE_TYPES), tuple(HIVE_TYPES.values())) as writer:
+            writer.write_rows(rows)
+        return MmapDataset(path).partition_store(0)
+
+    return write
 
 
 @pytest.mark.parametrize("condition", HIVE_CONDITIONS)
 @settings(max_examples=50, deadline=None)
 @given(rows=hive_rows)
-def test_hive_predicates_agree_across_paths(condition, rows):
+def test_hive_predicates_agree_across_paths(condition, rows, mmap_partition):
     statement = parse_statement(f"SELECT * FROM lineitem WHERE {condition}")
     predicate = compile_predicate(statement.where, LINEITEM_SCHEMA)
     interpreted = [predicate.matches(row) for row in rows]
@@ -147,3 +172,15 @@ def test_hive_predicates_agree_across_paths(condition, rows):
     assert [bool(row_matcher(row)) for row in rows] == interpreted
     expected_hits = [i for i, hit in enumerate(interpreted) if hit]
     assert batch_decisions(predicate, rows) == expected_hits
+    # The same rows from an mmap partition: the first (cold) scan reads
+    # l_shipmode value by value, the second (warm) one from its decoded
+    # list, which the third reuses.
+    store = mmap_partition(rows)
+    matcher = compile_batch_matcher(predicate)
+    for _state in ("cold", "warm", "reused"):
+        hits: list[int] = []
+        columns = store.scan_columns(store.num_rows)
+        assert matcher(columns, 0, store.num_rows, None, hits.append) == len(rows)
+        assert hits == expected_hits
+    if "l_shipmode" in condition:
+        assert isinstance(store.scan_columns(store.num_rows)["l_shipmode"], list)
