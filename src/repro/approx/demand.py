@@ -94,13 +94,14 @@ class AccuracyDemand(Demand):
     def observe_split(
         self, split_id: str, *, records: int, outputs: int, rows: list | None
     ) -> None:
-        """Fold one finished map task's output into the estimator.
+        """Pass one finished map task's per-group totals to the estimator.
 
-        ``rows`` are the task's map outputs — ``(group_key, value)``
-        pairs emitted by the approx mapper for each matching record.
-        Counter-only substrates (the simulator in profile mode) pass
-        ``None``; that suffices for ungrouped COUNT, where the match
-        count is the whole observation.
+        ``rows`` are the task's map outputs — one ``(group_key, (count,
+        sum))`` pair per group, already folded by the approx mapper in
+        row order — and reach the estimator unchanged. Counter-only
+        substrates (the simulator in profile mode) pass ``None``; that
+        suffices for ungrouped COUNT, where the match count is the whole
+        observation.
         """
         if rows is None:
             if self.spec.needs_values or self.group_by is not None:
@@ -111,11 +112,7 @@ class AccuracyDemand(Demand):
                 )
             self.estimator.observe_split(split_id, {None: (outputs, 0.0)})
             return
-        stats: dict[object, tuple[int, float]] = {}
-        for group, value in rows:
-            count, total = stats.get(group, (0, 0.0))
-            stats[group] = (count + 1, total + float(value))
-        self.estimator.observe_split(split_id, stats)
+        self.estimator.observe_split(split_id, dict(rows))
 
     # ------------------------------------------------------------------
     # Stopping rule

@@ -1,18 +1,21 @@
 """Error-bounded aggregation as a MapReduce job.
 
-Map side: evaluate the predicate on each record and emit
-``(group_key, value)`` for every match — ``value`` is the aggregated
-column's value for SUM/AVG and ``0.0`` for COUNT(*), where the emission
-itself is the observation. As in SQL, SUM and AVG ignore NULLs: a match
-whose aggregated value is NULL emits nothing, while COUNT(*) counts
-every match. No cap: unlike Algorithm 1's k-limit, every match in a
-grabbed split contributes to the estimate.
+Map side: evaluate the predicate on each record and fold every match
+into the split's per-group ``(count, sum)`` totals, in row order; at
+``cleanup`` the task emits one ``(group_key, (count, sum))`` pair per
+group (Hadoop's in-mapper combining). A match adds its aggregated
+column's value for SUM/AVG and ``0.0`` for COUNT(*). As in SQL, SUM and
+AVG ignore NULLs: a match whose aggregated value is NULL adds nothing,
+while COUNT(*) counts every match, and a group with no counted match
+emits nothing. No cap: unlike Algorithm 1's k-limit, every match in a
+grabbed split contributes to the estimate. The row path and the batch
+path share one fold.
 
-Reduce side: one task folds each group's candidates into exact
+Reduce side: one task adds each group's per-split totals into exact
 ``{count, sum}`` totals over the *scanned* splits. The statistical
 answer itself lives with the estimator of
-:class:`~repro.approx.demand.AccuracyDemand` (fed per-split via
-``observe_split``); :func:`finalize_rows` joins the
+:class:`~repro.approx.demand.AccuracyDemand` (fed each split's totals
+via ``observe_split``); :func:`finalize_rows` joins the
 two and cross-checks that the reducer's totals equal the estimator's —
 a cheap end-to-end invariant that either side would fail loudly if the
 observation plumbing dropped or duplicated a split.
@@ -21,7 +24,7 @@ observation plumbing dropped or duplicated a split.
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, Mapping, Sequence
 
 from repro.approx.estimators import AggregateSpec
 from repro.core.sampling_job import _split_matches
@@ -44,11 +47,14 @@ from repro.scan.codegen import compile_batch_matcher, compile_row_matcher
 
 
 class ApproxAggregationMapper(Mapper):
-    """Emit ``(group_key, value)`` for every predicate match.
+    """Fold predicate matches into per-group ``(count, sum)`` totals.
 
-    The emitted key varies per row (the GROUP BY value, or None), so
-    this mapper has no shippable scan-task spec — the process executor
-    falls back to in-process execution, which is always correct.
+    Emits one ``(group_key, (count, sum))`` pair per group at
+    ``cleanup``; the group key is the GROUP BY value, or None. It has no
+    shippable scan-task spec, so the process executor runs it inline:
+    on 500-row partitions and in one-shot ``repro query`` runs, folding
+    in worker processes was slower than folding in process (DESIGN
+    §8b, "Fallback").
     """
 
     def __init__(
@@ -58,54 +64,82 @@ class ApproxAggregationMapper(Mapper):
         group_by: str | None = None,
     ) -> None:
         self._predicate = predicate
-        self._spec = spec
-        self._group_by = group_by
+        self._aggregate = (spec.column, group_by)
         self._match = predicate.matches
         self._batch_matcher = None
+        self._totals: dict = {}
 
     def prepare_scan(self, mode: str) -> None:
         if mode != "interpreted":
             self._match = compile_row_matcher(self._predicate)
 
-    def _emit_row(self, row: Any, context: MapContext) -> None:
-        value = row[self._spec.column] if self._spec.column is not None else 0.0
-        if value is None:
-            return  # SUM/AVG skip NULLs
-        group = row[self._group_by] if self._group_by is not None else None
-        context.emit(group, float(value))
+    def setup(self, context: MapContext) -> None:
+        self._totals = {}
 
     def map(self, key: Any, value: Any, context: MapContext) -> None:
         if self._match(value):
-            self._emit_row(value, context)
+            # The matching row as a one-row scan view.
+            row = {
+                name: (value[name],) for name in self._aggregate if name is not None
+            }
+            self._fold(row, (0,))
 
     def run_batch(self, batch, context: MapContext) -> bool:
         if self._batch_matcher is None:
             self._batch_matcher = compile_batch_matcher(self._predicate)
         hits: list[int] = []
+        columns = batch.columns
         scanned = self._batch_matcher(
-            batch.columns, batch.start, batch.stop, None, hits.append
+            columns, batch.start, batch.stop, None, hits.append
         )
         context.records_read += scanned
-        group_col = (
-            batch.columns[self._group_by] if self._group_by is not None else None
-        )
-        value_col = (
-            batch.columns[self._spec.column] if self._spec.column is not None else None
-        )
-        for index in hits:
-            value = value_col[index] if value_col is not None else 0.0
-            if value is None:
-                continue  # SUM/AVG skip NULLs
-            group = group_col[index] if group_col is not None else None
-            context.emit(group, float(value))
+        self._fold(columns, hits)
         return False
+
+    def cleanup(self, context: MapContext) -> None:
+        context.outputs.extend(
+            (group, (count, total)) for group, (count, total) in self._totals.items()
+        )
+
+    def _fold(self, columns: Mapping[str, Sequence], hits: Sequence[int]) -> None:
+        """Add the matches at row indices ``hits`` of ``columns`` (a scan
+        view) to the split's totals, group -> ``[count, sum]``.
+
+        Without a value column (COUNT(*)) each match adds ``0.0``;
+        without a group column every match falls in group None. A NULL
+        value is skipped, as SQL's SUM and AVG skip it, so a group with
+        no counted match gets no entry. Matches are added in ascending
+        row order, each as ``count + 1`` and ``sum + float(value)`` from
+        ``(0, 0.0)``: plain float addition, never ``sum()`` (compensated
+        from Python 3.12) or ``math.fsum``, so the totals are the floats
+        that folding one ``(group, value)`` pair per match gave.
+        """
+        value_column, group_column = self._aggregate
+        values = columns[value_column] if value_column is not None else None
+        groups = columns[group_column] if group_column is not None else None
+        totals = self._totals
+        get = totals.get
+        for index in hits:
+            value = values[index] if values is not None else 0.0
+            if value is None:
+                continue
+            group = groups[index] if groups is not None else None
+            entry = get(group)
+            if entry is None:
+                entry = totals[group] = [0, 0.0]
+            entry[0] += 1
+            entry[1] += float(value)
 
 
 class ApproxAggregationReducer(Reducer):
-    """Fold each group's emitted values into exact sample totals."""
+    """Add each group's per-split totals, in task order."""
 
     def reduce(self, key: Any, values: list, context: ReduceContext) -> None:
-        context.emit(key, {"count": len(values), "sum": sum(values)})
+        count, total = 0, 0.0
+        for split_count, split_sum in values:
+            count += split_count
+            total += split_sum
+        context.emit(key, {"count": count, "sum": total})
 
 
 def make_approx_conf(

@@ -157,8 +157,12 @@ class InputProvider:
 
         The execution substrate calls this once per finished map task,
         before the next :meth:`evaluate`. ``rows`` carries the task's
-        materialized map outputs when the substrate has them (LocalRunner)
-        and ``None`` when only counters exist (simulated profile mode).
+        materialized map outputs when the substrate has them (the
+        LocalRunner, and materialized splits on the simulator) and
+        ``None`` when only counters exist (simulated profile mode). For
+        an error-bounded aggregate those outputs are the split's
+        per-group ``(group, (count, sum))`` totals, and ``outputs``
+        counts them.
         """
         self.demand.observe_split(split_id, records=records, outputs=outputs, rows=rows)
 
@@ -221,6 +225,18 @@ class InputProvider:
                 f"limit: {limit!r}"
             )
         return limit
+
+    def grab_source(self, cluster: ClusterStatus) -> str:
+        """The GrabLimit expression a grant under ``cluster`` is held to.
+
+        ``infinity`` when the demand takes all input up front
+        (:meth:`initial_input`); otherwise the budget's policy for
+        ``cluster``, the one :meth:`grab_limit` applies.
+        """
+        self._check_initialized()
+        if self.demand.upfront:
+            return "infinity"
+        return self.budget.policy_for(cluster).grab_limit.source
 
     def take_all(self) -> list[InputSplit]:
         """Remove every remaining split from the pool."""

@@ -182,6 +182,15 @@ class JobModel:
         return 0
 
     @property
+    def error_bounded(self) -> bool:
+        """A ``WITHIN … ERROR`` job: its evaluations carry a ci state.
+
+        Its map outputs are per-split group totals wherever rows were
+        scanned, so they count groups, not predicate matches.
+        """
+        return any(e.response_ci is not None for e in self.evaluations)
+
+    @property
     def failed_attempts(self) -> int:
         return sum(1 for a in self.attempts.values() if a.outcome == "failed")
 

@@ -393,7 +393,7 @@ def audit_events(events: Iterable[dict]) -> AuditReport:
             and job.evaluations
             # Accuracy jobs stop on CI width, not k; their evaluations
             # carry a ci state and the accuracy_stopping check applies.
-            and not any(e.response_ci for e in job.evaluations)
+            and not job.error_bounded
         ):
             report.notes.append(
                 f"{job.job_id}: no sample_size recorded; END_OF_INPUT k-check "

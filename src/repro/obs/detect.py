@@ -363,6 +363,8 @@ def detect_split_skew(job: JobModel, graph: SpanGraph) -> list[Finding]:
 @detector("selectivity_drift")
 def detect_selectivity_drift(job: JobModel, graph: SpanGraph) -> list[Finding]:
     """The predicate hit rate moved between early and late waves."""
+    if job.error_bounded:
+        return []  # Outputs are group totals; outputs / records is no hit rate.
     per_wave: dict[int, tuple[int, int]] = {}
     for attempt in _finished_attempts(job):
         wave = graph.attempt_waves.get(attempt.task_id)

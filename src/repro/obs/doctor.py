@@ -134,9 +134,13 @@ def render_doctor(diagnosis: Diagnosis) -> str:
             f"completed, {job.splits_pruned} pruned; "
             f"{len(job.attempts)} attempts ({job.failed_attempts} failed)"
         )
+        outputs = (
+            "map outputs (per-split group totals; matches in profile mode)"
+            if job.error_bounded else "outputs"
+        )
         lines.append(
             f"- records: {job.records_processed:,} scanned, "
-            f"{job.map_outputs:,} outputs"
+            f"{job.map_outputs:,} {outputs}"
         )
         if graph.critical_path:
             lines.append(

@@ -283,7 +283,7 @@ def evaluate_trace_slo(
         accuracy_jobs = [
             job
             for job in model.jobs.values()
-            if any(e.response_ci is not None for e in job.evaluations)
+            if job.error_bounded
         ]
         if accuracy_jobs:
             met = sum(

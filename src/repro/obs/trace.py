@@ -94,10 +94,18 @@ def record_provider_evaluation(trace, time: float, provider, **event) -> None:
     without a recorder): the policy, its knobs, the pruned count and the
     interval snapshot come from the provider; ``event`` carries the rest
     of :meth:`TraceRecorder.provider_evaluation`'s fields.
+
+    The ``grab_limit`` knob is the limit the grant was held to
+    (:meth:`~repro.core.input_provider.InputProvider.grab_source`), so
+    the audit replays the cap that applied: a ladder rung under
+    ``adaptive``, ``infinity`` under ``static``. The policy name and the
+    cadence knobs stay the job's own.
     """
     if trace is not None:
+        knobs = policy_knobs(provider.policy)
+        knobs["grab_limit"] = provider.grab_source(event["cluster"])
         trace.provider_evaluation(
-            time, policy=provider.policy.name, knobs=policy_knobs(provider.policy),
+            time, policy=provider.policy.name, knobs=knobs,
             pruned=provider.splits_pruned, ci=provider.ci_state, **event,
         )
 

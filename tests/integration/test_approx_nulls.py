@@ -58,9 +58,9 @@ def _store(layout, tmp_path):
 @pytest.mark.parametrize(
     "aggregate, expected",
     [
-        ("sum:x", [("a", 1.5), ("b", 4.0)]),
-        ("avg:x", [("a", 1.5), ("b", 4.0)]),
-        ("count", [("a", 0.0), ("a", 0.0), ("b", 0.0)]),
+        ("sum:x", [("a", (1, 1.5)), ("b", (1, 4.0))]),
+        ("avg:x", [("a", (1, 1.5)), ("b", (1, 4.0))]),
+        ("count", [("a", (2, 0.0)), ("b", (1, 0.0))]),
     ],
 )
 def test_map_task_skips_null_values(layout, mode, aggregate, expected, tmp_path):

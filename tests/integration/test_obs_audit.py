@@ -1,7 +1,8 @@
 """End-to-end tests for ``repro audit``, ``repro report`` and ``--progress``.
 
 The auditor must pass on fresh traces from every Table I policy on the
-simulated cluster and from every scan mode on the LocalRunner, and must
+simulated cluster, from every scan mode on the LocalRunner, and from the
+``sampling``, ``adaptive`` and ``static`` providers on both, and must
 catch each seeded violation class (inflated grab, premature
 END_OF_INPUT, missing terminal attempt event). Reports must be
 byte-deterministic. ``--progress`` must leave job stdout untouched.
@@ -15,10 +16,19 @@ from pathlib import Path
 
 import pytest
 
+from repro import LocalRunner, SimulatedCluster, make_sampling_conf
 from repro.cli import main
+from repro.cluster import paper_topology
 from repro.core.policy import PAPER_POLICY_NAMES
+from repro.data import (
+    build_materialized_dataset,
+    build_profiled_dataset,
+    dataset_spec_for_scale,
+    predicate_for_skew,
+)
+from repro.dfs import DistributedFileSystem
 from repro.obs.audit import audit_events, render_audit
-from repro.obs.trace import load_trace
+from repro.obs.trace import TraceRecorder, load_trace
 from repro.scan import SCAN_MODES
 
 GOLDEN = Path(__file__).parent.parent / "data" / "golden_trace.jsonl"
@@ -71,6 +81,56 @@ class TestAuditCleanRuns:
         assert report.ok, render_audit(report)
         assert report.attempts_checked > 0
         assert report.evaluations_checked >= 2
+
+
+PROVIDERS = ("sampling", "adaptive", "static")
+
+
+class TestAuditEveryProvider:
+    """The trace records the grab limit a grant was actually held to:
+    the ladder's rung under ``adaptive``, no cap under ``static`` (all
+    input at submission). Recording the job's own policy instead failed
+    ``grab_limit`` on every ``adaptive`` and ``static`` run."""
+
+    @pytest.mark.parametrize("policy", ["LA", "C"])
+    @pytest.mark.parametrize("provider", PROVIDERS)
+    def test_simulated_trace_audits_clean(self, provider, policy):
+        predicate = predicate_for_skew(1)
+        data = build_profiled_dataset(
+            dataset_spec_for_scale(5), {predicate: 1.0}, seed=0
+        )
+        trace = TraceRecorder()
+        cluster = SimulatedCluster.paper_cluster(seed=0, trace=trace)
+        cluster.load_dataset("/d", data)
+        cluster.run_job(make_sampling_conf(
+            name="q", input_path="/d", predicate=predicate, sample_size=10_000,
+            policy_name=policy, provider_name=provider,
+        ))
+        report = audit_events(trace.raw_events)
+        assert report.ok, render_audit(report)
+        assert report.evaluations_checked >= 1
+
+    @pytest.mark.parametrize("policy", ["LA", "C"])
+    @pytest.mark.parametrize("provider", PROVIDERS)
+    def test_local_runner_trace_audits_clean(self, provider, policy):
+        predicate = predicate_for_skew(0)
+        dataset = build_materialized_dataset(
+            dataset_spec_for_scale(0.002, num_partitions=32),
+            {predicate: 0.0}, seed=0, selectivity=0.01,
+        )
+        dfs = DistributedFileSystem(paper_topology().storage_locations())
+        dfs.write_dataset("/t", dataset)
+        trace = TraceRecorder()
+        LocalRunner(seed=0, trace=trace).run(
+            make_sampling_conf(
+                name="q", input_path="/t", predicate=predicate, sample_size=50,
+                policy_name=policy, provider_name=provider,
+            ),
+            dfs.open_splits("/t"),
+        )
+        report = audit_events(trace.raw_events)
+        assert report.ok, render_audit(report)
+        assert report.evaluations_checked >= 1
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,8 @@ The contract under test: ``LocalRunner(map_executor="process")`` is an
 execution detail, never a semantic one — byte-identical job output,
 identical ``records_read`` accounting (LIMIT-k short-circuit included),
 identical trace/profile reconciliation; and graceful inline fallback
-whenever a job cannot be shipped to worker processes.
+whenever a job cannot be shipped to worker processes, as error-bounded
+aggregates never are.
 """
 
 import os
@@ -15,6 +16,7 @@ import pytest
 
 import repro.engine.runtime as runtime
 from repro import LocalRunner, make_sampling_conf, make_scan_conf
+from repro.approx.job import finalize_rows, make_approx_conf
 from repro.cluster import paper_topology
 from repro.data import (
     build_materialized_dataset,
@@ -278,6 +280,57 @@ class TestProcessPathRuns:
         assert batches, "no batch reached the process path"
         for size, submitted in batches:
             assert submitted == min(2, size)
+
+
+def answer(result):
+    return (
+        result.approx,
+        finalize_rows(result.output_data, result.approx),
+        result.output_data,
+        result.records_processed,
+        result.map_outputs_produced,
+        result.splits_processed,
+        result.evaluations,
+    )
+
+
+class TestApproxFallback:
+    """``WITHIN ... ERROR`` jobs have no scan-task spec: the process
+    executor runs every split inline, and the answers equal serial and
+    thread execution exactly."""
+
+    @pytest.mark.parametrize("group_by", [None, "l_returnflag"])
+    @pytest.mark.parametrize(
+        "aggregate", ["count", "sum:l_extendedprice", "avg:l_extendedprice"]
+    )
+    def test_process_executor_runs_inline_and_answers_match(
+        self, mmap_splits, monkeypatch, aggregate, group_by
+    ):
+        _predicate, _dataset, splits = mmap_splits
+        conf = make_approx_conf(
+            name="agg", input_path="/t", predicate=ColumnCompare("l_quantity", "<=", 25),
+            aggregate=aggregate, error_pct=5.0, group_by=group_by,
+        )
+        serial = LocalRunner(seed=3, map_executor="thread").run(conf, splits)
+        with LocalRunner(seed=3, map_executor="thread", map_workers=2) as runner:
+            threaded = runner.run(conf, splits)
+        inline = []
+        run_map_task = runtime.run_map_task
+
+        def counting_map_task(conf, split, *args, **kwargs):
+            inline.append(split.split_id)
+            return run_map_task(conf, split, *args, **kwargs)
+
+        def no_submit(pool, fn, *args, **kwargs):
+            raise AssertionError("an approx batch was shipped to the pool")
+
+        monkeypatch.setattr(runtime, "run_map_task", counting_map_task)
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", no_submit)
+        with LocalRunner(seed=3, map_executor="process", map_workers=2) as runner:
+            parallel = runner.run(conf, splits)
+        assert answer(threaded) == answer(serial)
+        assert answer(parallel) == answer(serial)
+        assert len(inline) == parallel.splits_processed
 
 
 def _kill_worker(task):

@@ -229,9 +229,10 @@ class TestObservation:
         provider = accuracy_provider(
             aggregate=AggregateSpec("sum", "l_quantity"), group_by="l_returnflag"
         )
+        # Map output is one (group, (count, sum)) total per group.
         provider.observe_split(
-            "s0", records=10, outputs=3,
-            rows=[("A", 2.0), ("A", 3.0), ("R", 10.0)],
+            "s0", records=10, outputs=2,
+            rows=[("A", (2, 5.0)), ("R", (1, 10.0))],
         )
         groups = {g.group: g for g in provider.demand.estimator.estimates()}
         assert groups["A"].sample_count == 2
@@ -251,9 +252,10 @@ class TestCiState:
     def test_ci_state_reports_worst_group(self):
         provider = accuracy_provider(group_by="l_returnflag", error_pct=5.0)
         for i in range(10):
+            noisy = 5 + 10 * (i % 2)
             provider.observe_split(
                 f"s{i}", records=100, outputs=2,
-                rows=[("steady", 1.0)] * 50 + [("noisy", 1.0)] * (5 + 10 * (i % 2)),
+                rows=[("steady", (50, 50.0)), ("noisy", (noisy, float(noisy)))],
             )
         state = provider.ci_state
         assert state["group"] == "noisy"

@@ -193,6 +193,37 @@ class TestStaticProvider:
         assert response.kind is ResponseKind.END_OF_INPUT
 
 
+class TestGrabSource:
+    """The GrabLimit expression a grant is held to, as traces record it."""
+
+    @staticmethod
+    def provider(name, policy_name):
+        pred, splits = make_splits(8)
+        conf = make_sampling_conf(
+            name="t", input_path="/t", predicate=pred, sample_size=10,
+            policy_name=policy_name, provider_name=name,
+        )
+        provider = default_providers().create(name)
+        provider.initialize(splits, conf, paper_policies().get(policy_name), random.Random(0))
+        return provider
+
+    @staticmethod
+    def source(policy_name):
+        return paper_policies().get(policy_name).grab_limit.source
+
+    def test_sampling_reports_its_own_policy(self):
+        assert self.provider("sampling", "C").grab_source(status()) == self.source("C")
+
+    def test_static_reports_infinity(self):
+        assert self.provider("static", "C").grab_source(status()) == "infinity"
+
+    def test_adaptive_reports_the_ladder_rung(self):
+        provider = self.provider("adaptive", "C")
+        # Idle cluster: the ladder's top rung; saturated: its bottom one.
+        assert provider.grab_source(status()) == self.source("HA")
+        assert provider.grab_source(status(available=0)) == self.source("C")
+
+
 class TestSamplingProviderInitialInput:
     def test_initial_grab_respects_grab_limit(self):
         # LA on an idle 40-slot cluster: 0.2 * 40 = 8 splits.

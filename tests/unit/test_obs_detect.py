@@ -103,6 +103,16 @@ class TestSeededMutants:
         (finding,) = findings
         assert "rose" in finding.message
 
+    def test_selectivity_drift_skips_error_bounded_jobs(self):
+        # A WITHIN ... ERROR job's map outputs are per-split group totals,
+        # so outputs / records is no hit rate: the same late-wave jump
+        # must not read as drift once the evaluations carry a ci state.
+        events = _mutant("drift")
+        for event in events:
+            if event["type"] == "provider_evaluation":
+                event["response"]["ci"] = {"half_width": None, "met": False}
+        assert "selectivity_drift" not in {f.detector for f in _findings(events)}
+
     def test_composed_mutant_trips_all_five(self):
         assert self._detectors_fired(*make_slow_trace.ANOMALIES) == {
             "straggler", "scheduler_stall", "slot_starvation",

@@ -10,6 +10,13 @@ import importlib.util
 import json
 from pathlib import Path
 
+from repro import SimulatedCluster
+from repro.approx.job import make_approx_conf
+from repro.data import (
+    build_materialized_dataset,
+    dataset_spec_for_scale,
+    predicate_for_skew,
+)
 from repro.obs.doctor import (
     Watchdog,
     diagnose,
@@ -17,6 +24,7 @@ from repro.obs.doctor import (
     render_doctor,
     render_doctor_diff,
 )
+from repro.obs.trace import TraceRecorder
 
 DATA = Path(__file__).parent.parent / "data"
 GOLDEN = DATA / "golden_trace.jsonl"
@@ -130,6 +138,37 @@ class TestDiff:
         slow = make_slow_trace.mutate(_golden_events(), ("stall",))
         text = render_doctor_diff(diagnose(slow), diagnose(_golden_events()))
         assert "resolved in B: **[critical] scheduler_stall**" in text
+
+
+class TestErrorBoundedTrace:
+    """A simulated ``WITHIN … ERROR`` run over materialized rows: its map
+    outputs are per-split group totals, which the report says, and no
+    hit rate is read from them."""
+
+    def test_report_counts_group_totals_and_skips_drift(self):
+        predicate = predicate_for_skew(0)
+        data = build_materialized_dataset(
+            dataset_spec_for_scale(0.01, num_partitions=40),
+            {predicate: 0.0}, seed=0, selectivity=0.05,
+        )
+        trace = TraceRecorder()
+        cluster = SimulatedCluster.paper_cluster(seed=0, trace=trace)
+        cluster.load_dataset("/d", data)
+        cluster.run_job(make_approx_conf(
+            name="approx", input_path="/d", predicate=predicate,
+            aggregate="sum:l_quantity", error_pct=2.0, group_by="l_returnflag",
+        ))
+        diagnosis = diagnose(trace.raw_events)
+        assert diagnosis.audit.ok
+        (job,) = diagnosis.model.jobs.values()
+        assert job.error_bounded
+        # Every split matches all three return flags: three totals each.
+        assert job.map_outputs == 3 * job.splits_completed
+        assert "selectivity_drift" not in {f.detector for f in diagnosis.findings}
+        assert (
+            f"{job.map_outputs:,} map outputs (per-split group totals"
+            in render_doctor(diagnosis)
+        )
 
 
 # ---------------------------------------------------------------------------
