@@ -70,7 +70,7 @@ class ApproxAggregationMapper(Mapper):
         self._totals: dict = {}
 
     def prepare_scan(self, mode: str) -> None:
-        if mode != "interpreted":
+        if mode == "compiled":
             self._match = compile_row_matcher(self._predicate)
 
     def setup(self, context: MapContext) -> None:

@@ -1332,15 +1332,15 @@ def cmd_dataset_info(args, out) -> int:
     )
     if meta and meta.get("predicates"):
         from repro.data.predicates import MarkerEquals
-        from repro.scan.prune import may_match
+        from repro.scan.prune import zone_test
 
         prune_rows = []
         for entry in meta["predicates"]:
-            predicate = MarkerEquals(entry["column"], entry["marker"])
+            test = zone_test(MarkerEquals(entry["column"], entry["marker"]))
             prunable = sum(
                 1
                 for p in range(reader.num_partitions)
-                if not may_match(predicate, reader.partition_stats(p))
+                if not test(reader.partition_stats(p))[0]
             )
             prune_rows.append(
                 [entry["name"], f"{prunable}/{reader.num_partitions}"]

@@ -167,19 +167,19 @@ def split_pool(
 
     from repro.scan import prune
 
+    test = prune.zone_test(predicate)
     prunable: set[str] = set()
     estimates: dict[str, float] = {}
     surveyed_rows = 0
     surveyed_matches = 0.0
-    for split in splits:
-        stats = prune.split_stats(split)
+    for split, stats in prune.iter_split_stats(splits):
         if stats is None:
             continue
-        if not prune.may_match(predicate, stats):
+        if not test(stats)[0]:
             prunable.add(split.split_id)
             continue
         if mode == "rank":
-            estimate = prune.estimate_matches(predicate, stats)
+            estimate = prune.estimate_matches(test, stats)
             estimates[split.split_id] = estimate
             surveyed_rows += prune.partition_rows(stats)
             surveyed_matches += estimate

@@ -72,7 +72,7 @@ class SamplingMapper(Mapper):
         self._batch_matcher = None
 
     def prepare_scan(self, mode: str) -> None:
-        if mode != "interpreted":
+        if mode == "compiled":
             self._match = compile_row_matcher(self._predicate)
 
     def scan_task_spec(self):
@@ -186,7 +186,7 @@ class ScanMapper(Mapper):
         self._batch_matcher = None
 
     def prepare_scan(self, mode: str) -> None:
-        if mode != "interpreted":
+        if mode == "compiled":
             self._match = compile_row_matcher(self._predicate)
 
     def scan_task_spec(self):

@@ -71,8 +71,10 @@ class Mapper:
         """Scan-engine hook, called once before the record loop.
 
         ``mode`` is one of ``interpreted`` / ``compiled`` / ``batch``
-        (see :mod:`repro.scan.engine`). Mappers that evaluate predicates
-        swap in compiled matchers here; the default ignores it.
+        (see :mod:`repro.scan.engine`). In ``compiled`` mode, mappers
+        that evaluate predicates swap in a compiled row matcher here; in
+        ``batch`` mode they compile only the batch matcher their
+        :meth:`run_batch` calls. The default ignores it.
         """
 
     def scan_task_spec(self):

@@ -320,6 +320,23 @@ class ExpressionPredicate(FunctionPredicate):
     expression: Expression | None = None
     schema: Schema | None = None
 
+    def _identity(self) -> tuple:
+        # ``fn`` and ``label`` derive from the AST and schema, and ``fn`` is
+        # a fresh closure per compile, so it stays out of the comparison:
+        # two compiles of one WHERE clause share the scan matcher caches.
+        # Without an AST the matcher inlines ``fn``, so ``fn`` is the identity.
+        if self.expression is None:
+            return self.fn, self.label
+        return self.expression, self.schema
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._identity() == other._identity()
+
+    def __hash__(self) -> int:
+        return hash(self._identity())
+
     def emit_source(self, em) -> str:
         if self.expression is None:  # pragma: no cover - defensive
             return f"bool({em.const(self.fn)}({em.row_expr}))"

@@ -92,7 +92,8 @@ import sys
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import MmapStoreError
 from repro.scan.columnar import ColumnStore
@@ -229,6 +230,22 @@ def _bloom_positions(key: bytes, bits: int, hashes: int) -> Iterator[int]:
         yield (h1 + i * h2) % bits
 
 
+def bloom_probe(value, bits: int, hashes: int) -> tuple[tuple[int, int], ...] | None:
+    """``value``'s probe into a ``bits``-wide, ``hashes``-probe filter.
+
+    ``(byte index, bit mask)`` pairs, or None when the value has no bloom
+    key. Every filter of that shape shares the probe, so a caller testing
+    one literal against many partitions hashes it once.
+    """
+    key = _bloom_key(value)
+    if key is None:
+        return None
+    return tuple(
+        (position >> 3, 1 << (position & 7))
+        for position in _bloom_positions(key, bits, hashes)
+    )
+
+
 @dataclass(frozen=True)
 class BloomFilter:
     """A fixed-size bitset over a column's non-NULL values.
@@ -242,11 +259,16 @@ class BloomFilter:
     data: bytes
 
     def might_contain(self, value) -> bool:
-        key = _bloom_key(value)
-        if key is None:
+        return self.might_contain_probe(bloom_probe(value, self.bits, self.hashes))
+
+    def might_contain_probe(self, probe: tuple[tuple[int, int], ...] | None) -> bool:
+        """:meth:`might_contain` for a value's :func:`bloom_probe` of this
+        filter's ``(bits, hashes)``."""
+        if probe is None:
             return True  # un-hashable value: never claim absence
-        for position in _bloom_positions(key, self.bits, self.hashes):
-            if not self.data[position >> 3] & (1 << (position & 7)):
+        data = self.data
+        for index, mask in probe:
+            if not data[index] & mask:
                 return False
         return True
 
@@ -872,6 +894,7 @@ class MmapDataset:
         else:
             self._buf = memoryview(buffer)
         self._stores: dict[int, ColumnStore] = {}
+        self._stats_maps: dict[int, Mapping[str, ColumnStats]] = {}
         self._parse()
 
     # -- format parsing -------------------------------------------------
@@ -969,16 +992,25 @@ class MmapDataset:
             for index, entry in enumerate(self.entries)
         ]
 
-    def partition_stats(self, index: int) -> dict[str, ColumnStats] | None:
-        """Column-name -> stats for one partition, or None without stats."""
+    def partition_stats(self, index: int) -> Mapping[str, ColumnStats] | None:
+        """Column-name -> stats for one partition, or None without stats.
+
+        The mapping is built on first use and shared by every later
+        caller, so it is read-only.
+        """
         if self.stats is None:
             return None
+        mapping = self._stats_maps.get(index)
+        if mapping is not None:
+            return mapping
         if index < 0 or index >= self.num_partitions:
             raise MmapStoreError(
                 f"partition {index} out of range; dataset has "
                 f"{self.num_partitions} partitions"
             )
-        return dict(zip(self.names, self.stats[index]))
+        mapping = MappingProxyType(dict(zip(self.names, self.stats[index])))
+        self._stats_maps[index] = mapping
+        return mapping
 
     def partition_store(self, index: int) -> ColumnStore:
         """The partition's :class:`ColumnStore` of lazy mmap-backed columns."""

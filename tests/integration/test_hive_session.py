@@ -109,6 +109,33 @@ class TestLocalExecution:
             local_session.register_table("ghost", "/no/such/file")
 
 
+class TestMatcherReuse:
+    def test_repeated_compound_query_compiles_no_matcher(
+        self, local_session, monkeypatch
+    ):
+        from repro.scan import codegen
+
+        monkeypatch.setattr(codegen, "_row_cache", {})
+        monkeypatch.setattr(codegen, "_batch_cache", {})
+        compiled = []
+        compile_source = codegen._compile
+
+        def spy(source, entry, namespace, pred):
+            compiled.append(pred)
+            return compile_source(source, entry, namespace, pred)
+
+        monkeypatch.setattr(codegen, "_compile", spy)
+        query = (
+            "SELECT l_orderkey FROM lineitem "
+            "WHERE l_quantity >= 51 AND l_shipmode <> 'FOB' LIMIT 20"
+        )
+        assert local_session.execute(query).num_rows > 0
+        assert compiled, "the first query compiles its matcher"
+        compiled.clear()
+        assert local_session.execute(query).num_rows > 0
+        assert compiled == []
+
+
 class TestClusterExecution:
     def test_paper_query_at_scale(self, cluster_session):
         result = cluster_session.execute(

@@ -116,6 +116,30 @@ class TestCompoundExpressions:
         assert compile_predicate(where("TRUE"), LINEITEM_SCHEMA).matches(ROW)
 
 
+class TestPredicateIdentity:
+    """A compiled WHERE clause is a value: recompiling it must hit the
+    scan matcher caches, which key on the predicate."""
+
+    def test_recompiled_clause_is_equal_and_hash_equal(self):
+        text = "l_shipmode = 'RAIL' AND l_tax = 0.0"
+        first = compile_predicate(where(text), LINEITEM_SCHEMA)
+        second = compile_predicate(where(text), LINEITEM_SCHEMA)
+        assert first.fn is not second.fn
+        assert first == second
+        assert hash(first) == hash(second)
+        other = compile_predicate(where("l_shipmode = 'AIR' AND l_tax = 0.0"), LINEITEM_SCHEMA)
+        assert first != other
+
+    def test_without_an_ast_the_callable_is_the_identity(self):
+        from repro.hive.expressions import ExpressionPredicate
+
+        def fn(row):
+            return True
+
+        assert ExpressionPredicate(fn, "p") == ExpressionPredicate(fn, "p")
+        assert ExpressionPredicate(fn, "p") != ExpressionPredicate(lambda row: True, "p")
+
+
 class TestLikeToRegex:
     @pytest.mark.parametrize(
         "pattern,text,match",

@@ -156,6 +156,17 @@ class TestHiveExpressions:
         assert may_match(where("l_quantity IS NULL"), nullable)
         assert not matches_all(where("l_quantity IS NOT NULL"), nullable)
 
+    def test_negated_between_and_in_never_match_nulls(self):
+        # NOT BETWEEN and NOT IN are false on NULL, as BETWEEN and IN are,
+        # so they are not their negations: the scan finds the NULL row of
+        # NOT (q NOT IN (51)), and every row of a NULL-bounded NOT BETWEEN's
+        # negation.
+        nullable = make_stats(l_quantity=[1, None])
+        assert not matches_all(where("l_quantity NOT IN (51)"), nullable)
+        assert may_match(where("NOT (l_quantity NOT IN (51))"), nullable)
+        assert not may_match(where("l_quantity NOT BETWEEN NULL AND 5"), STATS)
+        assert may_match(where("NOT (l_quantity NOT BETWEEN NULL AND 5)"), STATS)
+
     def test_like_is_maybe(self):
         assert may_match(where("l_comment LIKE '%alpha%'"), STATS)
         assert not matches_all(where("l_comment LIKE '%alpha%'"), STATS)

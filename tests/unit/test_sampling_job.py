@@ -85,6 +85,41 @@ class TestScanMapper:
         assert context.outputs_produced == 7
 
 
+class TestPrepareScan:
+    """A batch scan calls only the batch matcher, so ``prepare_scan``
+    compiles the row matcher in ``compiled`` mode alone."""
+
+    @staticmethod
+    def mappers():
+        from repro.approx.estimators import AggregateSpec
+        from repro.approx.job import ApproxAggregationMapper
+
+        return (
+            SamplingMapper(PRED, 5),
+            ScanMapper(PRED),
+            ApproxAggregationMapper(PRED, AggregateSpec("sum", "x")),
+        )
+
+    @pytest.mark.parametrize("mode,compiles", [("batch", 0), ("compiled", 3)])
+    def test_row_matcher_compiles_only_in_compiled_mode(
+        self, monkeypatch, mode, compiles
+    ):
+        import repro.approx.job as approx_job
+        import repro.core.sampling_job as sampling_job
+
+        compiled = []
+
+        def spy(predicate):
+            compiled.append(predicate)
+            return predicate.matches
+
+        monkeypatch.setattr(sampling_job, "compile_row_matcher", spy)
+        monkeypatch.setattr(approx_job, "compile_row_matcher", spy)
+        for mapper in self.mappers():
+            mapper.prepare_scan(mode)
+        assert len(compiled) == compiles
+
+
 class TestMakeSamplingConf:
     def test_dynamic_params_set(self):
         conf = make_sampling_conf(
