@@ -4,7 +4,9 @@ This is the analogue of the paper's Hive compiler modification (§IV):
 a SELECT with a LIMIT compiles to a predicate-based sampling job whose
 JobConf carries ``dynamic.job = true``, the configured
 ``dynamic.job.policy``, and ``dynamic.input.provider = sampling``; a
-SELECT without a LIMIT compiles to a plain static scan job.
+SELECT without a LIMIT compiles to a plain static scan job. Every job
+also carries the session's ``scan.mode`` and ``scan.batch.size``, if
+set (:class:`~repro.scan.engine.ScanOptions`).
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ from dataclasses import dataclass
 from repro.approx.estimators import AggregateSpec
 from repro.approx.job import make_approx_conf
 from repro.core.sampling_job import make_sampling_conf, make_scan_conf
-from repro.data.predicates import TruePredicate
+from repro.data.predicates import Predicate, TruePredicate
 from repro.data.schema import Schema
 from repro.engine.jobconf import JobConf
 from repro.errors import HiveAnalysisError
 from repro.hive.ast import SelectStatement
 from repro.hive.expressions import compile_predicate, resolve_column
+from repro.scan.engine import SCAN_BATCH_SIZE_PARAM, SCAN_MODE_PARAM, ScanOptions
 
 # Session parameters understood by the compiler.
 PARAM_POLICY = "dynamic.job.policy"
@@ -88,11 +91,13 @@ class QueryCompiler:
         name = f"hive-q{self._query_counter}-{user}"
 
         if statement.aggregate is not None:
-            return self._compile_aggregate(statement, table, params, name, user)
-        if statement.limit is not None:
+            conf = self._compile_aggregate(
+                statement, table, predicate, params, name, user
+            )
+        elif statement.limit is not None:
             dynamic = params.get(PARAM_DYNAMIC, "true").lower() != "false"
             policy = params.get(PARAM_POLICY, DEFAULT_POLICY) if dynamic else None
-            return make_sampling_conf(
+            conf = make_sampling_conf(
                 name=name,
                 input_path=table.path,
                 predicate=predicate,
@@ -103,20 +108,27 @@ class QueryCompiler:
                 user=user,
                 stats_mode=params.get(PARAM_STATS_MODE),
             )
-        fallback = params.get(PARAM_FALLBACK_SELECTIVITY)
-        return make_scan_conf(
-            name=name,
-            input_path=table.path,
-            predicate=predicate,
-            columns=columns,
-            fallback_selectivity=float(fallback) if fallback is not None else None,
-            user=user,
-        )
+        else:
+            fallback = params.get(PARAM_FALLBACK_SELECTIVITY)
+            conf = make_scan_conf(
+                name=name,
+                input_path=table.path,
+                predicate=predicate,
+                columns=columns,
+                fallback_selectivity=float(fallback) if fallback is not None else None,
+                user=user,
+            )
+        for key in (SCAN_MODE_PARAM, SCAN_BATCH_SIZE_PARAM):
+            if key in params:
+                conf.set(key, params[key])
+        ScanOptions().with_conf(conf)  # a bad mode or size fails here, not mid-job
+        return conf
 
     def _compile_aggregate(
         self,
         statement: SelectStatement,
         table: Table,
+        predicate: Predicate,
         params: dict[str, str],
         name: str,
         user: str,
@@ -129,11 +141,6 @@ class QueryCompiler:
         the query is rejected at analysis time rather than scanning
         everything silently.
         """
-        predicate = (
-            compile_predicate(statement.where, table.schema)
-            if statement.where is not None
-            else TruePredicate()
-        )
         error_pct = statement.error_pct
         if error_pct is None:
             raw = params.get(PARAM_ERROR_PCT)

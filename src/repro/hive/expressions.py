@@ -353,7 +353,7 @@ def compile_predicate(expr: Expression, schema: Schema | None = None) -> Predica
     carrying both the interpreted closure and the AST the scan engine
     compiles to source.
     """
-    simple = _as_simple_comparison(expr, schema)
+    simple = as_simple_comparison(expr, schema)
     if simple is not None:
         return simple
     return ExpressionPredicate(
@@ -364,9 +364,12 @@ def compile_predicate(expr: Expression, schema: Schema | None = None) -> Predica
     )
 
 
-def _as_simple_comparison(
+def as_simple_comparison(
     expr: Expression, schema: Schema | None
 ) -> ColumnCompare | None:
+    """``expr`` as ``column <op> literal`` when it compares a column with
+    a non-NULL literal, either side first (the scan kernel's Hive leaves
+    go through here too); else None."""
     if not isinstance(expr, Comparison):
         return None
     column, literal = None, None

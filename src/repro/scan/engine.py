@@ -13,8 +13,14 @@ and the simulated cluster's TaskTrackers — execute a map task by calling
   ``Predicate.matches`` dispatch; kept as the cross-checking fallback.
 
 All three paths produce byte-identical output (rows, order, counters);
-the equivalence tests assert it. Per-job overrides ride on the JobConf
-string parameters ``scan.mode`` / ``scan.batch.size``.
+the equivalence tests assert it. The batch path's generated matcher
+evaluates numeric ``column <op> literal`` conjuncts with numpy over mmap
+columns first (:func:`repro.scan.codegen.scan_kernel`); the other two
+paths never do, which makes them the cross-check. Per-job overrides ride
+on the JobConf string parameters ``scan.mode`` / ``scan.batch.size``; a
+Hive session forwards its ``SET`` values of both into every job it
+compiles. The process map executor runs the batch matcher whatever the
+mode.
 """
 
 from __future__ import annotations
@@ -33,7 +39,9 @@ SCAN_COMPILED = "compiled"
 SCAN_BATCH = "batch"
 SCAN_MODES = (SCAN_INTERPRETED, SCAN_COMPILED, SCAN_BATCH)
 
-# JobConf parameter names (Hadoop-style string params, SET-able via Hive).
+# JobConf parameter names (Hadoop-style string params). A Hive session's
+# ``SET scan.mode`` / ``SET scan.batch.size`` reach every job it compiles
+# (repro.hive.compiler), and ScanOptions.with_conf validates them.
 SCAN_MODE_PARAM = "scan.mode"
 SCAN_BATCH_SIZE_PARAM = "scan.batch.size"
 

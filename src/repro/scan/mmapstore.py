@@ -77,8 +77,10 @@ that range indexes the list. The list costs 8 bytes per row and keeps
 one string per distinct value (equal strings share one object); a
 column whose list would hold more than ``max(16, rows / 16)`` distinct
 strings stops decoding and keeps nothing. NULL-bearing numeric columns
-are always read value by value: decoding them would keep a new float or
-int object per row, about 32 bytes.
+are never decoded: that would keep a new float or int object per row,
+about 32 bytes. A scan's numeric ``column <op> literal`` conjuncts
+instead compare the int64/float64 data and NULL mask as numpy views of
+the mapping (:func:`repro.scan.codegen.scan_kernel`), copying nothing.
 """
 
 from __future__ import annotations
@@ -590,24 +592,28 @@ class _StructColumn:
 
 
 class NullableColumn:
-    """A numeric/bool column with a NULL mask: mask hit -> ``None``."""
+    """A numeric/bool column with a NULL mask: mask hit -> ``None``.
 
-    __slots__ = ("_values", "_mask")
+    ``values`` is the column without its mask; ``mask`` holds one byte
+    per row, nonzero for NULL (the scan kernel reads both as arrays).
+    """
+
+    __slots__ = ("values", "mask")
 
     def __init__(self, values, mask: memoryview) -> None:
-        self._values = values
-        self._mask = mask
+        self.values = values
+        self.mask = mask
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self.values)
 
     def __getitem__(self, index: int):
-        if self._mask[index]:
+        if self.mask[index]:
             return None
-        return self._values[index]
+        return self.values[index]
 
     def __iter__(self) -> Iterator:
-        for flag, value in zip(self._mask, self._values):
+        for flag, value in zip(self.mask, self.values):
             yield None if flag else value
 
 

@@ -9,7 +9,10 @@ every other worker and the parent), compiles the batch matcher once for
 the whole task, scans each partition in batches, as the serial loop does
 (so a string column that a worker's later tasks scan again is decoded
 once per worker and partition), and returns only match indices and
-counters, one :class:`ScanTaskResult` per partition. The parent
+counters, one :class:`ScanTaskResult` per partition. The matcher's
+numeric conjuncts run in the worker too: the shipped namespace names
+:func:`repro.scan.codegen.scan_kernel` by module reference, so the
+worker evaluates them with numpy over its own mapping. The parent
 materializes output rows at the hit indices from its own mapping, so job
 output is byte-identical to serial execution:
 

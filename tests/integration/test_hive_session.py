@@ -12,7 +12,7 @@ from repro.data import (
 )
 from repro.dfs import DistributedFileSystem
 from repro.cluster import paper_topology
-from repro.errors import HiveAnalysisError, HiveError
+from repro.errors import HiveAnalysisError, HiveError, JobConfError
 from repro.hive import HiveSession
 
 
@@ -134,6 +134,88 @@ class TestMatcherReuse:
         compiled.clear()
         assert local_session.execute(query).num_rows > 0
         assert compiled == []
+
+
+@pytest.fixture()
+def mmap_sessions(tmp_path):
+    """Builds fresh sessions over one mmap table, each on its own inline
+    runner with the same seed (so two sessions plan identical jobs)."""
+    pred = predicate_for_skew(2)
+    spec = dataset_spec_for_scale(0.002, num_partitions=8)
+    data = build_materialized_dataset(
+        spec, {pred: 2.0}, seed=0, selectivity=0.01,
+        layout="mmap", mmap_path=str(tmp_path / "lineitem.rcs"),
+    )
+    dfs = DistributedFileSystem(paper_topology().storage_locations())
+    dfs.write_dataset("/warehouse/lineitem", data)
+
+    def make(trace=None):
+        runner = LocalRunner(seed=1, map_executor="thread", map_workers=1, trace=trace)
+        session = HiveSession(runner=runner, dfs=dfs)
+        session.register_table("lineitem", "/warehouse/lineitem", LINEITEM_SCHEMA)
+        return session
+
+    return make
+
+
+SCAN_PARAM_QUERIES = [
+    # sampling job; both conjuncts are numeric, so batch mode runs the kernel
+    "SELECT l_orderkey, l_tax FROM lineitem WHERE l_quantity = 51 AND l_tax <= 0.04 LIMIT 7",
+    # static scan job, with a string conjunct left to the generated loop
+    "SELECT l_orderkey FROM lineitem WHERE l_quantity >= 51 AND l_shipmode <> 'FOB'",
+    # WITHIN ... ERROR job
+    "SELECT COUNT(*) FROM lineitem WHERE l_discount <= 0.04 WITHIN 5% ERROR",
+]
+
+
+def _scan_spans(trace):
+    return [event for event in trace.raw_events if event["type"] == "scan_span"]
+
+
+def _answer(result):
+    job = result.job
+    return result.rows, job.records_processed, job.splits_processed
+
+
+class TestScanParams:
+    """``SET scan.mode`` / ``SET scan.batch.size`` reach every job the
+    session compiles, and a bad value fails the query."""
+
+    @pytest.mark.parametrize("query", SCAN_PARAM_QUERIES)
+    def test_set_scan_mode_runs_interpreted_with_batch_answers(
+        self, mmap_sessions, query
+    ):
+        from repro.obs.trace import TraceRecorder
+
+        trace = TraceRecorder()
+        session = mmap_sessions(trace)
+        session.execute("SET scan.mode = interpreted")
+        interpreted = session.execute(query)
+        spans = _scan_spans(trace)
+        assert spans and {span["mode"] for span in spans} == {"interpreted"}
+        assert _answer(interpreted) == _answer(mmap_sessions().execute(query))
+
+    @pytest.mark.parametrize("query", SCAN_PARAM_QUERIES)
+    def test_set_scan_batch_size_keeps_the_answer(self, mmap_sessions, query):
+        from repro.obs.trace import TraceRecorder
+
+        trace = TraceRecorder()
+        session = mmap_sessions(trace)
+        session.execute("SET scan.batch.size = 7")
+        small = session.execute(query)
+        spans = _scan_spans(trace)
+        assert spans and {span["batch_size"] for span in spans} == {7}
+        assert _answer(small) == _answer(mmap_sessions().execute(query))
+
+    @pytest.mark.parametrize(
+        "setting", ["scan.mode = bogus", "scan.batch.size = 0", "scan.batch.size = x"]
+    )
+    def test_bad_scan_params_are_rejected(self, mmap_sessions, setting):
+        session = mmap_sessions()
+        session.execute(f"SET {setting}")
+        for query in SCAN_PARAM_QUERIES:
+            with pytest.raises(JobConfError):
+                session.execute(query)
 
 
 class TestClusterExecution:
