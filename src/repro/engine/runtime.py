@@ -14,11 +14,9 @@ policies degrade gracefully to their idle-cluster grab limits.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.core.input_provider import (
@@ -40,10 +38,10 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import record_provider_evaluation
 from repro.scan.engine import ScanOptions, ScanSpan, run_map_task
 from repro.scan.proc import (
+    TELEMETRY_CHUNK_ROWS,
     ScanTask,
-    init_worker_telemetry,
+    ScanWorkers,
     materialize_outputs,
-    run_scan_task,
 )
 from repro.sim.random_source import RandomSource
 
@@ -107,7 +105,7 @@ class LocalRunner:
         self._scan_options = scan_options or ScanOptions()
         self._map_workers = map_workers
         self._map_executor = map_executor
-        self._process_pool: ProcessPoolExecutor | None = None
+        self._workers: ScanWorkers | None = None
         self._runs = 0
         self.trace = trace
         """Optional :class:`repro.obs.trace.TraceRecorder`. Pure
@@ -379,30 +377,37 @@ class LocalRunner:
     def _run_map_batch_process(
         self, conf: JobConf, splits: list[InputSplit], *, job_id: str = "local"
     ) -> list[LocalMapResult] | None:
-        """Ship the batch to worker processes; None means "fall back".
+        """Ship the batch to the runner's worker processes; None means
+        "fall back".
 
         Preconditions checked here, not assumed: the mapper must expose
         a scan-task spec, every split must reference an mmap dataset
-        file, and the spec must pickle (opaque predicates may not).
+        file, and every packed task must pickle (opaque predicates may
+        not).
 
         The batch is dealt round-robin into ``min(map_workers, len(splits))``
         packed tasks (split *i* goes to task *i mod n*), so each worker
-        pays the pickle, pipe round trip, file open and matcher compile
-        once per batch instead of once per split, and uneven LIMIT-k
-        early exits spread across workers. Per-split results are put
-        back in submission order. Workers return only match indices and
-        counters; output rows are materialized parent-side from its own
-        mapping of the same file, so bytes match serial execution
-        exactly. Worker-measured wall/CPU timings feed the
+        pays one pickle, one pipe round trip and one file open per batch
+        instead of one per split, and uneven LIMIT-k early exits spread
+        across workers. The parent pickles each task once and sends it
+        down worker *i*'s pipe (:class:`~repro.scan.proc.ScanWorkers`),
+        forking the workers on the first process batch. Per-split results
+        are put back in submission order. Workers return only match
+        indices and counters; output rows are materialized parent-side
+        from its own mapping of the same file, so bytes match serial
+        execution exactly. Worker-measured wall/CPU timings feed the
         ``scan.map_task`` profiler phase — one timing per split, same as
         in-process scans.
 
+        A failed send or receive on any worker's pipe (a worker died,
+        idle or mid-task) stops every worker and runs this batch inline;
+        the next process batch forks fresh workers.
+
         When a telemetry hub is installed, tasks carry the job id and
-        workers flush cumulative progress deltas mid-scan (see
-        ``scan.proc``); the hub also reconciles each split's piggybacked
-        checkpoints here, right after the gather. All of it is
-        read-side: counters, indices, and output bytes are identical hub
-        on or off.
+        the hub's chunk size, and each worker sends cumulative progress
+        deltas down its pipe ahead of its results; the hub folds them in
+        as they arrive, while the job runs. All of it is read-side:
+        counters, indices, and output bytes are identical hub on or off.
         """
         spec = conf.mapper_factory().scan_task_spec()
         if spec is None:
@@ -412,29 +417,30 @@ class LocalRunner:
             return None
         hub = _hub.ACTIVE
         telemetry_job = job_id if hub is not None else None
+        chunk_rows = TELEMETRY_CHUNK_ROWS
+        if hub is not None and hub.worker_chunk_rows is not None:
+            chunk_rows = hub.worker_chunk_rows
         count = min(self._map_workers, len(refs))
         tasks = [
-            ScanTask(refs=tuple(refs[i::count]), spec=spec, job_id=telemetry_job)
+            ScanTask(
+                refs=tuple(refs[i::count]), spec=spec,
+                job_id=telemetry_job, chunk_rows=chunk_rows,
+            )
             for i in range(count)
         ]
         try:
-            pickle.dumps(spec)
+            payloads = [pickle.dumps(task, pickle.HIGHEST_PROTOCOL) for task in tasks]
         except Exception:
             return None
-        pool = self._ensure_process_pool()
-        futures = [pool.submit(run_scan_task, task) for task in tasks]
-        try:
-            packed = [future.result() for future in futures]
-        except BrokenProcessPool:
-            # A worker died mid-batch (OOM, signal): shut the broken pool
-            # down so it is rebuilt lazily, and run this batch in process.
-            pool.shutdown(wait=False, cancel_futures=True)
-            self._process_pool = None
+        if self._workers is None:
+            self._workers = ScanWorkers(self._map_workers)
+        packed = self._workers.run(
+            payloads, hub.record_worker_delta if hub is not None else None
+        )
+        if packed is None:
+            self._workers = None  # already stopped; the next batch forks anew
             return None
         outcomes = [packed[i % count][i // count] for i in range(len(splits))]
-        if hub is not None:
-            for outcome in outcomes:
-                hub.record_worker_result(job_id, outcome)
         options = self._scan_options.with_conf(conf)
         profiler = _profile.ACTIVE
         results: list[LocalMapResult] = []
@@ -469,50 +475,12 @@ class LocalRunner:
             )
         return results
 
-    def _ensure_process_pool(self) -> ProcessPoolExecutor:
-        """The runner's persistent worker pool, created on first use.
-
-        Forked where the platform allows it: forked workers inherit the
-        imported modules, so per-task cost is mmap-open (cached per
-        worker) + one small compile per packed task, never interpreter
-        start-up.
-
-        If a telemetry hub is installed when the pool is first built,
-        every worker gets the hub's delta queue through the pool
-        initializer (multiprocessing queues travel safely via
-        ``initargs`` — they ride the process-spawn arguments, where a
-        plain pickle of the queue would fail). A pool created before the
-        hub simply carries no conduit; workers then take the single-call
-        scan path and telemetry degrades to task-completion granularity.
-        """
-        if self._process_pool is None:
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:  # platform without fork
-                ctx = multiprocessing.get_context()
-            initializer = None
-            initargs: tuple = ()
-            hub = _hub.ACTIVE
-            if hub is not None:
-                queue = hub.worker_channel(ctx)
-                if queue is not None:
-                    initializer = init_worker_telemetry
-                    initargs = (
-                        (queue,)
-                        if hub.worker_chunk_rows is None
-                        else (queue, hub.worker_chunk_rows)
-                    )
-            self._process_pool = ProcessPoolExecutor(
-                max_workers=self._map_workers, mp_context=ctx,
-                initializer=initializer, initargs=initargs,
-            )
-        return self._process_pool
-
     def close(self) -> None:
-        """Shut down the process pool, if one was ever started."""
-        if self._process_pool is not None:
-            self._process_pool.shutdown()
-            self._process_pool = None
+        """Stop the worker processes, if any were started. A closed
+        runner forks fresh workers on its next process batch."""
+        if self._workers is not None:
+            self._workers.close()
+            self._workers = None
 
     def __enter__(self) -> "LocalRunner":
         return self

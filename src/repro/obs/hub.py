@@ -10,9 +10,9 @@ thread-safe aggregator that
   ring-buffer time series and streaming quantile sketches, multiplexed
   across concurrent jobs by job id;
 * receives cross-process worker deltas from the process map executor
-  (:meth:`worker_channel` / :meth:`record_worker_delta`), so
-  long-running worker scans appear in the live series *before* their
-  task completes;
+  (:meth:`record_worker_delta`, fed by the runtime as the deltas arrive
+  on the workers' pipes), so long-running worker scans appear in the
+  live series *before* their task completes;
 * samples registered :class:`~repro.obs.metrics.MetricsRegistry`
   instances on demand (:meth:`track_registry`), turning counter deltas
   between samples into rates.
@@ -55,7 +55,7 @@ from repro.obs.profile import wall_clock
 from repro.obs.timeseries import QuantileSketch, TimeSeries
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.scan.proc import ScanTaskResult, WorkerDelta
+    from repro.scan.proc import WorkerDelta
 
 #: The process-global hub, or None. Mirrors ``profile.ACTIVE``: hot
 #: paths read this slot directly; only install/uninstall write it.
@@ -105,12 +105,10 @@ class JobTelemetry:
         self.uses_map_started = False
         # In-flight worker progress: (partition -> cumulative rows), kept
         # separate from rows_total so completed-task accounting stays
-        # authoritative and live rows never double-count.
+        # authoritative and live rows never double-count. A task's
+        # deltas reach the hub before its results, hence before the
+        # scan_span that clears them.
         self.worker_live: dict[int, int] = {}
-        # Partitions whose task result already reconciled: a delta that
-        # drains late (the mp queue is asynchronous) must not resurrect
-        # a live entry the authoritative scan_span will count again.
-        self.worker_retired: set[int] = set()
         # Worker-side chunk scan rates (rows/s per flushed chunk).
         self.worker_rate = QuantileSketch("worker_rows_per_s")
         self.worker_deltas = 0
@@ -192,8 +190,6 @@ class TelemetryHub:
         self._registries: dict[str, MetricsRegistry] = {}
         self._registry_prev: dict[str, tuple[float, dict]] = {}
         self._recorders: list = []
-        self._drains: list[threading.Thread] = []
-        self._drain_stop = threading.Event()
         self._previous: "TelemetryHub | None" = None
         self._installed = False
 
@@ -211,16 +207,12 @@ class TelemetryHub:
         return self
 
     def uninstall(self) -> None:
-        """Release :data:`ACTIVE`, stop drain threads, detach recorders."""
+        """Release :data:`ACTIVE` and detach recorders."""
         global ACTIVE
         if self._installed:
             ACTIVE = self._previous
             self._previous = None
             self._installed = False
-        self._drain_stop.set()
-        for thread in self._drains:
-            thread.join(timeout=2.0)
-        self._drains.clear()
         for recorder in self._recorders:
             recorder.remove_listener(self.on_event)
         self._recorders.clear()
@@ -399,44 +391,12 @@ class TelemetryHub:
     # ------------------------------------------------------------------
     # Cross-process worker telemetry
     # ------------------------------------------------------------------
-    def worker_channel(self, ctx):
-        """A multiprocessing queue workers flush deltas into, plus a
-        daemon drain thread feeding :meth:`record_worker_delta`.
-
-        ``ctx`` is the multiprocessing context the worker pool uses; the
-        queue must come from the same context to be inheritable. Returns
-        the queue (pass it to the pool initializer), or None if the
-        context cannot provide one.
-        """
-        try:
-            queue = ctx.Queue()
-        except Exception:
-            return None
-
-        def drain() -> None:
-            while not self._drain_stop.is_set():
-                try:
-                    delta = queue.get(timeout=0.1)
-                except Exception:
-                    continue
-                if delta is None:
-                    break
-                try:
-                    self.record_worker_delta(delta)
-                except Exception:
-                    continue
-
-        thread = threading.Thread(target=drain, name="repro-hub-drain", daemon=True)
-        thread.start()
-        self._drains.append(thread)
-        return queue
-
     def record_worker_delta(self, delta: "WorkerDelta") -> None:
         """Fold one live worker chunk checkpoint into the job's series.
 
-        Deltas carry *cumulative* rows per (job, partition), so the
-        channel is idempotent: a repeated or reordered flush never
-        inflates counts (last-write-wins per partition).
+        Deltas carry *cumulative* rows per (job, partition), so folding
+        is idempotent: a repeated or reordered delta never inflates
+        counts (max-so-far per partition).
         """
         job_id = delta.job_id
         if not job_id:
@@ -444,7 +404,7 @@ class TelemetryHub:
         wall = self._clock()
         with self._lock:
             job = self._job(job_id, wall)
-            if job.state != "running" or delta.partition in job.worker_retired:
+            if job.state != "running":
                 return
             previous = job.worker_live.get(delta.partition, 0)
             job.worker_live[delta.partition] = max(previous, delta.rows_scanned)
@@ -452,29 +412,6 @@ class TelemetryHub:
             if delta.wall_s > 0 and delta.chunk_rows > 0:
                 job.worker_rate.observe(delta.chunk_rows / delta.wall_s)
             job.rows_series.append(wall, float(job.rows_now))
-
-    def record_worker_result(self, job_id: str, result: "ScanTaskResult") -> None:
-        """Reconcile a finished worker task: retire its live entry and
-        fold the piggybacked chunk checkpoints into the rate sketch.
-
-        The authoritative row counts still arrive through the trace's
-        ``scan_span`` event; this only closes the live window.
-        """
-        wall = self._clock()
-        with self._lock:
-            job = self._job(job_id, wall)
-            job.worker_live.pop(result.partition, None)
-            job.worker_retired.add(result.partition)
-            previous_rows = 0
-            previous_wall = 0.0
-            for rows_cum, wall_cum in result.deltas:
-                chunk_rows = rows_cum - previous_rows
-                chunk_wall = wall_cum - previous_wall
-                if job.worker_deltas == 0 and chunk_wall > 0 and chunk_rows > 0:
-                    # No live channel delivered these; learn rates from
-                    # the piggybacked checkpoints instead.
-                    job.worker_rate.observe(chunk_rows / chunk_wall)
-                previous_rows, previous_wall = rows_cum, wall_cum
 
     # ------------------------------------------------------------------
     # Registry deltas

@@ -161,6 +161,7 @@ def _emit_compare(em: SourceEmitter, column: str, op: str, value: object) -> str
 # ---------------------------------------------------------------------------
 _row_cache: dict[Predicate, RowMatcher] = {}
 _batch_cache: dict[Predicate, BatchMatcher] = {}
+_source_cache: dict[Predicate, tuple[str, dict]] = {}
 
 
 def compile_row_matcher(pred: Predicate) -> RowMatcher:
@@ -202,6 +203,10 @@ def compile_batch_matcher(pred: Predicate) -> BatchMatcher:
 def batch_matcher_source(pred: Predicate) -> tuple[str, dict]:
     """The batch matcher's generated source and constant namespace.
 
+    Generated once per predicate and cached; every call returns its own
+    copy of the namespace, so a caller may ``exec`` into it and the
+    cached one stays picklable.
+
     This is the shippable form of a compiled predicate: for core-algebra
     predicates the namespace holds only column names and literals (and,
     when the predicate has kernel leaves, :func:`scan_kernel` by module
@@ -221,6 +226,18 @@ def batch_matcher_source(pred: Predicate) -> tuple[str, dict]:
     runs. A residual conjunct that would raise (division by zero, a type
     mismatch) is therefore only evaluated on rows every leaf passed.
     """
+    try:
+        cached = _source_cache.get(pred)
+    except TypeError:
+        cached = None
+    if cached is None:
+        cached = _batch_source(pred)
+        _cache_put(_source_cache, pred, cached)
+    source, namespace = cached
+    return source, dict(namespace)
+
+
+def _batch_source(pred: Predicate) -> tuple[str, dict]:
     col_vars: dict[str, str] = {}
 
     def ref(name: str) -> str:
@@ -423,9 +440,10 @@ def compile_batch_matcher_from_source(source: str, namespace: dict) -> BatchMatc
     """Rebuild a batch matcher from :func:`batch_matcher_source` output.
 
     Used by process map workers: the parent ships the source string and
-    constant pool, the worker compiles once per task. The namespace dict
-    is mutated by ``exec`` (it gains the function object), so callers
-    should pass a copy if they intend to reuse it.
+    constant pool, and a worker compiles them the first time it meets
+    that pair (``repro.scan.proc`` keeps the compiled matchers). The
+    namespace dict is mutated by ``exec`` (it gains the function object),
+    so callers should pass a copy if they intend to reuse it.
     """
     try:
         code = compile(source, "<scan:worker>", "exec")

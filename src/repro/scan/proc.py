@@ -1,20 +1,32 @@
-"""Process map-worker protocol for the shared-memory multiprocess scan.
+"""Process map workers for the shared-memory multiprocess scan.
 
 The :class:`~repro.engine.runtime.LocalRunner`'s ``map_executor="process"``
-mode deals each map batch into one packed :class:`ScanTask` per worker —
-the dataset file paths and file ranges of that worker's splits, plus the
-compiled predicate's generated source once — never pickled rows. The
-worker re-``mmap``s the file (the OS shares the page-cache pages with
-every other worker and the parent), compiles the batch matcher once for
-the whole task, scans each partition in batches, as the serial loop does
+mode keeps ``map_workers`` forked processes (:class:`ScanWorkers`), each
+serving one duplex pipe from :func:`serve`. Each map batch is dealt into
+one packed :class:`ScanTask` per worker — the dataset file paths and file
+ranges of that worker's splits, plus the compiled predicate's generated
+source once — never pickled rows. On each pipe a batch is one exchange,
+in this order:
+
+1. the parent sends the pickled task;
+2. if the task carries a job id (a telemetry hub is live in the parent),
+   the worker sends a cumulative :class:`WorkerDelta` after every scan
+   chunk, so the hub sees progress while the task runs;
+3. the worker sends its results, one :class:`ScanTaskResult` per
+   partition.
+
+A task's deltas therefore always arrive before its results. The worker
+re-``mmap``s the file (the OS shares the page-cache pages with every
+other worker and the parent), takes the batch matcher from its own
+matcher cache, compiling it only the first time it meets that source and
+constant pool, scans each partition in batches, as the serial loop does
 (so a string column that a worker's later tasks scan again is decoded
 once per worker and partition), and returns only match indices and
-counters, one :class:`ScanTaskResult` per partition. The matcher's
-numeric conjuncts run in the worker too: the shipped namespace names
-:func:`repro.scan.codegen.scan_kernel` by module reference, so the
-worker evaluates them with numpy over its own mapping. The parent
-materializes output rows at the hit indices from its own mapping, so job
-output is byte-identical to serial execution:
+counters. The matcher's numeric conjuncts run in the worker too: the
+shipped namespace names :func:`repro.scan.codegen.scan_kernel` by module
+reference, so the worker evaluates them with numpy over its own mapping.
+The parent materializes output rows at the hit indices from its own
+mapping, so job output is byte-identical to serial execution:
 
 * **Rows & order** — hits come back in ascending row order, exactly the
   order the serial batch loop appends matches.
@@ -28,20 +40,30 @@ output is byte-identical to serial execution:
   job's dummy-key emission; ``None`` keys each output by its absolute
   row index, the scan job's convention.
 
-Everything in this module must stay importable and picklable from a bare
-interpreter: worker processes receive :func:`run_scan_task` by reference.
+Every message is a plain pickle, so a task must pickle to ship; the
+runtime runs a batch whose task does not pickle inline instead.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import pickle
+import weakref
 from dataclasses import dataclass
-from typing import Any
+from multiprocessing.connection import wait
+from typing import Any, Callable
 
 from repro.data.record import row_at
 from repro.obs.profile import cpu_clock, wall_clock
-from repro.scan.codegen import compile_batch_matcher_from_source
+from repro.scan.codegen import BatchMatcher, compile_batch_matcher_from_source
 from repro.scan.columnar import DEFAULT_BATCH_SIZE
 from repro.scan.mmapstore import MmapDataset, MmapSplitRef, open_mmap_dataset
+
+#: Default telemetry chunk: large enough that the per-chunk matcher
+#: re-entry cost vanishes, small enough that a long split flushes
+#: progress several times before finishing.
+TELEMETRY_CHUNK_ROWS = 65_536
 
 
 @dataclass(frozen=True)
@@ -49,8 +71,8 @@ class ScanTaskSpec:
     """The job-level half of a process scan task: what to match and emit.
 
     Built once per map batch by ``Mapper.scan_task_spec()``; everything
-    here must pickle (the runtime verifies and falls back to in-process
-    execution when a predicate's constant pool doesn't).
+    here must pickle (the runtime falls back to in-process execution
+    when a predicate's constant pool doesn't).
     """
 
     source: str
@@ -80,21 +102,26 @@ class ScanTask:
 
     job_id: str | None = None
     """Telemetry routing key. Set only when a
-    :class:`~repro.obs.hub.TelemetryHub` is live in the parent; workers
-    stamp it on every :class:`WorkerDelta` so the hub can multiplex live
-    progress across concurrent jobs. ``None`` (the default, and always
-    the value when no hub is installed) keeps the worker on the exact
-    single-call scan path."""
+    :class:`~repro.obs.hub.TelemetryHub` is live in the parent; the
+    worker then scans in ``chunk_rows`` chunks and sends a
+    :class:`WorkerDelta` stamped with it after each, so the hub can
+    multiplex live progress across concurrent jobs. ``None`` (the
+    default) keeps the worker on the serial loop's batch-sized chunks,
+    sending nothing but its results."""
+
+    chunk_rows: int = TELEMETRY_CHUNK_ROWS
+    """Rows per telemetry chunk: the hub's ``worker_chunk_rows``."""
 
 
 @dataclass(frozen=True)
 class WorkerDelta:
-    """One live progress checkpoint flushed mid-task by a worker.
+    """One live progress checkpoint a worker sends mid-task, ahead of
+    its task's results.
 
     ``rows_scanned`` is **cumulative** for this (job, partition) task,
-    never an increment — the telemetry channel is therefore idempotent:
-    a lost, duplicated, or reordered flush can only delay the live view,
-    not corrupt counts (the hub keeps max-so-far per partition)."""
+    never an increment, so the hub's view is idempotent: a repeated or
+    reordered delta can only delay the live view, not corrupt counts
+    (the hub keeps max-so-far per partition)."""
 
     job_id: str
     partition: int
@@ -127,10 +154,10 @@ class ScanTaskResult:
 
     wall_s: float
     """Worker-measured wall time charged to this partition: its own scan
-    plus an equal share of the packed task's open and compile time, so
-    the partitions' shares sum to the task's wall time. The parent feeds
-    this to ``profile.scan.map_task`` so the phase taxonomy reconciles
-    even though the work ran elsewhere."""
+    plus an equal share of the packed task's open and matcher lookup
+    time, so the partitions' shares sum to the task's wall time. The
+    parent feeds this to ``profile.scan.map_task`` so the phase taxonomy
+    reconciles even though the work ran elsewhere."""
 
     cpu_s: float
     """The task's CPU time, shared out in proportion to ``wall_s``."""
@@ -140,75 +167,46 @@ class ScanTaskResult:
     analogue); always <= ``wall_s`` so phase totals keep bounding span
     totals."""
 
-    deltas: tuple[tuple[int, float], ...] = ()
-    """Piggybacked ``(rows_scanned_cumulative, wall_s_since_scan_start)``
-    checkpoints, one per telemetry chunk — the fallback live-progress
-    record when the delta queue could not be created (the hub folds
-    these into its chunk-rate sketch at task completion). Empty when
-    telemetry is off."""
+
+#: This process's compiled matchers, keyed by generated source *and*
+#: pickled constant pool: one source serves both ``l_quantity = 7`` and
+#: ``l_quantity = 51``, and the pickle tells ``7`` from ``7.0``. Cleared
+#: when full, as the codegen caches are.
+_MATCHERS: dict[tuple[str, bytes], BatchMatcher] = {}
+MATCHER_CACHE_SIZE = 512
 
 
-#: Default telemetry chunk: large enough that the per-chunk matcher
-#: re-entry cost vanishes, small enough that a long split flushes
-#: progress several times before finishing.
-TELEMETRY_CHUNK_ROWS = 65_536
+def _matcher_for(spec: ScanTaskSpec) -> BatchMatcher:
+    """The spec's batch matcher, compiled on this process's first sight."""
+    key = (spec.source, pickle.dumps(spec.namespace, pickle.HIGHEST_PROTOCOL))
+    matcher = _MATCHERS.get(key)
+    if matcher is None:
+        if len(_MATCHERS) >= MATCHER_CACHE_SIZE:
+            _MATCHERS.clear()
+        # A copy: compiling executes into the namespace, and the spec's
+        # own must stay as it arrived.
+        matcher = compile_batch_matcher_from_source(spec.source, dict(spec.namespace))
+        _MATCHERS[key] = matcher
+    return matcher
 
 
-class _WorkerTelemetry:
-    """Per-worker-process telemetry conduit (installed by the pool
-    initializer, read by :func:`run_scan_task`)."""
+def run_scan_task(
+    task: ScanTask, flush: Callable[[WorkerDelta], None] | None = None
+) -> list[ScanTaskResult]:
+    """Execute one packed scan task, as a worker process does.
 
-    __slots__ = ("queue", "chunk_rows")
-
-    def __init__(self, queue, chunk_rows: int) -> None:
-        self.queue = queue
-        self.chunk_rows = max(1, int(chunk_rows))
-
-    def flush(self, delta: WorkerDelta) -> None:
-        """Best-effort: a telemetry flush must never fail the scan."""
-        if self.queue is None:
-            return
-        try:
-            self.queue.put_nowait(delta)
-        except Exception:
-            pass
-
-
-_TELEMETRY: _WorkerTelemetry | None = None
-
-
-def init_worker_telemetry(queue, chunk_rows: int = TELEMETRY_CHUNK_ROWS) -> None:
-    """Install the telemetry conduit in a worker process.
-
-    Passed as the pool's ``initializer`` (with the hub's delta queue in
-    ``initargs`` — multiprocessing queues travel safely that way, via
-    process inheritance, where a normal pickle would fail). Safe to call
-    in the parent too (the inline-fallback path reuses it)."""
-    global _TELEMETRY
-    _TELEMETRY = _WorkerTelemetry(queue, chunk_rows)
-
-
-def reset_worker_telemetry() -> None:
-    """Remove an installed conduit (parent-side cleanup after fallback)."""
-    global _TELEMETRY
-    _TELEMETRY = None
-
-
-def run_scan_task(task: ScanTask) -> list[ScanTaskResult]:
-    """Execute one packed scan task inside a worker process.
-
-    Compiles the matcher once and opens each dataset file once for the
-    whole task (through the per-process mmap cache, so a worker maps a
-    file once no matter how many tasks it runs), then scans each
-    partition's row range with the spec's own ``limit``, chunk by chunk
-    (:func:`_scan_partition`). Returns one result per ref, in
-    ``task.refs`` order."""
+    Takes the matcher from this process's cache and opens each dataset
+    file once for the whole task (through the per-process mmap cache, so
+    a worker maps a file once no matter how many tasks it runs), then
+    scans each partition's row range with the spec's own ``limit``,
+    chunk by chunk (:func:`_scan_partition`). When the task carries a
+    job id, ``flush`` receives a cumulative :class:`WorkerDelta` after
+    every chunk. Returns one result per ref, in ``task.refs`` order."""
     wall0 = wall_clock()
     cpu0 = cpu_clock()
-    matcher = compile_batch_matcher_from_source(
-        task.spec.source, dict(task.spec.namespace)
-    )
-    telemetry = _TELEMETRY if task.job_id is not None else None
+    matcher = _matcher_for(task.spec)
+    if task.job_id is None:
+        flush = None
     datasets: dict[str, MmapDataset] = {}
     scans = []
     scan_total = 0.0
@@ -219,20 +217,18 @@ def run_scan_task(task: ScanTask) -> list[ScanTaskResult]:
         store = dataset.partition_store(ref.partition)
         hits: list[int] = []
         scan0 = wall_clock()
-        scanned, deltas = _scan_partition(
-            matcher, store, task, ref.partition, hits, telemetry, scan0
-        )
+        scanned = _scan_partition(matcher, store, task, ref.partition, hits, flush)
         scan_wall = wall_clock() - scan0
         scan_total += scan_wall
-        scans.append((ref.partition, scanned, hits, scan_wall, deltas))
+        scans.append((ref.partition, scanned, hits, scan_wall))
     task_wall = wall_clock() - wall0
     task_cpu = max(0.0, cpu_clock() - cpu0)
-    # Open and compile are paid once for the whole task: each partition
-    # carries an equal share, so the shares sum to the task's wall time
-    # and every wall_s still bounds its own scan_wall_s.
+    # Open and matcher lookup are paid once for the whole task: each
+    # partition carries an equal share, so the shares sum to the task's
+    # wall time and every wall_s still bounds its own scan_wall_s.
     share = max(0.0, task_wall - scan_total) / len(scans)
     results = []
-    for partition, scanned, hits, scan_wall, deltas in scans:
+    for partition, scanned, hits, scan_wall in scans:
         wall = scan_wall + share
         results.append(
             ScanTaskResult(
@@ -242,7 +238,6 @@ def run_scan_task(task: ScanTask) -> list[ScanTaskResult]:
                 wall_s=wall,
                 cpu_s=task_cpu * wall / task_wall if task_wall > 0 else 0.0,
                 scan_wall_s=scan_wall,
-                deltas=deltas,
             )
         )
     return results
@@ -250,25 +245,24 @@ def run_scan_task(task: ScanTask) -> list[ScanTaskResult]:
 
 def _scan_partition(
     matcher, store, task: ScanTask, partition: int, hits: list[int],
-    telemetry: _WorkerTelemetry | None, scan0: float,
-) -> tuple[int, tuple[tuple[int, float], ...]]:
+    flush: Callable[[WorkerDelta], None] | None,
+) -> int:
     """Scan one partition in chunks, flushing progress if telemetry is on.
 
     Chunks hold :data:`~repro.scan.columnar.DEFAULT_BATCH_SIZE` rows, as
     the serial batch loop does, so a string column decodes no more rows
-    than the scan reaches; with telemetry (``task.job_id`` set and a
-    conduit installed) they hold the conduit's ``chunk_rows`` and each is
-    followed by a cumulative :class:`WorkerDelta`. Any chunking gives the
-    same result as one call over the whole range: each chunk call appends
-    the same ascending absolute indices, and the per-chunk scanned counts
-    (full chunk size, or ``k-th-match-offset + 1`` on early exit) sum to
-    exactly that call's return value.
+    than the scan reaches; with telemetry (``flush`` given) they hold the
+    task's ``chunk_rows`` and each is followed by a cumulative
+    :class:`WorkerDelta`. Any chunking gives the same result as one call
+    over the whole range: each chunk call appends the same ascending
+    absolute indices, and the per-chunk scanned counts (full chunk size,
+    or ``k-th-match-offset + 1`` on early exit) sum to exactly that
+    call's return value.
     """
     limit = task.spec.limit
     num_rows = store.num_rows
-    chunk = telemetry.chunk_rows if telemetry is not None else DEFAULT_BATCH_SIZE
+    chunk = max(1, task.chunk_rows) if flush is not None else DEFAULT_BATCH_SIZE
     scanned = 0
-    checkpoints: list[tuple[int, float]] = []
     position = 0
     while position < num_rows:
         end = min(position + chunk, num_rows)
@@ -276,17 +270,15 @@ def _scan_partition(
         chunk0 = wall_clock()
         sub = matcher(store.scan_columns(end), position, end, remaining, hits.append)
         scanned += sub
-        if telemetry is not None:
-            chunk_wall = wall_clock() - chunk0
-            checkpoints.append((scanned, wall_clock() - scan0))
-            telemetry.flush(
+        if flush is not None:
+            flush(
                 WorkerDelta(
                     job_id=task.job_id,
                     partition=partition,
                     rows_scanned=scanned,
                     hits=len(hits),
                     chunk_rows=sub,
-                    wall_s=chunk_wall,
+                    wall_s=wall_clock() - chunk0,
                 )
             )
         # limit=0 deliberately never breaks: the generated matcher's
@@ -295,7 +287,113 @@ def _scan_partition(
         if limit is not None and limit > 0 and len(hits) >= limit:
             break
         position = end
-    return scanned, tuple(checkpoints)
+    return scanned
+
+
+def serve(conn, inherited=()) -> None:
+    """A map worker's loop: answer each task on ``conn`` until it closes.
+
+    Per task it sends the task's deltas (if it carries a job id), then
+    its results. ``inherited`` holds the parent's ends of the workers'
+    pipes, which a forked worker holds copies of; closing them lets each
+    worker see end-of-file once the parent closes or dies. Any other
+    failure ends the process, which the parent sees as a broken pipe."""
+    for parent_end in inherited:
+        parent_end.close()
+
+    def send(message) -> None:
+        conn.send_bytes(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+
+    while True:
+        try:
+            payload = conn.recv_bytes()
+        except EOFError:
+            return
+        send(run_scan_task(pickle.loads(payload), send))
+
+
+class ScanWorkers:
+    """``count`` forked map workers, each serving one duplex pipe.
+
+    Forked where the platform allows it: a worker inherits the imported
+    modules and the parent's open mmap datasets, so a task costs one
+    pickle and one pipe round trip each way, never interpreter start-up.
+    Workers are stopped by :meth:`close`, or when this object is
+    collected or the interpreter exits.
+    """
+
+    def __init__(self, count: int) -> None:
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:  # platform without fork
+            ctx = multiprocessing.get_context()
+        self._conns: list = []
+        self._procs: list = []
+        self._close = weakref.finalize(
+            self, _stop, self._conns, self._procs, os.getpid()
+        )
+        for index in range(count):
+            conn, child = ctx.Pipe()
+            self._conns.append(conn)
+            proc = ctx.Process(
+                target=serve, args=(child, tuple(self._conns)),
+                name=f"repro-map-worker-{index}", daemon=True,
+            )
+            proc.start()
+            child.close()
+            self._procs.append(proc)
+
+    def run(
+        self, payloads: list[bytes], on_delta: Callable[[WorkerDelta], None] | None
+    ) -> list[list[ScanTaskResult]] | None:
+        """Send payload *i* (a pickled :class:`ScanTask`) to worker *i*
+        and return each worker's results, in payload order, passing
+        every :class:`WorkerDelta` that arrives first to ``on_delta``
+        (None only for tasks without a job id, which send none).
+
+        Returns None, with every worker stopped, when a pipe fails: a
+        worker died, idle or mid-task. Any other exception stops the
+        workers too, since their pipes may still hold this batch's
+        messages, and propagates."""
+        try:
+            pending = {}
+            for index, payload in enumerate(payloads):
+                conn = self._conns[index]
+                conn.send_bytes(payload)
+                pending[conn] = index
+            replies: list = [None] * len(payloads)
+            while pending:
+                for conn in wait(list(pending)):
+                    message = pickle.loads(conn.recv_bytes())
+                    if type(message) is WorkerDelta:
+                        on_delta(message)
+                    else:
+                        replies[pending.pop(conn)] = message
+            return replies
+        except (OSError, EOFError):
+            self.close()
+            return None
+        except BaseException:
+            self.close()
+            raise
+
+    def close(self) -> None:
+        """Stop every worker; a second call does nothing."""
+        self._close()
+
+
+def _stop(conns: list, procs: list, owner: int) -> None:
+    # A forked child holds a copy of this object; only the process that
+    # started the workers may stop them. SIGKILL, because a worker holds
+    # nothing to clean up and inherited its parent's signal handlers.
+    if os.getpid() != owner:
+        return
+    for conn in conns:
+        conn.close()
+    for proc in procs:
+        proc.kill()
+    for proc in procs:
+        proc.join()
 
 
 def materialize_outputs(

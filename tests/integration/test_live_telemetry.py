@@ -80,13 +80,34 @@ class TestMidJobWorkerCounters:
                 result = runner.run(conf, splits)
             snapshot = hub.snapshot()
         job = snapshot["jobs"][result.job_id]
-        # Deltas flowed over the live channel, not just the piggyback.
+        # Deltas flowed up the workers' pipes.
         assert job["worker"]["deltas"] > 0
         # At least one delta was folded in while the job was running —
         # the hub saw worker progress before job completion.
         live = [s for _rows, s in hub.delta_states if s == "running"]
         assert live, f"no mid-job delta (states: {hub.delta_states})"
         # And the final accounting still reconciles exactly.
+        assert job["rows_total"] == result.records_processed
+
+    def test_hub_installed_after_the_workers_forked_gets_deltas(self, mmap_splits):
+        """Deltas ride each task's pipe, so a hub installed after the
+        workers forked still sees their progress while the job runs."""
+        pred, splits = mmap_splits
+        conf = make_scan_conf(
+            name="q", input_path="/t", predicate=pred,
+            columns=("l_orderkey",),
+        )
+        trace = TraceRecorder()
+        with LocalRunner(map_executor="process", map_workers=2, trace=trace) as runner:
+            runner.run(conf, splits)  # forks the workers; no hub yet
+            with RecordingHub(worker_chunk_rows=512) as hub:
+                hub.attach(trace)
+                result = runner.run(conf, splits)
+                snapshot = hub.snapshot()
+        job = snapshot["jobs"][result.job_id]
+        assert job["worker"]["deltas"] > 0
+        live = [s for _rows, s in hub.delta_states if s == "running"]
+        assert live, f"no mid-job delta (states: {hub.delta_states})"
         assert job["rows_total"] == result.records_processed
 
     def test_polling_thread_sees_live_rows(self, mmap_splits):

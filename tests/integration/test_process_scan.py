@@ -8,9 +8,10 @@ whenever a job cannot be shipped to worker processes, as error-bounded
 aggregates never are.
 """
 
+import multiprocessing
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
+import signal
 
 import pytest
 
@@ -33,7 +34,9 @@ from repro.engine.runtime import (
 from repro.errors import JobConfError
 from repro.obs.profile import PHASE_SCAN, PhaseProfiler
 from repro.obs.trace import TraceRecorder
+from repro.scan import codegen, proc
 from repro.scan.engine import SCAN_MODES, ScanOptions
+from repro.scan.proc import ScanWorkers
 from repro.scan.proc import run_scan_task as proc_run_scan_task
 
 
@@ -223,20 +226,20 @@ class TestFallback:
 
 def spy_on_process_path(monkeypatch):
     """Fail any inline map task and record, per shipped batch, its size
-    and how many tasks it submitted to the pool."""
+    and how many tasks it sent down the workers' pipes."""
 
     def inline_map_task(*args, **kwargs):
         raise AssertionError("a batch fell back to the inline path")
 
     monkeypatch.setattr(runtime, "run_map_task", inline_map_task)
     submits = []
-    submit = ProcessPoolExecutor.submit
+    run = ScanWorkers.run
 
-    def counting_submit(pool, fn, *args, **kwargs):
-        submits.append(fn)
-        return submit(pool, fn, *args, **kwargs)
+    def counting_run(workers, payloads, on_delta):
+        submits.extend(payloads)
+        return run(workers, payloads, on_delta)
 
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", counting_submit)
+    monkeypatch.setattr(ScanWorkers, "run", counting_run)
     batches = []
     ship = LocalRunner._run_map_batch_process
 
@@ -281,6 +284,24 @@ class TestProcessPathRuns:
         for size, submitted in batches:
             assert submitted == min(2, size)
 
+    def test_batch_ships_after_an_inline_compile_of_its_predicate(
+        self, mmap_splits, monkeypatch
+    ):
+        """The inline matcher executes into its namespace; the spec's
+        namespace must stay a separate, picklable dict, or every process
+        batch would quietly run inline."""
+        predicate, _dataset, splits = mmap_splits
+        monkeypatch.setattr(codegen, "_source_cache", {})
+        monkeypatch.setattr(codegen, "_batch_cache", {})
+        conf = make_scan_conf(name="q", input_path="/t", predicate=predicate)
+        serial = LocalRunner(map_executor="thread").run(conf, splits)
+        assert predicate in codegen._batch_cache
+        batches = spy_on_process_path(monkeypatch)
+        with LocalRunner(map_executor="process", map_workers=2) as runner:
+            parallel = runner.run(conf, splits)
+        assert fingerprint(parallel) == fingerprint(serial)
+        assert batches == [(len(splits), 2)]
+
 
 def answer(result):
     return (
@@ -321,11 +342,11 @@ class TestApproxFallback:
             inline.append(split.split_id)
             return run_map_task(conf, split, *args, **kwargs)
 
-        def no_submit(pool, fn, *args, **kwargs):
-            raise AssertionError("an approx batch was shipped to the pool")
+        def no_run(workers, payloads, on_delta):
+            raise AssertionError("an approx batch was shipped to the workers")
 
         monkeypatch.setattr(runtime, "run_map_task", counting_map_task)
-        monkeypatch.setattr(ProcessPoolExecutor, "submit", no_submit)
+        monkeypatch.setattr(ScanWorkers, "run", no_run)
         with LocalRunner(seed=3, map_executor="process", map_workers=2) as runner:
             parallel = runner.run(conf, splits)
         assert answer(threaded) == answer(serial)
@@ -333,8 +354,12 @@ class TestApproxFallback:
         assert len(inline) == parallel.splits_processed
 
 
-def _kill_worker(task):
+def _kill_worker(*args):
     os._exit(1)
+
+
+def worker_processes():
+    return set(multiprocessing.active_children())
 
 
 class TestBrokenPool:
@@ -343,27 +368,85 @@ class TestBrokenPool:
     ):
         predicate, _dataset, splits = mmap_splits
         conf = make_scan_conf(name="q", input_path="/t", predicate=predicate)
-        serial = LocalRunner().run(conf, splits)
-        shutdowns = []
-        shutdown = ProcessPoolExecutor.shutdown
+        serial = LocalRunner(map_executor="thread").run(conf, splits)
+        closes = []
+        close = ScanWorkers.close
 
-        def recording_shutdown(pool, *args, **kwargs):
-            shutdowns.append(kwargs)
-            return shutdown(pool, *args, **kwargs)
+        def recording_close(workers):
+            closes.append(workers)
+            return close(workers)
 
-        monkeypatch.setattr(ProcessPoolExecutor, "shutdown", recording_shutdown)
+        monkeypatch.setattr(ScanWorkers, "close", recording_close)
         with LocalRunner(map_executor="process", map_workers=2) as runner:
-            # Patched before the pool forks: the workers run the killer.
-            monkeypatch.setattr(runtime, "run_scan_task", _kill_worker)
+            # Patched before the workers fork: they run the killer.
+            monkeypatch.setattr(proc, "run_scan_task", _kill_worker)
             broken = runner.run(conf, splits)
-            assert runner._process_pool is None
-            assert shutdowns == [{"wait": False, "cancel_futures": True}]
-            monkeypatch.setattr(runtime, "run_scan_task", proc_run_scan_task)
+            assert runner._workers is None
+            assert len(closes) == 1
+            monkeypatch.setattr(proc, "run_scan_task", proc_run_scan_task)
             batches = spy_on_process_path(monkeypatch)
             recovered = runner.run(conf, splits)
-            assert runner._process_pool is not None
+            assert runner._workers is not None
         assert fingerprint(broken) == fingerprint(serial)
         assert fingerprint(recovered) == fingerprint(serial)
+        assert batches == [(len(splits), 2)]
+
+    def test_worker_killed_while_idle_falls_back_inline_then_ships_again(
+        self, mmap_splits, monkeypatch
+    ):
+        """A worker that dies between two jobs must not fail the second:
+        it runs inline, byte-identical, and the third ships again."""
+        predicate, _dataset, splits = mmap_splits
+        conf = make_scan_conf(name="q", input_path="/t", predicate=predicate)
+        serial = LocalRunner(map_executor="thread").run(conf, splits)
+        before = worker_processes()
+        with LocalRunner(map_executor="process", map_workers=2) as runner:
+            first = runner.run(conf, splits)
+            workers = worker_processes() - before
+            assert len(workers) == 2
+            victim = workers.pop()
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10)
+            assert not victim.is_alive()
+            second = runner.run(conf, splits)
+            batches = spy_on_process_path(monkeypatch)
+            third = runner.run(conf, splits)
+        for result in (first, second, third):
+            assert fingerprint(result) == fingerprint(serial)
+            assert pickle.dumps(result.output_data) == pickle.dumps(serial.output_data)
+        assert batches == [(len(splits), 2)]
+
+
+class TestWorkerLifecycle:
+    def test_close_stops_every_worker_and_a_second_close_is_a_no_op(
+        self, mmap_splits
+    ):
+        predicate, _dataset, splits = mmap_splits
+        conf = make_scan_conf(name="q", input_path="/t", predicate=predicate)
+        before = worker_processes()
+        runner = LocalRunner(map_executor="process", map_workers=2)
+        runner.run(conf, splits)
+        workers = worker_processes() - before
+        assert len(workers) == 2
+        runner.close()
+        assert not any(worker.is_alive() for worker in workers)
+        runner.close()
+        assert worker_processes() - before == set()
+
+    def test_closed_runner_forks_fresh_workers(self, mmap_splits, monkeypatch):
+        predicate, _dataset, splits = mmap_splits
+        conf = make_scan_conf(name="q", input_path="/t", predicate=predicate)
+        before = worker_processes()
+        with LocalRunner(map_executor="process", map_workers=2) as runner:
+            first = runner.run(conf, splits)
+            old = worker_processes() - before
+            runner.close()
+            batches = spy_on_process_path(monkeypatch)
+            again = runner.run(conf, splits)
+            fresh = worker_processes() - before
+        assert len(fresh) == 2 and fresh.isdisjoint(old)
+        assert not any(worker.is_alive() for worker in old | fresh)
+        assert fingerprint(again) == fingerprint(first)
         assert batches == [(len(splits), 2)]
 
 

@@ -227,8 +227,9 @@ def open_store(path):
 
 
 def fresh_matcher(predicate):
-    """A matcher compiled now, as a worker compiles it, so it binds the
-    current ``codegen.scan_kernel`` (a cached one may hold another)."""
+    """A matcher compiled now from the shipped source, as a worker
+    compiles it, so under ``kernel_answers`` it binds the spy (a cached
+    matcher may hold another kernel)."""
     source, namespace = batch_matcher_source(predicate)
     return compile_batch_matcher_from_source(source, namespace)
 
@@ -254,10 +255,9 @@ def chunked(matcher, store, limit, chunk_rows):
     """The whole partition in ``chunk_rows`` chunks, exactly as a process
     worker's telemetry path scans it (negative remainders included)."""
     spec = ScanTaskSpec(source="", namespace={}, limit=limit, columns=None)
-    task = ScanTask(refs=(), spec=spec, job_id="job")
-    telemetry = proc._WorkerTelemetry(None, chunk_rows)
+    task = ScanTask(refs=(), spec=spec, job_id="job", chunk_rows=chunk_rows)
     hits = []
-    scanned, _ = proc._scan_partition(matcher, store, task, 0, hits, telemetry, 0.0)
+    scanned = proc._scan_partition(matcher, store, task, 0, hits, lambda delta: None)
     return hits, scanned
 
 
@@ -333,6 +333,9 @@ def kernel_answers(monkeypatch):
         return answer
 
     monkeypatch.setattr(codegen, "scan_kernel", spy)
+    # Sources generated here bind the spy; keep them out of the cache
+    # that other tests read.
+    monkeypatch.setattr(codegen, "_source_cache", {})
     return answers
 
 

@@ -1,14 +1,14 @@
 """Unit tests for the TelemetryHub: event folding, multiplexing, worker
 deltas, registry sampling, and the install/uninstall discipline."""
 
-import threading
+import pytest
 
 from repro.engine.job import ClusterStatus
 from repro.obs import hub as hub_module
 from repro.obs.hub import TelemetryHub, active_hub
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceRecorder
-from repro.scan.proc import ScanTaskResult, WorkerDelta
+from repro.scan.proc import WorkerDelta
 
 
 class FakeClock:
@@ -266,42 +266,34 @@ class TestWorkerTelemetry:
         assert job["rows_total"] == 300
         assert job["worker"]["live_rows"] == 300
         assert job["worker"]["deltas"] == 4
+        # Every delta's chunk feeds the rate sketch: 100 rows / 0.05 s.
+        assert job["worker"]["chunk_rate"]["count"] == 4
+        assert job["worker"]["chunk_rate"]["p50"] == pytest.approx(2000.0, rel=0.05)
 
     def test_worker_result_retires_live_entry(self):
+        """A gathered worker result reaches the hub as its split's
+        ``scan_span``, which retires the live entry and counts its rows
+        once."""
+        recorder = TraceRecorder()
         hub, clock = make_hub()
+        feed(hub, recorder)
+        recorder.record(0.0, "job_submitted", "j1", name="q", splits=1)
         hub.record_worker_delta(
             WorkerDelta(
                 job_id="j1", partition=0, rows_scanned=500,
                 hits=2, chunk_rows=500, wall_s=0.1,
             )
         )
+        assert hub.snapshot()["jobs"]["j1"]["worker"]["live_rows"] == 500
         clock.advance(0.1)
-        result = ScanTaskResult(
-            partition=0, scanned=1000, hits=[1, 2], wall_s=0.2, cpu_s=0.2,
-            scan_wall_s=0.15, deltas=((500, 0.1), (1000, 0.2)),
+        recorder.scan_span(
+            0.0, job_id="j1", task_id="j1_m_000001", split_id="s0",
+            mode="batch", batch_size=4096, rows=1000, outputs=2, elapsed_s=0.15,
         )
-        hub.record_worker_result("j1", result)
         job = hub.snapshot()["jobs"]["j1"]
         assert job["worker"]["live_rows"] == 0
         assert job["worker"]["live_tasks"] == 0
-
-    def test_late_delta_cannot_resurrect_retired_partition(self):
-        # The mp queue drains asynchronously: a delta flushed mid-scan
-        # may arrive after the task result reconciled. It must not
-        # re-open a live entry the scan_span already counted.
-        hub, _clock = make_hub()
-        result = ScanTaskResult(
-            partition=0, scanned=1000, hits=[], wall_s=0.2, cpu_s=0.2,
-            scan_wall_s=0.2, deltas=(),
-        )
-        hub.record_worker_result("j1", result)
-        hub.record_worker_delta(
-            WorkerDelta(
-                job_id="j1", partition=0, rows_scanned=500,
-                hits=0, chunk_rows=500, wall_s=0.1,
-            )
-        )
-        assert hub.snapshot()["jobs"]["j1"]["worker"]["live_rows"] == 0
+        assert job["rows_total"] == 1000
 
     def test_delta_after_job_completion_is_ignored(self):
         recorder = TraceRecorder()
@@ -318,40 +310,6 @@ class TestWorkerTelemetry:
         job = hub.snapshot()["jobs"]["j1"]
         assert job["rows_total"] == 0
         assert job["worker"]["live_rows"] == 0
-
-    def test_piggybacked_deltas_feed_rate_sketch_without_live_channel(self):
-        hub, _clock = make_hub()
-        result = ScanTaskResult(
-            partition=3, scanned=1000, hits=[], wall_s=0.2, cpu_s=0.2,
-            scan_wall_s=0.2, deltas=((400, 0.1), (1000, 0.2)),
-        )
-        hub.record_worker_result("j1", result)
-        job = hub.snapshot()["jobs"]["j1"]
-        assert job["worker"]["chunk_rate"]["count"] == 2
-
-    def test_worker_channel_drains_into_hub(self):
-        import multiprocessing
-
-        hub, _clock = make_hub()
-        ctx = multiprocessing.get_context()
-        queue = hub.worker_channel(ctx)
-        assert queue is not None
-        try:
-            queue.put(
-                WorkerDelta(
-                    job_id="j9", partition=1, rows_scanned=42,
-                    hits=0, chunk_rows=42, wall_s=0.01,
-                )
-            )
-            deadline = threading.Event()
-            for _ in range(100):
-                if "j9" in hub.snapshot()["jobs"]:
-                    break
-                deadline.wait(0.02)
-            job = hub.snapshot()["jobs"]["j9"]
-            assert job["rows_total"] == 42
-        finally:
-            hub.uninstall()  # stops the drain thread
 
 
 class TestRegistrySampling:

@@ -1,15 +1,20 @@
 """Unit tests for the process map-worker protocol (``repro.scan.proc``).
 
 These call :func:`run_scan_task` in process, the way a worker does, so
-the packing contract is checked without a pool: a packed task over
-several partitions answers exactly what one single-partition task each
-would, with batch-sized and telemetry-sized chunks alike, its per-split
-timings share out the task's wall time, and a worker decodes a string
-column only for partitions it scans again.
+the packing contract is checked without worker processes: a packed task
+over several partitions answers exactly what one single-partition task
+each would, with batch-sized and telemetry-sized chunks alike, its
+per-split timings share out the task's wall time, a worker decodes a
+string column only for partitions it scans again, and its matcher cache
+keys on the constant pool as well as the source. The worker loop,
+:func:`serve`, runs on a thread over a real pipe.
 """
 
 import dataclasses
 import itertools
+import multiprocessing
+import pickle
+import threading
 
 import pytest
 
@@ -26,11 +31,12 @@ from repro.scan import proc
 from repro.scan.columnar import DEFAULT_BATCH_SIZE
 from repro.scan.mmapstore import open_mmap_dataset
 from repro.scan.proc import (
+    MATCHER_CACHE_SIZE,
     ScanTask,
+    ScanTaskResult,
     WorkerDelta,
-    init_worker_telemetry,
-    reset_worker_telemetry,
     run_scan_task,
+    serve,
 )
 
 LIMITS = (None, 0, 1, 4)
@@ -53,25 +59,21 @@ def refs_and_spec(tmp_path_factory):
     return refs, conf.mapper_factory().scan_task_spec()
 
 
-@pytest.fixture
-def telemetry():
-    """Install an in-process conduit over a list-backed fake queue."""
-
-    class FakeQueue:
-        def __init__(self):
-            self.items = []
-
-        def put_nowait(self, item):
-            self.items.append(item)
-
-    queue = FakeQueue()
-    init_worker_telemetry(queue, chunk_rows=7)
-    yield queue
-    reset_worker_telemetry()
+@pytest.fixture(autouse=True)
+def matchers(monkeypatch):
+    """An empty matcher cache for each test, as a fresh worker has."""
+    cache = {}
+    monkeypatch.setattr(proc, "_MATCHERS", cache)
+    return cache
 
 
 def answers(results):
     return [(r.partition, r.scanned, r.hits) for r in results]
+
+
+def telemetry_task(refs, spec):
+    """A task as the runtime builds it with a hub live, in 7-row chunks."""
+    return ScanTask(refs=refs, spec=spec, job_id="j", chunk_rows=7)
 
 
 class TestPackedEqualsSingle:
@@ -111,33 +113,136 @@ class TestPackedEqualsSingle:
 
 class TestTelemetryPath:
     @pytest.mark.parametrize("limit", LIMITS)
-    def test_chunked_path_equals_single_call(self, refs_and_spec, telemetry, limit):
+    def test_chunked_path_equals_single_call(self, refs_and_spec, limit):
         refs, spec = refs_and_spec
         spec = dataclasses.replace(spec, limit=limit)
-        chunked = run_scan_task(ScanTask(refs=refs, spec=spec, job_id="j"))
-        assert telemetry.items, "the telemetry path never flushed"
-        reset_worker_telemetry()
-        single = run_scan_task(ScanTask(refs=refs, spec=spec, job_id="j"))
+        deltas = []
+        chunked = run_scan_task(telemetry_task(refs, spec), deltas.append)
+        assert deltas, "the telemetry path never flushed"
+        assert {d.partition for d in deltas} == {ref.partition for ref in refs}
+        single = run_scan_task(telemetry_task(refs, spec))
         assert answers(chunked) == answers(single)
-        assert all(r.deltas for r in chunked)
-        assert not any(r.deltas for r in single)
 
-    def test_deltas_are_cumulative_per_partition(self, refs_and_spec, telemetry):
+    def test_deltas_are_cumulative_per_partition(self, refs_and_spec):
         refs, spec = refs_and_spec
-        results = run_scan_task(ScanTask(refs=refs, spec=spec, job_id="j"))
-        assert all(isinstance(d, WorkerDelta) for d in telemetry.items)
+        deltas = []
+        results = run_scan_task(telemetry_task(refs, spec), deltas.append)
+        assert all(isinstance(d, WorkerDelta) for d in deltas)
         for result in results:
-            flushed = [d for d in telemetry.items if d.partition == result.partition]
+            flushed = [d for d in deltas if d.partition == result.partition]
             rows = [d.rows_scanned for d in flushed]
             assert rows == sorted(rows)
             assert rows[-1] == result.scanned
-            assert [cum for cum, _wall in result.deltas] == rows
+            assert [d.chunk_rows for d in flushed] == [
+                after - before for before, after in zip([0, *rows], rows)
+            ]
 
-    def test_no_job_id_keeps_single_call_path(self, refs_and_spec, telemetry):
+    def test_no_job_id_keeps_single_call_path(self, refs_and_spec):
         refs, spec = refs_and_spec
-        results = run_scan_task(ScanTask(refs=refs, spec=spec))
-        assert telemetry.items == []
-        assert not any(r.deltas for r in results)
+        deltas = []
+        results = run_scan_task(ScanTask(refs=refs, spec=spec), deltas.append)
+        assert deltas == []
+        assert answers(results) == answers(run_scan_task(telemetry_task(refs, spec)))
+
+
+def exchange(task):
+    """Serve ``task`` on a thread over a real pipe, as a worker does;
+    return every message the worker sent, in order."""
+    parent, child = multiprocessing.Pipe()
+    worker = threading.Thread(target=serve, args=(child,))
+    worker.start()
+    try:
+        parent.send_bytes(pickle.dumps(task))
+        messages = []
+        while not messages or type(messages[-1]) is WorkerDelta:
+            messages.append(pickle.loads(parent.recv_bytes()))
+    finally:
+        parent.close()
+        worker.join(timeout=10)
+    assert not worker.is_alive(), "the worker loop did not end at end of file"
+    child.close()
+    return messages
+
+
+class TestPipeProtocol:
+    def test_deltas_precede_results_on_the_pipe(self, refs_and_spec):
+        """A task's deltas all arrive before its results, so none can
+        reach the hub after the results it would count twice."""
+        refs, spec = refs_and_spec
+        task = telemetry_task(refs, spec)
+        *deltas, results = exchange(task)
+        assert deltas and all(type(d) is WorkerDelta for d in deltas)
+        assert all(type(r) is ScanTaskResult for r in results)
+        assert answers(results) == answers(run_scan_task(task))
+        assert {d.partition: d.rows_scanned for d in deltas} == {
+            r.partition: r.scanned for r in results
+        }
+
+    def test_a_task_without_job_id_sends_only_its_results(self, refs_and_spec):
+        refs, spec = refs_and_spec
+        task = ScanTask(refs=refs, spec=spec)
+        [results] = exchange(task)
+        assert answers(results) == answers(run_scan_task(task))
+
+
+def quantity_task(refs, value):
+    conf = make_scan_conf(
+        name="q", input_path="/t", predicate=ColumnCompare("l_quantity", "=", value)
+    )
+    return ScanTask(refs=refs, spec=conf.mapper_factory().scan_task_spec())
+
+
+def serial_hits(refs, value):
+    dataset = open_mmap_dataset(refs[0].path)
+    return [
+        [
+            i for i, quantity in enumerate(
+                dataset.partition_store(ref.partition).columns["l_quantity"]
+            )
+            if quantity == value
+        ]
+        for ref in refs
+    ]
+
+
+class TestMatcherCache:
+    def test_same_source_other_constants_answer_serially(self, refs_and_spec, matchers):
+        """``l_quantity = 7`` and ``= 51`` share one generated source and
+        differ only in the constant pool: a source-only key would answer
+        the second with the first's matcher."""
+        refs, _spec = refs_and_spec
+        seven, fifty_one = quantity_task(refs, 7), quantity_task(refs, 51)
+        assert seven.spec.source == fifty_one.spec.source
+        assert seven.spec.namespace != fifty_one.spec.namespace
+        for value, task in ((7, seven), (51, fifty_one), (7, seven)):
+            assert [r.hits for r in run_scan_task(task)] == serial_hits(refs, value)
+        assert len(matchers) == 2
+        assert any(serial_hits(refs, 7)), "the fixture has l_quantity = 7 rows"
+
+    def test_a_hit_compiles_nothing(self, refs_and_spec, monkeypatch):
+        refs, spec = refs_and_spec
+        compiled = []
+        compile_source = proc.compile_batch_matcher_from_source
+
+        def spy(source, namespace):
+            compiled.append(source)
+            return compile_source(source, namespace)
+
+        monkeypatch.setattr(proc, "compile_batch_matcher_from_source", spy)
+        task = ScanTask(refs=refs, spec=spec)
+        first = run_scan_task(task)
+        assert len(compiled) == 1
+        # The same task again, and a fresh copy as a worker unpickles it.
+        assert answers(run_scan_task(task)) == answers(first)
+        assert answers(run_scan_task(pickle.loads(pickle.dumps(task)))) == answers(first)
+        assert len(compiled) == 1
+
+    def test_the_cache_clears_when_full(self, refs_and_spec, matchers):
+        refs, _spec = refs_and_spec
+        matchers.update({("source", bytes(i)): None for i in range(MATCHER_CACHE_SIZE)})
+        results = run_scan_task(quantity_task(refs, 7))
+        assert [r.hits for r in results] == serial_hits(refs, 7)
+        assert len(matchers) == 1
 
 
 class TestStringDecode:
