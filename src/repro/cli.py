@@ -15,9 +15,6 @@ Commands mirror the deliverables:
   the task-accounting invariants; exits non-zero on any violation.
 * ``report`` — render one or more traces as a deterministic
   markdown/HTML comparative report (``--diff`` for two-trace A/B).
-* ``bench`` — run the benchmark suites under the phase profiler, track
-  median+MAD history per machine, and compare runs with noise-aware
-  regression gating (``repro bench run`` / ``compare`` / ``history``).
 * ``policies`` — write the default policy catalogue as policy.xml.
 
 ``sample``, ``query`` and ``sweep`` additionally accept ``--profile`` /
@@ -32,7 +29,6 @@ grid's independent cells; ``--jobs 1`` is the plain serial path) and
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
@@ -596,8 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
     slo_check = slo_sub.add_parser(
         "check",
         help=(
-            "evaluate an SLO spec against traces and/or a bench run "
-            "record (exit 1 when any objective is missed)"
+            "evaluate an SLO spec against traces "
+            "(exit 1 when any objective is missed)"
         ),
     )
     slo_check.add_argument(
@@ -607,18 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     slo_check.add_argument(
         "traces", nargs="*", metavar="TRACE",
         help="JSONL trace file(s) to hold against the spec",
-    )
-    slo_check.add_argument(
-        "--bench", default=None, metavar="RECORD",
-        help=(
-            "bench run record for the spec's bench section: a JSON file "
-            "(repro bench run --out), or 'latest'/'previous'/a run id "
-            "with --history-dir"
-        ),
-    )
-    slo_check.add_argument(
-        "--history-dir", default=None, metavar="DIR",
-        help="bench history store to resolve --bench references against",
     )
     slo_check.add_argument(
         "--format", default="text", choices=("text", "json"), dest="fmt",
@@ -656,86 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     policies = commands.add_parser("policies", help="write policy.xml")
     policies.add_argument("--out", default="policy.xml")
-
-    bench = commands.add_parser(
-        "bench",
-        help="run benchmark suites, track history, detect regressions",
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-
-    bench_run = bench_sub.add_parser(
-        "run", help="run suites N times, report median+MAD, append to history"
-    )
-    bench_run.add_argument(
-        "--suite", action="append", dest="suites", metavar="NAME",
-        help="suite to run (repeatable; default: all — see 'bench list')",
-    )
-    bench_run.add_argument("--repeats", type=int, default=3, metavar="N")
-    bench_run.add_argument(
-        "--quick", action="store_true", help="smaller workloads (CI smoke sizes)"
-    )
-    bench_run.add_argument(
-        "--label", default="", help="free-form tag stored with the run"
-    )
-    bench_run.add_argument(
-        "--history-dir", default=None, metavar="DIR",
-        help="history store (default: benchmarks/history)",
-    )
-    bench_run.add_argument(
-        "--no-history", action="store_true", help="do not append to the history store"
-    )
-    bench_run.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="also write the full run record JSON here",
-    )
-    bench_run.add_argument(
-        "--profile-dir", default=None, metavar="DIR",
-        help="export pstats + flamegraph-collapsed stacks per suite into DIR",
-    )
-
-    bench_compare = bench_sub.add_parser(
-        "compare",
-        help=(
-            "noise-aware regression check between two runs "
-            "(exit 1 when any metric regressed)"
-        ),
-    )
-    bench_compare.add_argument(
-        "baseline", nargs="?", default=None,
-        help="run id prefix, 'latest', 'previous', or a run-record JSON file",
-    )
-    bench_compare.add_argument(
-        "current", nargs="?", default="latest",
-        help="same forms as baseline (default: latest history record)",
-    )
-    bench_compare.add_argument(
-        "--against", default=None, metavar="FILE",
-        help="baseline run-record JSON artifact (alternative to the positional)",
-    )
-    bench_compare.add_argument("--history-dir", default=None, metavar="DIR")
-    bench_compare.add_argument(
-        "--threshold-mads", type=float, default=None, metavar="X",
-        help="median shift per metric allowed, in MAD units (default: 5)",
-    )
-    bench_compare.add_argument(
-        "--rel-floor", type=float, default=None, metavar="F",
-        help="relative shift always tolerated, vs baseline median (default: 0.10)",
-    )
-    bench_compare.add_argument(
-        "--min-repeats", type=int, default=None, metavar="N",
-        help="gate only metrics with at least N repeats on both sides (default: 3)",
-    )
-    bench_compare.add_argument(
-        "--out", default=None, metavar="FILE", help="write the JSON report here"
-    )
-
-    bench_sub.add_parser("list", help="list registered suites")
-
-    bench_history = bench_sub.add_parser(
-        "history", help="show this machine's recorded runs"
-    )
-    bench_history.add_argument("--history-dir", default=None, metavar="DIR")
-    bench_history.add_argument("--limit", type=int, default=10, metavar="N")
 
     return parser
 
@@ -1156,21 +1060,16 @@ def cmd_doctor(args, out) -> int:
 
 
 def cmd_slo(args, out) -> int:
-    from repro.errors import BenchError
     from repro.obs.slo import (
         SloSpecError,
-        evaluate_bench_slo,
         evaluate_trace_slo,
         parse_slo_spec,
         render_slo,
         slo_json,
     )
 
-    if not args.traces and args.bench is None:
-        print(
-            "error: repro slo check needs at least one TRACE or --bench",
-            file=sys.stderr,
-        )
+    if not args.traces:
+        print("error: repro slo check needs at least one TRACE", file=sys.stderr)
         return 2
     try:
         spec = parse_slo_spec(Path(args.spec).read_text())
@@ -1180,25 +1079,12 @@ def cmd_slo(args, out) -> int:
     except SloSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if spec.get("bench") and args.bench is None:
-        print(
-            "error: the spec has a bench section; pass --bench RECORD",
-            file=sys.stderr,
-        )
-        return 2
     reports = []
     try:
         for path in args.traces:
             events = load_trace(path, validate=not args.no_validate)
             reports.append(evaluate_trace_slo(spec, events, source=path))
-        if args.bench is not None:
-            record = _bench_resolve(
-                args.bench, args.history_dir, what="bench record"
-            )
-            reports.append(
-                evaluate_bench_slo(spec, record, source=f"bench:{args.bench}")
-            )
-    except (SloSpecError, BenchError) as exc:
+    except SloSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.fmt == "json":
@@ -1370,114 +1256,6 @@ def cmd_policies(args, out) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# bench: continuous benchmarking
-# ---------------------------------------------------------------------------
-def _bench_resolve(ref: str | None, history_dir, *, what: str) -> dict:
-    """A run record from a JSON file path, 'latest'/'previous', or a run id."""
-    from repro.bench.history import find_run, latest_run, load_history
-    from repro.errors import BenchError
-
-    if ref is None:
-        raise BenchError(f"no {what} given: pass a run id, 'latest', or a JSON file")
-    path = Path(ref)
-    if path.suffix == ".json" or path.exists():
-        return json.loads(path.read_text())
-    records = load_history(history_dir)
-    if ref == "latest":
-        return latest_run(records)
-    if ref == "previous":
-        if len(records) < 2:
-            raise BenchError(f"history has {len(records)} run(s); no 'previous'")
-        return records[-2]
-    return find_run(records, ref)
-
-
-def cmd_bench_run(args, out) -> int:
-    from repro.bench.history import append_run
-    from repro.bench.runner import render_run, run_suites
-
-    record = run_suites(
-        args.suites,
-        repeats=args.repeats,
-        quick=args.quick,
-        label=args.label,
-        profile_dir=args.profile_dir,
-        progress=lambda message: print(message, file=sys.stderr),
-    )
-    print(render_run(record), file=out)
-    if not args.no_history:
-        path = append_run(record, args.history_dir)
-        print(f"recorded run {record['run_id']} in {path}", file=out)
-    if args.out:
-        Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {args.out}", file=out)
-    return 0
-
-
-def cmd_bench_compare(args, out) -> int:
-    from repro.bench.compare import compare_runs, render_compare, report_json
-
-    baseline_ref = args.against if args.against is not None else args.baseline
-    if args.against is not None and args.baseline is not None:
-        # Both forms given: the positional shifts to being the current run.
-        args.current = args.baseline
-    baseline = _bench_resolve(baseline_ref, args.history_dir, what="baseline")
-    current = _bench_resolve(args.current, args.history_dir, what="current run")
-    settings = {
-        key: value
-        for key, value in (
-            ("threshold_mads", args.threshold_mads),
-            ("rel_floor", args.rel_floor),
-            ("min_repeats", args.min_repeats),
-        )
-        if value is not None
-    }
-    report = compare_runs(baseline, current, **settings)
-    print(render_compare(report), file=out)
-    if args.out:
-        Path(args.out).write_text(report_json(report))
-        print(f"wrote {args.out}", file=out)
-    return 0 if report.ok else 1
-
-
-def cmd_bench_list(_args, out) -> int:
-    from repro.bench.suites import SUITES
-
-    for suite in SUITES.values():
-        print(f"{suite.name:<8} {suite.description}", file=out)
-    return 0
-
-
-def cmd_bench_history(args, out) -> int:
-    from repro.bench.history import load_history, machine_key
-
-    records = load_history(args.history_dir)
-    if not records:
-        print(f"no recorded runs for machine {machine_key()}", file=out)
-        return 0
-    shown = records[-args.limit:] if args.limit > 0 else records
-    for record in shown:
-        suites = ",".join(record.get("options", {}).get("suites", []))
-        label = record.get("label") or "-"
-        print(
-            f"{record.get('run_id', '?'):<14} repeats={record['options']['repeats']}"
-            f" quick={record['options']['quick']} label={label} suites={suites}",
-            file=out,
-        )
-    print(f"{len(records)} run(s) for machine {machine_key()}", file=out)
-    return 0
-
-
-def cmd_bench(args, out) -> int:
-    return {
-        "run": cmd_bench_run,
-        "compare": cmd_bench_compare,
-        "list": cmd_bench_list,
-        "history": cmd_bench_history,
-    }[args.bench_command](args, out)
-
-
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
@@ -1504,7 +1282,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
         "slo": cmd_slo,
         "report": cmd_report,
         "policies": cmd_policies,
-        "bench": cmd_bench,
     }
     return handlers[args.command](args, out)
 

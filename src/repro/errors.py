@@ -92,7 +92,3 @@ class ScanCompileError(ReproError):
 
 class MmapStoreError(ReproError):
     """An mmap columnar dataset file is invalid or was misused."""
-
-
-class BenchError(ReproError):
-    """A benchmark suite, history store, or comparison was misused."""

@@ -45,7 +45,7 @@ On top of the stream sit pure read-side consumers:
   findings report with the critical path rendered, a two-trace diff,
   and the live :class:`Watchdog` behind the hub's alert gauges;
 * :mod:`repro.obs.slo` — ``repro slo check``: YAML run-quality
-  objectives evaluated against traces or bench records for CI gating.
+  objectives evaluated against traces for CI gating.
 
 Everything here is pure read-side: attaching a registry or recorder
 consumes no randomness and changes no job output bytes.
@@ -86,7 +86,6 @@ _LAZY = {
     "Watchdog": "repro.obs.doctor",
     "parse_slo_spec": "repro.obs.slo",
     "evaluate_trace_slo": "repro.obs.slo",
-    "evaluate_bench_slo": "repro.obs.slo",
     "render_slo": "repro.obs.slo",
     "build_report": "repro.obs.report",
     "render_report": "repro.obs.report",
@@ -150,7 +149,6 @@ __all__ = [
     "Watchdog",
     "parse_slo_spec",
     "evaluate_trace_slo",
-    "evaluate_bench_slo",
     "render_slo",
     "build_report",
     "render_report",

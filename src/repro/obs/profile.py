@@ -60,7 +60,7 @@ from repro.obs.metrics import MetricsRegistry
 
 #: The shared profiler clocks. Everything in the repo that stamps a
 #: wall-clock or CPU duration (profiler spans, scan ``ScanSpan``s, the
-#: bench harness) reads these, never ``time.*`` directly, so durations
+#: telemetry hub) reads these, never ``time.*`` directly, so durations
 #: from different layers are directly comparable.
 wall_clock = _time.perf_counter
 cpu_clock = _time.process_time
@@ -238,10 +238,6 @@ class PhaseProfiler:
         self._profiles[phase].disable()
         with self._lock:
             self._capture_live = False
-
-    @property
-    def captured_phases(self) -> tuple[str, ...]:
-        return tuple(sorted(self._profiles))
 
     # ------------------------------------------------------------------
     # Installation (the module-global ACTIVE slot)

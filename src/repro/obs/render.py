@@ -120,7 +120,7 @@ def render_metrics(events: Iterable[dict]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Live-telemetry rendering primitives (repro top, bench tables)
+# Live-telemetry rendering primitives (repro top)
 # ---------------------------------------------------------------------------
 SPARK_TICKS = "▁▂▃▄▅▆▇█"
 

@@ -1,9 +1,8 @@
 """SLO gates: declare run-quality objectives in YAML, check in CI.
 
 ``repro slo check --spec slo.yml trace.jsonl`` evaluates a small spec
-against a recorded trace (and/or a ``repro bench run`` record) and
-exits non-zero when any objective is missed — the same contract as
-``repro audit`` and ``repro bench compare``, so a pipeline can gate a
+against recorded traces and exits non-zero when any objective is
+missed — the same contract as ``repro audit``, so a pipeline can gate a
 merge on "the nightly run still meets its latency and accuracy SLOs".
 
 Spec shape (all sections optional; every leaf is one objective)::
@@ -23,11 +22,6 @@ Spec shape (all sections optional; every leaf is one objective)::
       max_critical: 0
       max_warning: 2
       max_total: 5
-    bench:                    # against a bench run record (--bench)
-      floors:
-        kernel.rows_per_sec: 1.0e6  # median must be >= this
-      ceilings:
-        e2e.seconds: 30.0           # median must be <= this
 
 Parsing prefers PyYAML when the interpreter has it, but CI images only
 carry numpy+pytest, so a built-in parser handles the subset the spec
@@ -62,7 +56,7 @@ _LATENCY_KEYS = {
     "mean_s": None,
 }
 
-_SECTIONS = ("latency", "throughput", "stragglers", "accuracy", "findings", "bench")
+_SECTIONS = ("latency", "throughput", "stragglers", "accuracy", "findings")
 
 
 class SloSpecError(ReproError):
@@ -186,8 +180,8 @@ def _target(section: dict, key: str, objective: str) -> float:
     value = section[key]
     if isinstance(value, str):
         # PyYAML follows YAML 1.1 and reads "1.0e6" (no signed
-        # exponent) as a string; the documented spec shape uses that
-        # form, so coerce numeric-looking strings on both parser paths.
+        # exponent) as a string, so coerce numeric-looking strings on
+        # both parser paths.
         try:
             value = float(value)
         except ValueError:
@@ -346,42 +340,6 @@ def _rows_per_sec(model) -> tuple[float | None, str]:
     if elapsed > 0:
         return rows / elapsed, f"{rows:,} rows over {elapsed:.3f}s of scan time"
     return None, "trace records no usable time axis"
-
-
-# ---------------------------------------------------------------------------
-# Bench-record evaluation
-# ---------------------------------------------------------------------------
-def evaluate_bench_slo(spec: dict, record: dict, *, source: str = "bench") -> SloReport:
-    """Evaluate ``bench.floors``/``bench.ceilings`` against a run record
-    (the ``repro bench run --out`` JSON: median per metric per suite)."""
-    report = SloReport(source=source)
-    bench = spec.get("bench") or {}
-    medians: dict[str, float] = {}
-    for data in (record.get("suites") or {}).values():
-        for name, metric in (data.get("metrics") or {}).items():
-            medians[name] = metric.get("median")
-    for kind, passes in (("floors", lambda a, t: a >= t), ("ceilings", lambda a, t: a <= t)):
-        section = bench.get(kind) or {}
-        for name in sorted(section):
-            objective = f"bench.{kind}.{name}"
-            target = _target(section, name, objective)
-            actual = medians.get(name)
-            if actual is None:
-                report.checks.append(
-                    SloCheck(
-                        objective,
-                        target,
-                        None,
-                        False,
-                        f"metric {name!r} not in bench record "
-                        f"(has: {', '.join(sorted(medians)) or 'none'})",
-                    )
-                )
-                continue
-            report.checks.append(
-                SloCheck(objective, target, actual, passes(actual, target), "median")
-            )
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "run"],
+            ["slo", "check", "--spec", "slo.yml", "--bench", "run.json"],
+            ["slo", "check", "--spec", "slo.yml", "--history-dir", "h", "t.jsonl"],
+        ],
+    )
+    def test_retired_bench_surfaces_are_usage_errors(self, argv):
+        # Benchmarks run through `python -m benchmarks.query` only.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
     def test_list_arguments_parse(self):
         args = build_parser().parse_args(
             ["figure5", "--scales", "5,10", "--skews", "0", "--seeds", "0,1"]

@@ -128,7 +128,7 @@ class TestSloCli:
         spec.write_text(PASSING_SPEC)
         code, _ = run_cli(["slo", "check", "--spec", str(spec)])
         assert code == 2
-        assert "needs at least one TRACE or --bench" in capsys.readouterr().err
+        assert "needs at least one TRACE" in capsys.readouterr().err
 
     def test_bad_spec_is_an_operator_error(self, tmp_path, capsys):
         spec = tmp_path / "slo.yml"
@@ -136,35 +136,6 @@ class TestSloCli:
         code, _ = run_cli(["slo", "check", "--spec", str(spec), str(GOLDEN)])
         assert code == 2
         assert "unknown latency objective" in capsys.readouterr().err
-
-    def test_bench_section_requires_bench_record(self, tmp_path, capsys):
-        spec = tmp_path / "slo.yml"
-        spec.write_text("bench:\n  floors:\n    kernel.events_per_sec: 1\n")
-        code, _ = run_cli(["slo", "check", "--spec", str(spec), str(GOLDEN)])
-        assert code == 2
-        assert "pass --bench" in capsys.readouterr().err
-
-    def test_bench_record_gates(self, tmp_path):
-        record = tmp_path / "bench.json"
-        record.write_text(json.dumps({
-            "id": "r1",
-            "suites": {
-                "kernel": {"metrics": {"kernel.events_per_sec": {
-                    "median": 2.0e6, "mad": 0.0, "direction": "higher"}}},
-            },
-        }))
-        spec = tmp_path / "slo.yml"
-        spec.write_text("bench:\n  floors:\n    kernel.events_per_sec: 1.0e6\n")
-        code, text = run_cli(
-            ["slo", "check", "--spec", str(spec), "--bench", str(record)]
-        )
-        assert code == 0
-        assert "[PASS] bench.floors.kernel.events_per_sec" in text
-        spec.write_text("bench:\n  floors:\n    kernel.events_per_sec: 9.9e9\n")
-        code, _ = run_cli(
-            ["slo", "check", "--spec", str(spec), "--bench", str(record)]
-        )
-        assert code == 1
 
 
 class TestAuditJson:

@@ -14,7 +14,6 @@ import pytest
 from repro.obs.slo import (
     SloSpecError,
     _mini_yaml,
-    evaluate_bench_slo,
     evaluate_trace_slo,
     parse_slo_spec,
     render_slo,
@@ -59,16 +58,15 @@ class TestMiniYaml:
 
     def test_nested_maps_comments_and_scalars(self):
         spec = _mini_yaml(
-            "bench:\n"
-            "  floors:\n"
-            "    kernel.events_per_sec: 1.0e6  # trailing comment\n"
-            "  ceilings:\n"
-            "    e2e.sim_response_s: 30\n"
+            "throughput:\n"
+            "  rows_per_sec_floor: 1.0e6  # trailing comment\n"
+            "findings:\n"
+            "  max_total: 30\n"
             "latency:\n"
             "  p99_s: 10.5\n"
         )
-        assert spec["bench"]["floors"]["kernel.events_per_sec"] == 1.0e6
-        assert spec["bench"]["ceilings"]["e2e.sim_response_s"] == 30
+        assert spec["throughput"]["rows_per_sec_floor"] == 1.0e6
+        assert spec["findings"]["max_total"] == 30
         assert spec["latency"]["p99_s"] == 10.5
 
     def test_rejects_lists(self):
@@ -88,6 +86,10 @@ class TestParseSpec:
     def test_unknown_section_is_an_error(self):
         with pytest.raises(SloSpecError, match="unknown SLO section"):
             parse_slo_spec("latencies:\n  p50_s: 1\n")
+
+    def test_bench_section_is_an_unknown_section(self):
+        with pytest.raises(SloSpecError, match="unknown SLO section 'bench'"):
+            parse_slo_spec("bench:\n  floors:\n    kernel.events_per_sec: 1\n")
 
     def test_unknown_latency_key_is_an_error(self):
         with pytest.raises(SloSpecError, match="unknown latency objective"):
@@ -141,52 +143,6 @@ class TestTraceEvaluation:
         assert check.ok
         assert check.actual == 0.0
         assert "36 finished attempts" in check.detail
-
-
-class TestBenchEvaluation:
-    RECORD = {
-        "suites": {
-            "kernel": {
-                "metrics": {
-                    "kernel.events_per_sec": {"median": 2.0e6, "mad": 0.0,
-                                              "direction": "higher"},
-                }
-            },
-            "e2e": {
-                "metrics": {
-                    "e2e.sim_response_s": {"median": 25.0, "mad": 0.0,
-                                           "direction": "lower"},
-                }
-            },
-        }
-    }
-
-    def test_floors_and_ceilings(self):
-        spec = parse_slo_spec(
-            "bench:\n"
-            "  floors:\n"
-            "    kernel.events_per_sec: 1.0e6\n"
-            "  ceilings:\n"
-            "    e2e.sim_response_s: 30.0\n"
-        )
-        report = evaluate_bench_slo(spec, self.RECORD)
-        assert report.ok
-        assert [c.objective for c in report.checks] == [
-            "bench.floors.kernel.events_per_sec",
-            "bench.ceilings.e2e.sim_response_s",
-        ]
-
-    def test_missed_floor_fails(self):
-        spec = parse_slo_spec("bench:\n  floors:\n    kernel.events_per_sec: 1.0e9\n")
-        report = evaluate_bench_slo(spec, self.RECORD)
-        assert not report.ok
-
-    def test_unknown_metric_fails_with_inventory(self):
-        spec = parse_slo_spec("bench:\n  floors:\n    kernel.typo: 1\n")
-        (check,) = evaluate_bench_slo(spec, self.RECORD).checks
-        assert not check.ok
-        assert "not in bench record" in check.detail
-        assert "kernel.events_per_sec" in check.detail
 
 
 class TestRendering:
