@@ -17,10 +17,6 @@ Commands mirror the deliverables:
   markdown/HTML comparative report (``--diff`` for two-trace A/B).
 * ``policies`` — write the default policy catalogue as policy.xml.
 
-``sample``, ``query`` and ``sweep`` additionally accept ``--profile`` /
-``--profile-dir`` for per-phase wall/CPU attribution of a single run
-(summary on stderr, optional pstats + flamegraph-collapsed exports).
-
 The figure commands accept ``--jobs N`` (process-pool fan-out over the
 grid's independent cells; ``--jobs 1`` is the plain serial path) and
 ``--cache`` (reuse cached cells from ``.repro_cache/``).
@@ -137,66 +133,6 @@ def _add_trace_arg(parser: argparse.ArgumentParser) -> None:
             "Job output is unchanged"
         ),
     )
-
-
-def _add_profile_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--profile", action="store_true",
-        help=(
-            "record per-phase wall/CPU timings (summary on stderr; job "
-            "output is unchanged)"
-        ),
-    )
-    parser.add_argument(
-        "--profile-dir", default=None, metavar="DIR",
-        help=(
-            "additionally capture cProfile stacks per phase and export "
-            "<phase>.pstats + flamegraph-collapsed <phase>.collapsed "
-            "files into DIR (implies --profile)"
-        ),
-    )
-
-
-@contextmanager
-def _profiler(args):
-    """Install a PhaseProfiler for the command body, or yield None.
-
-    The profiler is strictly read-side: stdout (and therefore results)
-    stay byte-identical with or without it; everything it prints goes
-    to stderr in :func:`_finish_profile`.
-    """
-    if not getattr(args, "profile", False) and not getattr(args, "profile_dir", None):
-        yield None
-        return
-    from repro.obs.profile import PhaseProfiler
-
-    profiler = PhaseProfiler(capture=getattr(args, "profile_dir", None) is not None)
-    with profiler:
-        yield profiler
-
-
-def _finish_profile(args, profiler, trace) -> None:
-    """Export what the profiler saw: a metrics_snapshot trace event
-    (scope "profile"), optional pstats/collapsed dumps, stderr summary.
-
-    Must run before the trace recorder closes (inside its ``with``).
-    """
-    if profiler is None:
-        return
-    from repro.obs.profile import PHASE_PREFIX, render_profile
-
-    if trace is not None:
-        trace.metrics_snapshot(
-            0.0,
-            scope="profile",
-            metrics=profiler.registry.snapshot(prefix=PHASE_PREFIX),
-        )
-    profile_dir = getattr(args, "profile_dir", None)
-    if profile_dir:
-        profiler.dump_pstats(profile_dir)
-        profiler.write_collapsed(profile_dir)
-        print(f"profile exports written to {profile_dir}", file=sys.stderr)
-    print(render_profile(profiler), file=sys.stderr)
 
 
 def _trace_recorder(args):
@@ -335,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--scale", type=float, default=5, help="figure 4 dataset scale")
     sweep.add_argument("--quiet", action="store_true", help="suppress per-cell progress")
     _add_trace_arg(sweep)
-    _add_profile_args(sweep)
 
     sample = commands.add_parser("sample", help="run one sampling job")
     sample.add_argument("--scale", type=float, default=100)
@@ -356,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="confidence level for --error (default: 95)",
     )
     _add_trace_arg(sample)
-    _add_profile_args(sample)
 
     query = commands.add_parser("query", help="execute SQL on a demo warehouse")
     query.add_argument("sql", help="e.g. \"SELECT * FROM lineitem WHERE l_quantity = 51 LIMIT 5\"")
@@ -428,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_trace_arg(query)
-    _add_profile_args(query)
 
     dataset = commands.add_parser(
         "dataset",
@@ -586,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     slo = commands.add_parser(
         "slo",
-        help="declare run-quality objectives in YAML and gate CI on them",
+        help="declare run-quality objectives in JSON and gate CI on them",
     )
     slo_sub = slo.add_subparsers(dest="slo_command", required=True)
     slo_check = slo_sub.add_parser(
@@ -598,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     slo_check.add_argument(
         "--spec", required=True, metavar="FILE",
-        help="YAML SLO spec (see DESIGN.md §9e for the schema)",
+        help="JSON SLO spec (see DESIGN.md §9e for the schema)",
     )
     slo_check.add_argument(
         "traces", nargs="*", metavar="TRACE",
@@ -785,9 +718,7 @@ def cmd_sweep(args, out) -> int:
         args.skews = (0, 2) if figure == 6 else (0, 1, 2)
     if args.measurement is None:
         args.measurement = 2400.0 if figure == 6 else 3600.0
-    with _trace_recorder(args) as trace, _telemetry(args, trace), _profiler(
-        args
-    ) as profiler:
+    with _trace_recorder(args) as trace, _telemetry(args, trace):
         args._trace = trace
         if figure == 4:
             args.seed = args.seeds[0]
@@ -801,15 +732,12 @@ def cmd_sweep(args, out) -> int:
             code = _cmd_heterogeneous(args, out, scheduler="fifo", figure="Figure 7")
         else:
             code = _cmd_heterogeneous(args, out, scheduler="fair", figure="Figure 8")
-        _finish_profile(args, profiler, trace)
     return code
 
 
 def cmd_sample(args, out) -> int:
     predicate = predicate_for_skew(args.skew)
-    with _trace_recorder(args) as trace, _telemetry(args, trace), _profiler(
-        args
-    ) as profiler:
+    with _trace_recorder(args) as trace, _telemetry(args, trace):
         cluster = single_user_cluster(seed=args.seed, trace=trace)
         cluster.load_dataset("/d", dataset_for(args.scale, args.skew, args.seed))
         if args.error is not None:
@@ -828,7 +756,6 @@ def cmd_sample(args, out) -> int:
                 sample_size=args.k, policy_name=args.policy,
             )
         result = cluster.run_job(conf)
-        _finish_profile(args, profiler, trace)
     rows = [
         ["policy", args.policy],
         ["dataset", f"{args.scale:g}x (z={args.skew})"],
@@ -902,9 +829,7 @@ def cmd_query(args, out) -> int:
     dfs = DistributedFileSystem(paper_topology().storage_locations())
     dfs.write_dataset("/warehouse/lineitem", dataset)
     try:
-        with _trace_recorder(args) as trace, _telemetry(args, trace), _profiler(
-            args
-        ) as profiler:
+        with _trace_recorder(args) as trace, _telemetry(args, trace):
             with LocalRunner(
                 seed=args.seed,
                 scan_options=ScanOptions(
@@ -927,7 +852,6 @@ def cmd_query(args, out) -> int:
                         "sampling.error.confidence", str(args.confidence)
                     )
                 result = session.execute(args.sql)
-            _finish_profile(args, profiler, trace)
     finally:
         if scratch is not None:
             scratch.cleanup()

@@ -37,7 +37,6 @@ from repro.engine.job import Job, JobResult
 from repro.engine.jobconf import JobConf
 from repro.engine.jobtracker import JobTracker
 from repro.errors import JobConfError, JobError
-from repro.obs import profile as _profile
 from repro.obs.trace import record_provider_evaluation
 from repro.sim.random_source import RandomSource
 from repro.sim.simulator import PeriodicTask, Simulator
@@ -122,11 +121,7 @@ class JobClient:
         provider.initialize(splits, conf, policy, rng)
 
         cluster = self._jobtracker.cluster_status()
-        # Span exactly the provider invocation (not the gate around it),
-        # so profile.provider.evaluate call counts match the trace's
-        # provider_evaluation events one-for-one.
-        with _profile.profiled_span(_profile.PHASE_EVALUATE):
-            initial, complete = provider.initial_input(cluster)
+        initial, complete = provider.initial_input(cluster)
         job = self._jobtracker.submit_job(
             conf,
             initial,
@@ -204,8 +199,7 @@ class JobClient:
         self._feed_completed(handle)
         progress = job.progress()
         cluster = self._jobtracker.cluster_status()
-        with _profile.profiled_span(_profile.PHASE_EVALUATE):
-            response = handle.provider.evaluate(progress, cluster)
+        response = handle.provider.evaluate(progress, cluster)
         record_provider_evaluation(
             self._jobtracker.trace, self._sim.now, handle.provider,
             job_id=job.job_id, phase="evaluate", progress=progress,

@@ -28,7 +28,6 @@ from repro.engine.task import MapTask, ReduceTask, TaskState
 from repro.engine.tasktracker import TaskTracker
 from repro.errors import JobError
 from repro.obs import hub as _hub
-from repro.obs import profile as _profile
 from repro.sim.simulator import Simulator
 
 JobListener = Callable[[Job], None]
@@ -204,16 +203,6 @@ class JobTracker:
         self._sim.schedule(self.dispatch_delay, self._dispatch, label="dispatch")
 
     def _dispatch(self) -> None:
-        with _profile.profiled_span(_profile.PHASE_DISPATCH):
-            self._dispatch_pass()
-        hub = _hub.ACTIVE
-        if hub is not None:
-            # Live slot-utilization sample after every dispatch pass.
-            # Read-side only: cluster_status() is a pure computation and
-            # the hub never feeds anything back into scheduling.
-            hub.observe_cluster(self.cluster_status())
-
-    def _dispatch_pass(self) -> None:
         self._dispatch_scheduled = False
         schedulable = [
             job
@@ -237,6 +226,12 @@ class JobTracker:
             # "a decline is outstanding".
             self._retry_handle.cancel()
             self._retry_handle = None
+        hub = _hub.ACTIVE
+        if hub is not None:
+            # Live slot-utilization sample after every dispatch pass.
+            # Read-side only: cluster_status() is a pure computation and
+            # the hub never feeds anything back into scheduling.
+            hub.observe_cluster(self.cluster_status())
 
     def _assign_map_slots(self, schedulable: list[Job]) -> bool:
         """Offer free map slots breadth-first across nodes: one task per

@@ -33,7 +33,6 @@ from repro.engine.mapreduce import ReduceContext
 from repro.engine.shuffle import group_outputs
 from repro.errors import JobConfError, JobError
 from repro.obs import hub as _hub
-from repro.obs import profile as _profile
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import record_provider_evaluation
 from repro.scan.engine import ScanOptions, ScanSpan, run_map_task
@@ -224,10 +223,7 @@ class LocalRunner:
 
         total = len(splits)
         cluster = self._cluster_status()
-        # Same span discipline as JobClient: exactly one provider.evaluate
-        # span per provider invocation, matching provider_evaluation events.
-        with _profile.profiled_span(_profile.PHASE_EVALUATE):
-            batch, complete = provider.initial_input(cluster)
+        batch, complete = provider.initial_input(cluster)
         record_provider_evaluation(
             self.trace, 0.0, provider, job_id=job_id, phase="initial",
             progress=None, cluster=cluster,
@@ -254,8 +250,7 @@ class LocalRunner:
             evaluations += 1
             progress = self._progress(conf, total, map_results)
             cluster = self._cluster_status()
-            with _profile.profiled_span(_profile.PHASE_EVALUATE):
-                response = provider.evaluate(progress, cluster)
+            response = provider.evaluate(progress, cluster)
             record_provider_evaluation(
                 self.trace, 0.0, provider, job_id=job_id, phase="evaluate",
                 progress=progress, cluster=cluster,
@@ -395,9 +390,8 @@ class LocalRunner:
         are put back in submission order. Workers return only match
         indices and counters; output rows are materialized parent-side
         from its own mapping of the same file, so bytes match serial
-        execution exactly. Worker-measured wall/CPU timings feed the
-        ``scan.map_task`` profiler phase — one timing per split, same as
-        in-process scans.
+        execution exactly. Each split's worker-measured scan time becomes
+        its trace ``scan_span.elapsed_s``, as an in-process scan's does.
 
         A failed send or receive on any worker's pipe (a worker died,
         idle or mid-task) stops every worker and runs this batch inline;
@@ -442,16 +436,11 @@ class LocalRunner:
             return None
         outcomes = [packed[i % count][i // count] for i in range(len(splits))]
         options = self._scan_options.with_conf(conf)
-        profiler = _profile.ACTIVE
         results: list[LocalMapResult] = []
         for split, outcome in zip(splits, outcomes):
             outputs = materialize_outputs(
                 split.block.payload.column_store(), outcome, spec
             )
-            if profiler is not None:
-                profiler.record_external(
-                    _profile.PHASE_SCAN, outcome.wall_s, outcome.cpu_s
-                )
             span = None
             if self.trace is not None:
                 # Workers always run the generated batch matcher; the

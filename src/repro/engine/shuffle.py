@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.obs import profile as _profile
-
 
 def group_outputs(
     map_outputs: Iterable[list[tuple[Any, Any]]]
@@ -24,12 +22,11 @@ def group_outputs(
     key type. Within a key, values keep map-task order (task lists are
     consumed in the order given).
     """
-    with _profile.profiled_span(_profile.PHASE_SHUFFLE):
-        grouped: dict[Any, list] = {}
-        for task_output in map_outputs:
-            for key, value in task_output:
-                grouped.setdefault(key, []).append(value)
-        return sorted(grouped.items(), key=lambda item: str(item[0]))
+    grouped: dict[Any, list] = {}
+    for task_output in map_outputs:
+        for key, value in task_output:
+            grouped.setdefault(key, []).append(value)
+    return sorted(grouped.items(), key=lambda item: str(item[0]))
 
 
 def partition_for_key(key: Any, num_partitions: int) -> int:

@@ -34,7 +34,6 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.cluster.costmodel import CostModel
 from repro.errors import SweepError
-from repro.obs import profile as _profile
 
 #: Bump when the meaning of cached results changes (result dataclass
 #: layout, simulation semantics) without any constant changing.
@@ -127,16 +126,15 @@ _RUNNERS: dict[str, Callable[[dict[str, Any]], Any]] = {
 def run_sweep_point(point: SweepPoint) -> Any:
     """Execute one grid cell in the current process.
 
-    The sweep.point profiler span only covers cells run in-process:
-    ``--jobs N`` workers are separate processes with no channel back to
-    the parent's profiler, so profile sweeps with ``--jobs 1``.
+    ``--jobs N`` runs cells in worker processes, which a profiler
+    started on the parent (``python -m cProfile``) does not see, so
+    profile sweeps with ``--jobs 1``.
     """
     try:
         runner = _RUNNERS[point.kind]
     except KeyError:
         raise SweepError(f"unknown sweep point kind {point.kind!r}") from None
-    with _profile.profiled_span(_profile.PHASE_SWEEP_POINT):
-        return runner(point.as_dict())
+    return runner(point.as_dict())
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ On top of the stream sit pure read-side consumers:
 * :mod:`repro.obs.doctor` — ``repro doctor``: the byte-deterministic
   findings report with the critical path rendered, a two-trace diff,
   and the live :class:`Watchdog` behind the hub's alert gauges;
-* :mod:`repro.obs.slo` — ``repro slo check``: YAML run-quality
+* :mod:`repro.obs.slo` — ``repro slo check``: JSON run-quality
   objectives evaluated against traces for CI gating.
 
 Everything here is pure read-side: attaching a registry or recorder
@@ -90,10 +90,6 @@ _LAZY = {
     "build_report": "repro.obs.report",
     "render_report": "repro.obs.report",
     "ProgressReporter": "repro.obs.progress",
-    "PhaseProfiler": "repro.obs.profile",
-    "active_profiler": "repro.obs.profile",
-    "profiled_span": "repro.obs.profile",
-    "render_profile": "repro.obs.profile",
     "TelemetryHub": "repro.obs.hub",
     "active_hub": "repro.obs.hub",
     "TimeSeries": "repro.obs.timeseries",
@@ -153,10 +149,6 @@ __all__ = [
     "build_report",
     "render_report",
     "ProgressReporter",
-    "PhaseProfiler",
-    "active_profiler",
-    "profiled_span",
-    "render_profile",
     "TelemetryHub",
     "active_hub",
     "TimeSeries",

@@ -250,48 +250,6 @@ class JobModel:
             area += running * (t1 - t0)
         return area / (end - start)
 
-    def span_tree(self) -> dict:
-        """Nested span view: job → waves → attempts, plus the reduce span."""
-        children: list[dict] = []
-        attempts = [self.attempts[task_id] for task_id in self.attempt_order]
-        for wave in self.waves:
-            children.append(
-                {
-                    "label": f"wave {wave.index} (+{wave.splits} splits, {wave.source})",
-                    "start": wave.time,
-                    "end": wave.time,
-                    "children": [],
-                }
-            )
-        for attempt in attempts:
-            children.append(
-                {
-                    "label": (
-                        f"{attempt.task_id} attempt={attempt.attempt} "
-                        f"[{attempt.outcome or 'open'}]"
-                    ),
-                    "start": attempt.start,
-                    "end": attempt.end,
-                    "children": [],
-                }
-            )
-        if self.reduce_start is not None:
-            children.append(
-                {
-                    "label": "reduce",
-                    "start": self.reduce_start,
-                    "end": self.reduce_end,
-                    "children": [],
-                }
-            )
-        children.sort(key=lambda c: (c["start"] is None, c["start"] or 0.0))
-        return {
-            "label": f"{self.job_id} ({self.state or 'open'})",
-            "start": self.submit_time,
-            "end": self.finish_time,
-            "children": children,
-        }
-
 
 @dataclass
 class RunModel:

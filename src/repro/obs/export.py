@@ -48,8 +48,9 @@ class ExpositionError(ReproError):
 def sanitize_metric_name(name: str) -> str:
     """A valid Prometheus metric name: ``[a-zA-Z_:][a-zA-Z0-9_:]*``.
 
-    Registry names use dotted paths (``profile.scan.map_task.wall_s``);
-    dots, dashes, and anything else invalid become underscores.
+    Registry names are free-form (``map_records_per_task``, or dotted
+    like ``scan.rows``); dots, dashes, and anything else invalid become
+    underscores.
     """
     out = []
     for index, ch in enumerate(name):

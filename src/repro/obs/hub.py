@@ -37,9 +37,9 @@ parity suite asserts this across both substrates, all scan modes, and
 both map executors). Consumers — ``repro top``, the Prometheus
 exporter — read a consistent :meth:`snapshot` under the hub lock.
 
-Time axes: points are stamped with the shared wall clock
-(:data:`repro.obs.profile.wall_clock`) at receipt, which is the only
-axis that exists on both substrates. Grab-to-grant latencies prefer the
+Time axes: points are stamped with the wall clock
+(:func:`time.perf_counter`) at receipt, which is the only axis that
+exists on both substrates. Grab-to-grant latencies prefer the
 *event* clock (simulated seconds) when the substrate provides one, so
 simulated latency percentiles are deterministic; the LocalRunner stamps
 every event ``time=0.0`` and falls back to wall-clock deltas.
@@ -48,17 +48,17 @@ every event ``time=0.0`` and falls back to wall-clock deltas.
 from __future__ import annotations
 
 import threading
+from time import perf_counter
 from typing import TYPE_CHECKING
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import wall_clock
 from repro.obs.timeseries import QuantileSketch, TimeSeries
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scan.proc import WorkerDelta
 
-#: The process-global hub, or None. Mirrors ``profile.ACTIVE``: hot
-#: paths read this slot directly; only install/uninstall write it.
+#: The process-global hub, or None. Hot paths read this slot directly;
+#: only install/uninstall write it.
 ACTIVE: "TelemetryHub | None" = None
 
 
@@ -164,7 +164,7 @@ class TelemetryHub:
         self,
         *,
         capacity: int = DEFAULT_CAPACITY,
-        clock=wall_clock,
+        clock=perf_counter,
         worker_chunk_rows: int | None = None,
     ) -> None:
         self._lock = threading.Lock()

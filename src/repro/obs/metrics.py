@@ -12,8 +12,8 @@ Design constraints, in force everywhere this module is used:
   lambdas, or open files here — plain attributes only.
 * **Deterministic on the sim substrate.** Job- and cluster-scoped
   metrics hold only counts and simulated-time durations. Wall-clock
-  readings (``registry.timer``) are reserved for benchmark registries
-  and trace span events, which are never part of job output.
+  readings live in trace span events, which are never part of job
+  output.
 * **Cheap when idle.** Metric objects are created on first use and
   updated with plain attribute arithmetic; the scan engine's per-row
   hot loop never touches a registry (tasks fold their totals in at
@@ -23,7 +23,6 @@ Design constraints, in force everywhere this module is used:
 from __future__ import annotations
 
 import math
-import time as _time
 from typing import Iterator
 
 from repro.errors import ReproError
@@ -209,36 +208,6 @@ class Histogram:
         }
 
 
-class _Timer:
-    """Context manager that records wall-clock elapsed into a histogram.
-
-    Records only on clean exit: a block that raises would contribute a
-    partial timing (however far it got before the exception), which
-    poisons benchmark medians. Failed blocks increment the sibling
-    ``<name>.errors`` counter instead, so failures stay visible without
-    skewing the distribution.
-    """
-
-    __slots__ = ("_registry", "_name", "_start")
-
-    def __init__(self, registry: "MetricsRegistry", name: str) -> None:
-        self._registry = registry
-        self._name = name
-        self._start = 0.0
-
-    def __enter__(self) -> "_Timer":
-        self._start = _time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self._registry.histogram(self._name).observe(
-                _time.perf_counter() - self._start
-            )
-        else:
-            self._registry.counter(f"{self._name}.errors").inc()
-
-
 class MetricsRegistry:
     """A namespace of metrics, created lazily on first access.
 
@@ -272,19 +241,6 @@ class MetricsRegistry:
 
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
-
-    def timer(self, name: str) -> _Timer:
-        """Time a ``with`` block (wall clock) into histogram ``name``.
-
-        Wall-clock readings are non-deterministic by nature; use only in
-        benchmark/trace scopes, never for anything that feeds a JobResult.
-        Elapsed time is recorded only when the block exits cleanly; a
-        raising block increments ``<name>.errors`` instead.
-        """
-        # Create the histogram eagerly so the snapshot shape is stable
-        # (and kind mismatches surface here) even if every block raises.
-        self.histogram(name)
-        return _Timer(self, name)
 
     def __contains__(self, name: str) -> bool:
         return name in self._metrics

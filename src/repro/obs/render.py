@@ -195,29 +195,3 @@ def percentile_row(stats: dict | None) -> str:
         for key in ("p50", "p95", "p99")
     ]
     return "/".join(cells)
-
-
-def percentile_table(rows: dict[str, dict], *, title: str = "latency") -> str:
-    """A small aligned table of name -> quantile stats.
-
-    ``rows`` maps a label to a quantile dict (``count`` plus
-    p50/p95/p99, the sketch snapshot shape). Empty input yields a
-    one-line placeholder so callers can always print the result.
-    """
-    if not rows:
-        return f"{title}: (no samples)"
-    width = max(len(name) for name in rows)
-    lines = [f"{title:<{width}}  {'count':>7}  {'p50':>8}  {'p95':>8}  {'p99':>8}"]
-    for name, stats in rows.items():
-        count = stats.get("count") if stats else None
-        if not count:
-            lines.append(f"{name:<{width}}  {0:>7}  {'-':>8}  {'-':>8}  {'-':>8}")
-            continue
-        cells = [
-            format_duration(stats[key]) if stats.get(key) is not None else "-"
-            for key in ("p50", "p95", "p99")
-        ]
-        lines.append(
-            f"{name:<{width}}  {count:>7}  {cells[0]:>8}  {cells[1]:>8}  {cells[2]:>8}"
-        )
-    return "\n".join(lines)

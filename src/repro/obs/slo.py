@@ -1,34 +1,32 @@
-"""SLO gates: declare run-quality objectives in YAML, check in CI.
+"""SLO gates: declare run-quality objectives in JSON, check in CI.
 
-``repro slo check --spec slo.yml trace.jsonl`` evaluates a small spec
+``repro slo check --spec slo.json trace.jsonl`` evaluates a small spec
 against recorded traces and exits non-zero when any objective is
 missed — the same contract as ``repro audit``, so a pipeline can gate a
 merge on "the nightly run still meets its latency and accuracy SLOs".
 
-Spec shape (all sections optional; every leaf is one objective)::
+Spec shape (all sections optional; every leaf is one numeric
+objective)::
 
-    latency:                  # ceilings on per-job wall time (seconds)
-      p50_s: 60.0             # nearest-rank percentile over all jobs
-      p95_s: 120.0
-      max_s: 300.0
-      mean_s: 90.0
-    throughput:
-      rows_per_sec_floor: 50000     # scanned rows per wall-clock second
-    stragglers:
-      max_ratio: 0.05         # flagged straggler attempts / finished
-    accuracy:
-      ci_coverage_floor: 1.0  # accuracy jobs that met their CI target
-    findings:                 # caps on `repro doctor` findings
-      max_critical: 0
-      max_warning: 2
-      max_total: 5
+    {
+      "latency": {"p50_s": 60.0, "p95_s": 120.0, "max_s": 300.0, "mean_s": 90.0},
+      "throughput": {"rows_per_sec_floor": 50000},
+      "stragglers": {"max_ratio": 0.05},
+      "accuracy": {"ci_coverage_floor": 1.0},
+      "findings": {"max_critical": 0, "max_warning": 2, "max_total": 5}
+    }
 
-Parsing prefers PyYAML when the interpreter has it, but CI images only
-carry numpy+pytest, so a built-in parser handles the subset the spec
-actually needs: nested mappings with scalar leaves, ``#`` comments,
-spaces for indentation. Evaluation reuses :func:`repro.obs.doctor.
-diagnose`, so the straggler and findings objectives see exactly what
-``repro doctor`` reports — one diagnosis, two consumers.
+``latency`` keys are ceilings on per-job wall time in seconds
+(nearest-rank percentiles over all jobs, or the mean);
+``rows_per_sec_floor`` floors scanned rows per wall-clock second;
+``max_ratio`` caps flagged straggler attempts per finished attempt;
+``ci_coverage_floor`` floors the share of accuracy jobs that met their
+CI target; ``findings`` caps ``repro doctor`` findings by severity.
+
+The spec is parsed with :func:`json.loads`, so every interpreter reads
+it the same way. Evaluation reuses :func:`repro.obs.doctor.diagnose`,
+so the straggler and findings objectives see exactly what ``repro
+doctor`` reports — one diagnosis, two consumers.
 """
 
 from __future__ import annotations
@@ -40,11 +38,6 @@ from typing import Iterable
 
 from repro.errors import ReproError
 from repro.obs.doctor import Diagnosis, diagnose
-
-try:  # pragma: no cover - exercised only where PyYAML is installed
-    import yaml as _yaml
-except Exception:  # pragma: no cover - the CI path
-    _yaml = None
 
 #: Recognized latency keys -> percentile (None = mean).
 _LATENCY_KEYS = {
@@ -90,26 +83,22 @@ class SloReport:
 # Spec parsing
 # ---------------------------------------------------------------------------
 def parse_slo_spec(text: str) -> dict:
-    """Parse and validate a spec document into a plain nested dict."""
-    if _yaml is not None:
-        try:
-            spec = _yaml.safe_load(text)
-        except Exception as exc:
-            raise SloSpecError(f"cannot parse SLO spec: {exc}") from exc
-    else:
-        spec = _mini_yaml(text)
-    if spec is None:
-        spec = {}
+    """Parse and validate a JSON spec document into a plain nested dict."""
+    try:
+        spec = json.loads(text)
+    except ValueError as exc:
+        raise SloSpecError(f"SLO spec is not JSON: {exc}") from None
     if not isinstance(spec, dict):
-        raise SloSpecError(f"SLO spec must be a mapping, got {type(spec).__name__}")
-    for section in spec:
+        raise SloSpecError(f"SLO spec must be an object, got {type(spec).__name__}")
+    for section, objectives in spec.items():
         if section not in _SECTIONS:
             raise SloSpecError(
                 f"unknown SLO section {section!r} (expected one of "
                 f"{', '.join(_SECTIONS)})"
             )
-    latency = spec.get("latency") or {}
-    for key in latency:
+        if not isinstance(objectives, dict):
+            raise SloSpecError(f"SLO section {section!r} must be an object")
+    for key in spec.get("latency", {}):
         if key not in _LATENCY_KEYS:
             raise SloSpecError(
                 f"unknown latency objective {key!r} (expected one of "
@@ -118,74 +107,8 @@ def parse_slo_spec(text: str) -> dict:
     return spec
 
 
-def _mini_yaml(text: str) -> dict:
-    """The spec subset without PyYAML: nested maps, scalar leaves.
-
-    Supports ``#`` comments, blank lines, and space indentation. Enough
-    for every spec this module documents; anything fancier (lists,
-    anchors, multi-line strings) raises.
-    """
-    root: dict = {}
-    stack: list[tuple[int, dict]] = [(-1, root)]
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        if "\t" in raw[: len(raw) - len(raw.lstrip())]:
-            raise SloSpecError(f"line {lineno}: indent with spaces, not tabs")
-        indent = len(line) - len(line.lstrip(" "))
-        body = line.strip()
-        if body.startswith("- "):
-            raise SloSpecError(f"line {lineno}: lists are not supported in SLO specs")
-        key, sep, value = body.partition(":")
-        if not sep:
-            raise SloSpecError(f"line {lineno}: expected 'key: value', got {body!r}")
-        while stack and indent <= stack[-1][0]:
-            stack.pop()
-        if not stack:
-            raise SloSpecError(f"line {lineno}: bad indentation")
-        container = stack[-1][1]
-        key = key.strip().strip("'\"")
-        value = value.strip()
-        if not value:
-            child: dict = {}
-            container[key] = child
-            stack.append((indent, child))
-        else:
-            container[key] = _scalar(value)
-    return root
-
-
-def _scalar(token: str):
-    lowered = token.lower()
-    if lowered in ("true", "yes", "on"):
-        return True
-    if lowered in ("false", "no", "off"):
-        return False
-    if lowered in ("null", "~", "none"):
-        return None
-    if token[:1] in "'\"" and token[-1:] == token[:1] and len(token) >= 2:
-        return token[1:-1]
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        return token
-
-
 def _target(section: dict, key: str, objective: str) -> float:
     value = section[key]
-    if isinstance(value, str):
-        # PyYAML follows YAML 1.1 and reads "1.0e6" (no signed
-        # exponent) as a string, so coerce numeric-looking strings on
-        # both parser paths.
-        try:
-            value = float(value)
-        except ValueError:
-            pass
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SloSpecError(f"{objective} must be a number, got {value!r}")
     return float(value)

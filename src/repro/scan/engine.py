@@ -26,12 +26,11 @@ mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Callable
 
 from repro.engine.mapreduce import MapContext, Mapper
 from repro.errors import JobConfError
-from repro.obs import profile as _profile
-from repro.obs.profile import wall_clock
 from repro.scan.columnar import DEFAULT_BATCH_SIZE
 
 SCAN_INTERPRETED = "interpreted"
@@ -118,19 +117,14 @@ def run_map_task(
     mapper = conf.mapper_factory()
     context = MapContext()
     mapper.prepare_scan(options.mode)
-    # ScanSpan timings read the shared profiler clock (wall_clock), and
-    # the clock reads sit inside the profiler's scan.map_task span, so
-    # per-split spans in a trace and the profile.scan.map_task phase in
-    # a metrics snapshot can be joined: phase wall >= sum of elapsed_s.
-    with _profile.profiled_span(_profile.PHASE_SCAN):
-        start = wall_clock() if span_sink is not None else 0.0
-        if options.mode == SCAN_BATCH and _has_batch_path(mapper):
-            mapper.run_batches(split.iter_batches(options.batch_size), context)
-        else:
-            mapper.run(
-                ((index, row) for index, row in enumerate(split.iter_rows())), context
-            )
-        elapsed = wall_clock() - start if span_sink is not None else 0.0
+    start = perf_counter() if span_sink is not None else 0.0
+    if options.mode == SCAN_BATCH and _has_batch_path(mapper):
+        mapper.run_batches(split.iter_batches(options.batch_size), context)
+    else:
+        mapper.run(
+            ((index, row) for index, row in enumerate(split.iter_rows())), context
+        )
+    elapsed = perf_counter() - start if span_sink is not None else 0.0
     if span_sink is not None:
         span_sink(
             ScanSpan(

@@ -52,10 +52,10 @@ import pickle
 import weakref
 from dataclasses import dataclass
 from multiprocessing.connection import wait
+from time import perf_counter as wall_clock
 from typing import Any, Callable
 
 from repro.data.record import row_at
-from repro.obs.profile import cpu_clock, wall_clock
 from repro.scan.codegen import BatchMatcher, compile_batch_matcher_from_source
 from repro.scan.columnar import DEFAULT_BATCH_SIZE
 from repro.scan.mmapstore import MmapDataset, MmapSplitRef, open_mmap_dataset
@@ -155,17 +155,12 @@ class ScanTaskResult:
     wall_s: float
     """Worker-measured wall time charged to this partition: its own scan
     plus an equal share of the packed task's open and matcher lookup
-    time, so the partitions' shares sum to the task's wall time. The
-    parent feeds this to ``profile.scan.map_task`` so the phase taxonomy
-    reconciles even though the work ran elsewhere."""
-
-    cpu_s: float
-    """The task's CPU time, shared out in proportion to ``wall_s``."""
+    time, so the partitions' shares sum to the task's wall time. Read
+    by the query benchmark's tracer as the worker's task time."""
 
     scan_wall_s: float
-    """Wall time of just the scan loop (the ``ScanSpan.elapsed_s``
-    analogue); always <= ``wall_s`` so phase totals keep bounding span
-    totals."""
+    """Wall time of just the scan loop, which becomes the split's
+    ``ScanSpan.elapsed_s``; always <= ``wall_s``."""
 
 
 #: This process's compiled matchers, keyed by generated source *and*
@@ -203,7 +198,6 @@ def run_scan_task(
     job id, ``flush`` receives a cumulative :class:`WorkerDelta` after
     every chunk. Returns one result per ref, in ``task.refs`` order."""
     wall0 = wall_clock()
-    cpu0 = cpu_clock()
     matcher = _matcher_for(task.spec)
     if task.job_id is None:
         flush = None
@@ -222,21 +216,18 @@ def run_scan_task(
         scan_total += scan_wall
         scans.append((ref.partition, scanned, hits, scan_wall))
     task_wall = wall_clock() - wall0
-    task_cpu = max(0.0, cpu_clock() - cpu0)
     # Open and matcher lookup are paid once for the whole task: each
     # partition carries an equal share, so the shares sum to the task's
     # wall time and every wall_s still bounds its own scan_wall_s.
     share = max(0.0, task_wall - scan_total) / len(scans)
     results = []
     for partition, scanned, hits, scan_wall in scans:
-        wall = scan_wall + share
         results.append(
             ScanTaskResult(
                 partition=partition,
                 scanned=scanned,
                 hits=hits,
-                wall_s=wall,
-                cpu_s=task_cpu * wall / task_wall if task_wall > 0 else 0.0,
+                wall_s=scan_wall + share,
                 scan_wall_s=scan_wall,
             )
         )

@@ -29,7 +29,6 @@ import heapq
 from typing import Any, Callable
 
 from repro.errors import SimulationError
-from repro.obs import profile as _profile
 from repro.sim.clock import SimClock
 from repro.sim.events import EventHandle, ScheduledEvent
 
@@ -147,12 +146,11 @@ class Simulator:
     def run(
         self,
         until: float | None = None,
-        max_events: int | None = None,
         *,
         advance_clock: bool = True,
     ) -> float:
-        """Process events until the queue drains, ``until`` is reached, or
-        ``max_events`` have executed.
+        """Process events until the queue drains or ``until`` is reached
+        (:meth:`step` runs one event at a time).
 
         Returns the simulated time at which the loop stopped. When ``until``
         is given, the queue drains earlier, and ``advance_clock`` is true
@@ -170,32 +168,26 @@ class Simulator:
         clock = self._clock
         heappop = heapq.heappop
         processed = self._events_processed
-        # One span per run() call, not per event — the loop itself stays
-        # timing-free (profiled_span is a shared no-op when no profiler
-        # is installed).
         try:
-            with _profile.profiled_span(_profile.PHASE_KERNEL):
-                while heap:
-                    if self._stopped:
-                        break
-                    if max_events is not None and processed >= max_events:
-                        break
-                    entry = heap[0]
-                    event = entry[2]
-                    if event.cancelled:
-                        heappop(heap)
-                        continue
-                    if until is not None and entry[0] > until:
-                        break
+            while heap:
+                if self._stopped:
+                    break
+                entry = heap[0]
+                event = entry[2]
+                if event.cancelled:
                     heappop(heap)
-                    event.live = False
-                    self._live -= 1
-                    # Heap order guarantees monotone times, so skip the
-                    # backwards-motion check in SimClock.advance_to here.
-                    clock._now = entry[0]
-                    processed += 1
-                    self._events_processed = processed
-                    event.callback(*event.args)
+                    continue
+                if until is not None and entry[0] > until:
+                    break
+                heappop(heap)
+                event.live = False
+                self._live -= 1
+                # Heap order guarantees monotone times, so skip the
+                # backwards-motion check in SimClock.advance_to here.
+                clock._now = entry[0]
+                processed += 1
+                self._events_processed = processed
+                event.callback(*event.args)
             if (
                 until is not None
                 and advance_clock

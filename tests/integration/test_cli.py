@@ -26,12 +26,16 @@ class TestParser:
         "argv",
         [
             ["bench", "run"],
-            ["slo", "check", "--spec", "slo.yml", "--bench", "run.json"],
-            ["slo", "check", "--spec", "slo.yml", "--history-dir", "h", "t.jsonl"],
+            ["slo", "check", "--spec", "slo.json", "--bench", "run.json"],
+            ["slo", "check", "--spec", "slo.json", "--history-dir", "h", "t.jsonl"],
+            ["sample", "--profile"],
+            ["query", "SELECT * FROM lineitem LIMIT 1", "--profile-dir", "d"],
+            ["sweep", "--figure", "4", "--profile"],
         ],
     )
-    def test_retired_bench_surfaces_are_usage_errors(self, argv):
-        # Benchmarks run through `python -m benchmarks.query` only.
+    def test_retired_bench_and_profile_surfaces_exit_2(self, argv):
+        # Benchmarks run through `python -m benchmarks.query` only, and
+        # runs are profiled with `python -m cProfile -m repro ...`.
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2

@@ -24,12 +24,11 @@ DATA = REPO / "tests" / "data"
 GOLDEN = DATA / "golden_trace.jsonl"
 
 PASSING_SPEC = """\
-latency:
-  max_s: 150.0
-throughput:
-  rows_per_sec_floor: 100000
-findings:
-  max_total: 0
+{
+  "latency": {"max_s": 150.0},
+  "throughput": {"rows_per_sec_floor": 100000},
+  "findings": {"max_total": 0}
+}
 """
 
 
@@ -101,21 +100,21 @@ class TestDoctorCli:
 
 class TestSloCli:
     def test_met_objectives_exit_zero(self, tmp_path):
-        spec = tmp_path / "slo.yml"
+        spec = tmp_path / "slo.json"
         spec.write_text(PASSING_SPEC)
         code, text = run_cli(["slo", "check", "--spec", str(spec), str(GOLDEN)])
         assert code == 0
         assert "slo: 3 objective(s) checked, ok" in text
 
     def test_missed_objective_exits_one(self, tmp_path):
-        spec = tmp_path / "slo.yml"
-        spec.write_text("latency:\n  max_s: 1.0\n")
+        spec = tmp_path / "slo.json"
+        spec.write_text('{"latency": {"max_s": 1.0}}')
         code, text = run_cli(["slo", "check", "--spec", str(spec), str(GOLDEN)])
         assert code == 1
         assert "[FAIL] latency.max_s" in text
 
     def test_json_format(self, tmp_path):
-        spec = tmp_path / "slo.yml"
+        spec = tmp_path / "slo.json"
         spec.write_text(PASSING_SPEC)
         code, text = run_cli(
             ["slo", "check", "--spec", str(spec), "--format", "json", str(GOLDEN)]
@@ -124,18 +123,28 @@ class TestSloCli:
         assert json.loads(text)["ok"] is True
 
     def test_no_inputs_is_an_operator_error(self, tmp_path, capsys):
-        spec = tmp_path / "slo.yml"
+        spec = tmp_path / "slo.json"
         spec.write_text(PASSING_SPEC)
         code, _ = run_cli(["slo", "check", "--spec", str(spec)])
         assert code == 2
         assert "needs at least one TRACE" in capsys.readouterr().err
 
     def test_bad_spec_is_an_operator_error(self, tmp_path, capsys):
-        spec = tmp_path / "slo.yml"
-        spec.write_text("latency:\n  p42_s: 1\n")
+        spec = tmp_path / "slo.json"
+        spec.write_text('{"latency": {"p42_s": 1}}')
         code, _ = run_cli(["slo", "check", "--spec", str(spec), str(GOLDEN)])
         assert code == 2
         assert "unknown latency objective" in capsys.readouterr().err
+
+    def test_yaml_spec_is_a_one_line_operator_error(self, tmp_path, capsys):
+        spec = tmp_path / "slo.yml"
+        spec.write_text("latency:\n  max_s: 150.0\n")
+        code, text = run_cli(["slo", "check", "--spec", str(spec), str(GOLDEN)])
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: SLO spec is not JSON:")
+        assert err.count("\n") == 1
 
 
 class TestAuditJson:

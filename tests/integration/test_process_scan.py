@@ -3,7 +3,7 @@
 The contract under test: ``LocalRunner(map_executor="process")`` is an
 execution detail, never a semantic one — byte-identical job output,
 identical ``records_read`` accounting (LIMIT-k short-circuit included),
-identical trace/profile reconciliation; and graceful inline fallback
+one trace scan span per split; and graceful inline fallback
 whenever a job cannot be shipped to worker processes, as error-bounded
 aggregates never are.
 """
@@ -32,7 +32,6 @@ from repro.engine.runtime import (
     MAP_WORKERS_ENV,
 )
 from repro.errors import JobConfError
-from repro.obs.profile import PHASE_SCAN, PhaseProfiler
 from repro.obs.trace import TraceRecorder
 from repro.scan import codegen, proc
 from repro.scan.engine import SCAN_MODES, ScanOptions
@@ -486,24 +485,18 @@ class TestConfiguration:
 
 
 class TestObservability:
-    def test_trace_spans_and_profiler_reconcile_under_process(self, mmap_splits):
+    def test_trace_spans_reconcile_under_process(self, mmap_splits):
         predicate, _dataset, splits = mmap_splits
         conf = make_scan_conf(name="q", input_path="/t", predicate=predicate)
         trace = TraceRecorder()
-        profiler = PhaseProfiler()
-        with profiler:
-            with LocalRunner(
-                map_executor="process", map_workers=2, trace=trace
-            ) as runner:
-                result = runner.run(conf, splits)
+        with LocalRunner(
+            map_executor="process", map_workers=2, trace=trace
+        ) as runner:
+            result = runner.run(conf, splits)
         spans = [e for e in trace.raw_events if e["type"] == "scan_span"]
         assert len(spans) == result.splits_processed == len(splits)
         assert sum(e["rows"] for e in spans) == result.records_processed
         assert sum(e["outputs"] for e in spans) == result.map_outputs_produced
-        # One worker-measured scan.map_task timing per task, and the
-        # phase wall total bounds the spans' inner scan-loop clocks.
-        totals = profiler.phase_totals()[PHASE_SCAN]
-        assert totals["wall_s"] >= sum(e["elapsed_s"] for e in spans)
 
     def test_trace_attachment_changes_no_output(self, mmap_splits):
         predicate, _dataset, splits = mmap_splits

@@ -125,13 +125,6 @@ class TestAnalyzeSimTrace:
         mean = self.job.mean_running_maps()
         assert 0 < mean <= 2
 
-    def test_span_tree_nests_waves_attempts_reduce(self):
-        tree = self.job.span_tree()
-        labels = [child["label"] for child in tree["children"]]
-        assert any(label.startswith("wave 0") for label in labels)
-        assert any("m2r" in label for label in labels)
-        assert "reduce" in labels
-
     def test_end_of_input_time(self):
         assert self.job.end_of_input_time == 10.0
 

@@ -7,7 +7,6 @@ from repro.obs.render import (
     _one_line,
     format_duration,
     percentile_row,
-    percentile_table,
     progress_bar,
     render_metrics,
     render_timeline,
@@ -296,16 +295,3 @@ class TestPercentileHelpers:
     def test_zero_quantile_prints_as_number(self):
         row = percentile_row({"count": 3, "p50": 0.0, "p95": 0.5, "p99": None})
         assert row == "0µs/500.0ms/-"
-
-    def test_table_alignment_and_placeholder(self):
-        assert percentile_table({}) == "latency: (no samples)"
-        text = percentile_table(
-            {
-                "grab": {"count": 4, "p50": 1.0, "p95": 2.0, "p99": 2.0},
-                "idle": {"count": 0},
-            }
-        )
-        lines = text.splitlines()
-        assert len(lines) == 3
-        assert "1.00s" in lines[1]
-        assert lines[2].split() == ["idle", "0", "-", "-", "-"]

@@ -1,9 +1,8 @@
 """Unit tests for SLO gates (:mod:`repro.obs.slo`).
 
-The mini-YAML fallback matters most: CI images carry no PyYAML, so the
-built-in parser must handle every documented spec shape (and agree with
-PyYAML wherever that is installed). Evaluation is pinned against the
-golden trace — a fully deterministic run, so targets can be exact.
+Specs are JSON, parsed by :func:`json.loads` on every interpreter.
+Evaluation is pinned against the golden trace — a fully deterministic
+run, so targets can be exact.
 """
 
 import json
@@ -13,90 +12,62 @@ import pytest
 
 from repro.obs.slo import (
     SloSpecError,
-    _mini_yaml,
     evaluate_trace_slo,
     parse_slo_spec,
     render_slo,
     slo_json,
 )
 
-GOLDEN = Path(__file__).parent.parent / "data" / "golden_trace.jsonl"
+DATA = Path(__file__).parent.parent / "data"
+GOLDEN = DATA / "golden_trace.jsonl"
 
-SPEC_TEXT = """\
-# nightly gate for the golden configuration
-latency:
-  p50_s: 120.0
-  max_s: 150.0
-  mean_s: 120.0
-throughput:
-  rows_per_sec_floor: 100000
-stragglers:
-  max_ratio: 0.05
-accuracy:
-  ci_coverage_floor: 1.0
-findings:
-  max_critical: 0
-  max_warning: 0
-  max_total: 0
-"""
+#: The nightly gate CI runs on the golden trace.
+SPEC_TEXT = (DATA / "slo.json").read_text()
 
 
 def _golden_events() -> list[dict]:
     return [json.loads(line) for line in GOLDEN.read_text().splitlines() if line]
 
 
-class TestMiniYaml:
-    def test_parses_the_documented_spec_shape(self):
-        spec = _mini_yaml(SPEC_TEXT)
+class TestParseSpec:
+    def test_parses_the_committed_spec(self):
+        spec = parse_slo_spec(SPEC_TEXT)
         assert spec["latency"] == {"p50_s": 120.0, "max_s": 150.0, "mean_s": 120.0}
         assert spec["throughput"] == {"rows_per_sec_floor": 100000}
         assert spec["findings"]["max_total"] == 0
 
-    def test_agrees_with_pyyaml_when_available(self):
-        yaml = pytest.importorskip("yaml")
-        assert _mini_yaml(SPEC_TEXT) == yaml.safe_load(SPEC_TEXT)
+    def test_yaml_is_a_one_line_error(self):
+        with pytest.raises(SloSpecError, match="not JSON") as err:
+            parse_slo_spec("latency:\n  p50_s: 1\n")
+        assert "\n" not in str(err.value)
 
-    def test_nested_maps_comments_and_scalars(self):
-        spec = _mini_yaml(
-            "throughput:\n"
-            "  rows_per_sec_floor: 1.0e6  # trailing comment\n"
-            "findings:\n"
-            "  max_total: 30\n"
-            "latency:\n"
-            "  p99_s: 10.5\n"
-        )
-        assert spec["throughput"]["rows_per_sec_floor"] == 1.0e6
-        assert spec["findings"]["max_total"] == 30
-        assert spec["latency"]["p99_s"] == 10.5
+    def test_spec_must_be_an_object(self):
+        with pytest.raises(SloSpecError, match="must be an object, got list"):
+            parse_slo_spec('[{"latency": {"p50_s": 1}}]')
 
-    def test_rejects_lists(self):
-        with pytest.raises(SloSpecError, match="lists"):
-            _mini_yaml("latency:\n  - p50_s\n")
+    def test_section_must_be_an_object(self):
+        with pytest.raises(SloSpecError, match="section 'throughput' must be an object"):
+            parse_slo_spec('{"throughput": 5}')
 
-    def test_rejects_tab_indentation(self):
-        with pytest.raises(SloSpecError, match="tabs"):
-            _mini_yaml("latency:\n\tp50_s: 1\n")
-
-    def test_rejects_bare_tokens(self):
-        with pytest.raises(SloSpecError, match="key: value"):
-            _mini_yaml("latency\n")
-
-
-class TestParseSpec:
     def test_unknown_section_is_an_error(self):
         with pytest.raises(SloSpecError, match="unknown SLO section"):
-            parse_slo_spec("latencies:\n  p50_s: 1\n")
+            parse_slo_spec('{"latencies": {"p50_s": 1}}')
 
     def test_bench_section_is_an_unknown_section(self):
         with pytest.raises(SloSpecError, match="unknown SLO section 'bench'"):
-            parse_slo_spec("bench:\n  floors:\n    kernel.events_per_sec: 1\n")
+            parse_slo_spec('{"bench": {"floors": {"kernel.events_per_sec": 1}}}')
 
     def test_unknown_latency_key_is_an_error(self):
         with pytest.raises(SloSpecError, match="unknown latency objective"):
-            parse_slo_spec("latency:\n  p42_s: 1\n")
+            parse_slo_spec('{"latency": {"p42_s": 1}}')
+
+    def test_string_target_is_an_error(self):
+        spec = parse_slo_spec('{"throughput": {"rows_per_sec_floor": "1.0e6"}}')
+        with pytest.raises(SloSpecError, match="must be a number"):
+            evaluate_trace_slo(spec, _golden_events())
 
     def test_empty_spec_is_a_valid_no_op(self):
-        assert parse_slo_spec("# nothing\n") == {}
+        assert parse_slo_spec("{}") == {}
 
 
 class TestTraceEvaluation:
@@ -106,7 +77,7 @@ class TestTraceEvaluation:
         assert len(report.checks) == 9
 
     def test_latency_objectives_use_recorded_wall_time(self):
-        spec = parse_slo_spec("latency:\n  max_s: 100.0\n")
+        spec = parse_slo_spec('{"latency": {"max_s": 100.0}}')
         report = evaluate_trace_slo(spec, _golden_events())
         (check,) = report.checks
         # The golden job's recorded response time (109.56s) misses a
@@ -117,19 +88,19 @@ class TestTraceEvaluation:
     def test_findings_cap_fails_on_a_dirty_trace(self):
         import importlib.util
 
-        spec_path = GOLDEN.parent / "make_slow_trace.py"
+        spec_path = DATA / "make_slow_trace.py"
         loader = importlib.util.spec_from_file_location("mst", spec_path)
         mst = importlib.util.module_from_spec(loader)
         loader.loader.exec_module(mst)
         events = mst.mutate(_golden_events(), ("stall",))
-        spec = parse_slo_spec("findings:\n  max_critical: 0\n")
+        spec = parse_slo_spec('{"findings": {"max_critical": 0}}')
         report = evaluate_trace_slo(spec, events)
         (check,) = report.checks
         assert not check.ok
         assert check.actual == 1.0
 
     def test_accuracy_floor_is_vacuous_without_accuracy_jobs(self):
-        spec = parse_slo_spec("accuracy:\n  ci_coverage_floor: 1.0\n")
+        spec = parse_slo_spec('{"accuracy": {"ci_coverage_floor": 1.0}}')
         report = evaluate_trace_slo(spec, _golden_events())
         (check,) = report.checks
         assert check.ok
@@ -137,7 +108,7 @@ class TestTraceEvaluation:
         assert "no accuracy jobs" in check.detail
 
     def test_straggler_ratio_counts_distinct_attempts(self):
-        spec = parse_slo_spec("stragglers:\n  max_ratio: 0.0\n")
+        spec = parse_slo_spec('{"stragglers": {"max_ratio": 0.0}}')
         report = evaluate_trace_slo(spec, _golden_events())
         (check,) = report.checks
         assert check.ok
@@ -147,7 +118,7 @@ class TestTraceEvaluation:
 
 class TestRendering:
     def _reports(self):
-        spec = parse_slo_spec("latency:\n  max_s: 100.0\n  p50_s: 120.0\n")
+        spec = parse_slo_spec('{"latency": {"max_s": 100.0, "p50_s": 120.0}}')
         return [evaluate_trace_slo(spec, _golden_events(), source="golden")]
 
     def test_text_lists_pass_and_fail_lines(self):

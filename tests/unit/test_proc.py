@@ -300,7 +300,6 @@ class TestTimings:
         results = run_scan_task(ScanTask(refs=refs, spec=spec))
         for result in results:
             assert result.wall_s >= result.scan_wall_s >= 0.0
-            assert result.cpu_s >= 0.0
 
     def test_split_shares_sum_to_task_wall(self, refs_and_spec, monkeypatch):
         # A clock that advances one second per read makes the task's

@@ -158,14 +158,6 @@ class TestRunControl:
         sim.run()
         assert seen == [1, 2]
 
-    def test_max_events(self):
-        sim = Simulator()
-        seen = []
-        for i in range(5):
-            sim.schedule(i + 1.0, seen.append, i)
-        sim.run(max_events=2)
-        assert seen == [0, 1]
-
     def test_step_executes_single_event(self):
         sim = Simulator()
         seen = []
