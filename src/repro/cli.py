@@ -33,7 +33,6 @@ from repro.core.policy_file import dump_policies
 from repro.core.policy import paper_policies
 from repro.core.sampling_job import make_sampling_conf
 from repro.data.predicates import predicate_for_skew
-from repro.engine.cluster_engine import SimulatedCluster
 from repro.experiments.heterogeneous import (
     class_throughput_rows,
     run_heterogeneous_experiment,
@@ -159,7 +158,8 @@ def _trace_recorder(args):
 
 @contextmanager
 def _telemetry(args, trace):
-    """Install a TelemetryHub + HTTP exporter for the command body.
+    """Attach a TelemetryHub + HTTP exporter to the run's recorder for
+    the command body.
 
     Active only with ``--metrics-port`` (``_trace_recorder`` guarantees
     an in-memory recorder exists then, so the hub always has an event

@@ -66,7 +66,6 @@ class SimulatedCluster:
         failure_injector=None,
         straggler_model=None,
         dispatch_delay: float = 1.5,
-        history=None,
         trace=None,
     ) -> None:
         self.sim = Simulator()
@@ -88,7 +87,6 @@ class SimulatedCluster:
             dispatch_delay=dispatch_delay,
             failure_injector=failure_injector,
             straggler_model=straggler_model,
-            history=history,
             trace=trace,
         )
         self.jobclient = JobClient(
@@ -113,7 +111,6 @@ class SimulatedCluster:
         seed: int = 0,
         cost_model: CostModel | None = None,
         failure_injector=None,
-        history=None,
         trace=None,
     ) -> "SimulatedCluster":
         """The paper's 10-node cluster (§V-A): 40 cores, 40 disks.
@@ -127,7 +124,6 @@ class SimulatedCluster:
             seed=seed,
             cost_model=cost_model,
             failure_injector=failure_injector,
-            history=history,
             trace=trace,
         )
 
@@ -144,11 +140,6 @@ class SimulatedCluster:
     @property
     def metrics(self) -> ClusterMetrics:
         return self.monitor.metrics
-
-    @property
-    def history(self):
-        """The JobHistory event log, if one was attached at construction."""
-        return self.jobtracker.history
 
     @property
     def trace(self):

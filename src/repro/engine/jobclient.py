@@ -22,7 +22,7 @@ working implementation needs the same escape hatch.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.input_provider import (

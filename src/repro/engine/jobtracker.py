@@ -24,10 +24,9 @@ from repro.engine.job import ClusterStatus, Job, JobState
 from repro.engine.jobconf import JobConf
 from repro.engine.scheduler.base import TaskScheduler
 from repro.engine.scheduler.fifo import FifoScheduler
-from repro.engine.task import MapTask, ReduceTask, TaskState
+from repro.engine.task import MapTask, ReduceTask
 from repro.engine.tasktracker import TaskTracker
 from repro.errors import JobError
-from repro.obs import hub as _hub
 from repro.sim.simulator import Simulator
 
 JobListener = Callable[[Job], None]
@@ -46,7 +45,6 @@ class JobTracker:
         dispatch_delay: float = 1.5,
         failure_injector=None,
         straggler_model=None,
-        history=None,
         trace=None,
     ) -> None:
         if dispatch_delay < 0:
@@ -57,13 +55,11 @@ class JobTracker:
         self.scheduler = scheduler or FifoScheduler()
         self.metrics = metrics
         self.failure_injector = failure_injector
-        self.history = history
         self.trace = trace
-        """Optional :class:`repro.obs.trace.TraceRecorder`. Lifecycle
-        events go to both ``history`` and ``trace`` (a TraceRecorder
-        *is* a JobHistory, so passing the same object once works too);
-        TaskTrackers and the JobClient reach the recorder through this
-        attribute for scan spans and provider evaluations."""
+        """Optional :class:`repro.obs.trace.TraceRecorder`, the run's
+        event log: lifecycle events are recorded into it, and
+        TaskTrackers and the JobClient reach it through this attribute
+        for scan spans and provider evaluations."""
         self.dispatch_delay = dispatch_delay
         """Latency between a state change and slot (re)assignment.
 
@@ -179,11 +175,8 @@ class JobTracker:
     # Internal lifecycle
     # ------------------------------------------------------------------
     def _record(self, kind: str, job_id: str, *, task_id: str | None = None, **detail) -> None:
-        now = self._sim.now
-        if self.history is not None:
-            self.history.record(now, kind, job_id, task_id=task_id, **detail)
-        if self.trace is not None and self.trace is not self.history:
-            self.trace.record(now, kind, job_id, task_id=task_id, **detail)
+        if self.trace is not None:
+            self.trace.record(self._sim.now, kind, job_id, task_id=task_id, **detail)
 
     def _activate_job(self, job: Job) -> None:
         if job.state is not JobState.PREP:
@@ -226,12 +219,17 @@ class JobTracker:
             # "a decline is outstanding".
             self._retry_handle.cancel()
             self._retry_handle = None
-        hub = _hub.ACTIVE
-        if hub is not None:
-            # Live slot-utilization sample after every dispatch pass.
-            # Read-side only: cluster_status() is a pure computation and
-            # the hub never feeds anything back into scheduling.
-            hub.observe_cluster(self.cluster_status())
+        trace = self.trace
+        if trace is not None and trace.listening:
+            # Live slot-utilization sample for the recorder's listeners
+            # after every dispatch pass. Listener-only, so the trace is
+            # the same whoever listens, and nothing feeds back into
+            # scheduling.
+            trace.publish(
+                "cluster_status", self._sim.now,
+                total_map_slots=self._topology.total_map_slots,
+                available_map_slots=self._topology.available_map_slots,
+            )
 
     def _assign_map_slots(self, schedulable: list[Job]) -> bool:
         """Offer free map slots breadth-first across nodes: one task per

@@ -32,7 +32,6 @@ from repro.engine.jobconf import JobConf
 from repro.engine.mapreduce import ReduceContext
 from repro.engine.shuffle import group_outputs
 from repro.errors import JobConfError, JobError
-from repro.obs import hub as _hub
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import record_provider_evaluation
 from repro.scan.engine import ScanOptions, ScanSpan, run_map_task
@@ -40,6 +39,7 @@ from repro.scan.proc import (
     TELEMETRY_CHUNK_ROWS,
     ScanTask,
     ScanWorkers,
+    WorkerDelta,
     materialize_outputs,
 )
 from repro.sim.random_source import RandomSource
@@ -397,11 +397,14 @@ class LocalRunner:
         idle or mid-task) stops every worker and runs this batch inline;
         the next process batch forks fresh workers.
 
-        When a telemetry hub is installed, tasks carry the job id and
-        the hub's chunk size, and each worker sends cumulative progress
-        deltas down its pipe ahead of its results; the hub folds them in
-        as they arrive, while the job runs. All of it is read-side:
-        counters, indices, and output bytes are identical hub on or off.
+        When the runner's trace recorder has a listener (the telemetry
+        hub, ``--progress``), tasks carry the job id and
+        :data:`~repro.scan.proc.TELEMETRY_CHUNK_ROWS`, and each worker
+        sends cumulative progress deltas down its pipe ahead of its
+        results; each is published to the listeners as a
+        ``worker_delta`` event as it arrives, while the job runs, and
+        never logged. All of it is read-side: counters, indices, and
+        output bytes are identical with or without a listener.
         """
         spec = conf.mapper_factory().scan_task_spec()
         if spec is None:
@@ -409,16 +412,13 @@ class LocalRunner:
         refs = [split.mmap_ref for split in splits]
         if any(ref is None for ref in refs):
             return None
-        hub = _hub.ACTIVE
-        telemetry_job = job_id if hub is not None else None
-        chunk_rows = TELEMETRY_CHUNK_ROWS
-        if hub is not None and hub.worker_chunk_rows is not None:
-            chunk_rows = hub.worker_chunk_rows
+        listening = self.trace is not None and self.trace.listening
         count = min(self._map_workers, len(refs))
         tasks = [
             ScanTask(
                 refs=tuple(refs[i::count]), spec=spec,
-                job_id=telemetry_job, chunk_rows=chunk_rows,
+                job_id=job_id if listening else None,
+                chunk_rows=TELEMETRY_CHUNK_ROWS,
             )
             for i in range(count)
         ]
@@ -428,9 +428,7 @@ class LocalRunner:
             return None
         if self._workers is None:
             self._workers = ScanWorkers(self._map_workers)
-        packed = self._workers.run(
-            payloads, hub.record_worker_delta if hub is not None else None
-        )
+        packed = self._workers.run(payloads, self._publish_delta)
         if packed is None:
             self._workers = None  # already stopped; the next batch forks anew
             return None
@@ -463,6 +461,11 @@ class LocalRunner:
                 )
             )
         return results
+
+    def _publish_delta(self, delta: WorkerDelta) -> None:
+        """Hand one worker progress delta to the recorder's listeners
+        (only tasks stamped with a job id send any)."""
+        self.trace.publish("worker_delta", 0.0, **vars(delta))
 
     def close(self) -> None:
         """Stop the worker processes, if any were started. A closed

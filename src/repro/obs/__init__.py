@@ -11,12 +11,10 @@ Two halves:
   named counters, gauges, and histograms. Jobs, the cluster, and the
   benchmarks all hang their accounting off one of these instead of
   ad-hoc integer fields.
-* :mod:`repro.obs.trace` — a :class:`TraceRecorder` emitting typed
-  JSONL events (job lifecycle, task attempts, provider evaluations with
-  their full inputs, scan-engine spans). It extends
-  :class:`repro.engine.history.JobHistory` — same ``record()`` contract,
-  so the JobTracker treats either interchangeably — rather than
-  duplicating it.
+* :mod:`repro.obs.trace` — a :class:`TraceRecorder`, the run's one
+  event log, emitting typed JSONL events (job lifecycle, task attempts,
+  provider evaluations with their full inputs, scan-engine spans) and
+  handing its listeners the listener-only live samples as well.
 
 On top of the stream sit pure read-side consumers:
 
@@ -31,7 +29,7 @@ On top of the stream sit pure read-side consumers:
 * :mod:`repro.obs.hub` + :mod:`repro.obs.timeseries` — the live
   telemetry hub: windowed ring-buffer series and streaming quantile
   sketches maintained *while* jobs run, multiplexed across concurrent
-  jobs, fed by trace events and cross-process worker deltas;
+  jobs, fed only by the event streams of the recorders it attaches to;
 * :mod:`repro.obs.export` — Prometheus text exposition plus the
   background HTTP exporter (``--metrics-port``);
 * :mod:`repro.obs.top` — the ``repro top`` live terminal dashboard;
@@ -53,9 +51,10 @@ consumes no randomness and changes no job output bytes.
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
-# trace/render are loaded lazily (PEP 562): obs.metrics must stay
-# importable from low layers (cluster, engine) without dragging in
-# obs.trace, whose JobHistory base lives above them in the import graph.
+# Everything but the metrics registry loads lazily (PEP 562): low layers
+# (cluster, engine) import obs.metrics, which runs this file first, and
+# eager imports would cycle back into them (obs.audit imports
+# repro.core, whose package imports the engine).
 _LAZY = {
     "TRACE_SCHEMA_VERSION": "repro.obs.trace",
     "TraceRecorder": "repro.obs.trace",
@@ -91,7 +90,6 @@ _LAZY = {
     "render_report": "repro.obs.report",
     "ProgressReporter": "repro.obs.progress",
     "TelemetryHub": "repro.obs.hub",
-    "active_hub": "repro.obs.hub",
     "TimeSeries": "repro.obs.timeseries",
     "QuantileSketch": "repro.obs.timeseries",
     "TelemetryExporter": "repro.obs.export",
@@ -150,7 +148,6 @@ __all__ = [
     "render_report",
     "ProgressReporter",
     "TelemetryHub",
-    "active_hub",
     "TimeSeries",
     "QuantileSketch",
     "TelemetryExporter",

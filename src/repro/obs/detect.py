@@ -33,7 +33,7 @@ produces byte-identical findings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.obs.analyze import JobModel, RunModel

@@ -13,8 +13,7 @@ running in another terminal. Both are served here:
   the sketch answers natively.
 * :func:`render_hub_prometheus` — a :meth:`~repro.obs.hub.TelemetryHub.snapshot`
   as job-labelled series: rows/outputs/splits totals, running maps,
-  grab-to-grant latency quantiles, CI half-widths, slot utilization,
-  plus every tracked registry under a ``scope`` label.
+  grab-to-grant latency quantiles, CI half-widths, slot utilization.
 * :class:`TelemetryExporter` — a daemon-thread HTTP server exposing
   ``GET /metrics`` (Prometheus text) and ``GET /telemetry.json`` (the
   raw hub snapshot, which is what ``repro top`` renders). Binds
@@ -142,13 +141,6 @@ def render_registry_prometheus(
     from old runs (``repro metrics --format prometheus``).
     """
     lines = _Lines()
-    _append_registry(lines, snapshot, prefix=prefix, labels=labels)
-    return lines.text()
-
-
-def _append_registry(
-    lines: _Lines, snapshot: dict, *, prefix: str, labels: dict | None
-) -> None:
     for name, entry in snapshot.items():
         kind = entry.get("kind")
         value = entry.get("value")
@@ -165,6 +157,7 @@ def _append_registry(
         else:
             lines.type_header(metric, "gauge")
             lines.sample(metric, labels, value)
+    return lines.text()
 
 
 def render_hub_prometheus(snapshot: dict, *, prefix: str = "repro") -> str:
@@ -253,11 +246,6 @@ def render_hub_prometheus(snapshot: dict, *, prefix: str = "repro") -> str:
                 name, "counter", "Cross-process worker telemetry flushes received."
             )
             lines.sample(name, labels, worker["deltas"])
-
-    for scope, registry in (snapshot.get("registries") or {}).items():
-        _append_registry(
-            lines, registry, prefix=prefix, labels={"scope": scope}
-        )
     return lines.text()
 
 

@@ -2,20 +2,21 @@
 
 Every observability layer so far (trace, analyze, audit, report) is
 post-hoc — you learn what a job did after it finishes. The
-:class:`TelemetryHub` is the live complement: a process-global,
-thread-safe aggregator that
+:class:`TelemetryHub` is the live complement: a thread-safe aggregator
+that subscribes to :class:`~repro.obs.trace.TraceRecorder` event streams
+as a listener (:meth:`~TelemetryHub.attach`) and folds every event into
+windowed ring-buffer time series and streaming quantile sketches,
+multiplexed across concurrent jobs by job id. The stream is its only
+input, so a hub sees exactly the runs whose recorder it is attached to.
+Besides the logged events it folds the recorder's two listener-only
+events (:meth:`~repro.obs.trace.TraceRecorder.publish`):
 
-* subscribes to a :class:`~repro.obs.trace.TraceRecorder` as an event
-  listener (:meth:`attach`) and folds every event into windowed
-  ring-buffer time series and streaming quantile sketches, multiplexed
-  across concurrent jobs by job id;
-* receives cross-process worker deltas from the process map executor
-  (:meth:`record_worker_delta`, fed by the runtime as the deltas arrive
-  on the workers' pipes), so long-running worker scans appear in the
-  live series *before* their task completes;
-* samples registered :class:`~repro.obs.metrics.MetricsRegistry`
-  instances on demand (:meth:`track_registry`), turning counter deltas
-  between samples into rates.
+* ``cluster_status`` — the JobTracker's slot counts after each dispatch
+  pass;
+* ``worker_delta`` — a process map worker's cumulative progress, which
+  the LocalRunner publishes as each delta arrives on the worker's pipe,
+  so long-running worker scans appear in the live series *before*
+  their task completes.
 
 Maintained live series and sketches:
 
@@ -23,7 +24,7 @@ Maintained live series and sketches:
 rows/s                 per-job cumulative scanned rows (ring series;
                        renderers derive per-second rates)
 slot utilization       cluster-wide ``busy/total`` map slots, from
-                       provider evaluations and JobTracker dispatch
+                       provider evaluations and ``cluster_status``
 grab-to-grant          per-job latency from an Input Provider granting a
                        split to that split's map task starting
                        (quantile sketch: p50/p95/p99 at any instant)
@@ -49,23 +50,8 @@ from __future__ import annotations
 
 import threading
 from time import perf_counter
-from typing import TYPE_CHECKING
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import QuantileSketch, TimeSeries
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.scan.proc import WorkerDelta
-
-#: The process-global hub, or None. Hot paths read this slot directly;
-#: only install/uninstall write it.
-ACTIVE: "TelemetryHub | None" = None
-
-
-def active_hub() -> "TelemetryHub | None":
-    """The installed hub, if any."""
-    return ACTIVE
-
 
 #: Default ring-buffer capacity per series (bounded memory per job).
 DEFAULT_CAPACITY = 512
@@ -151,13 +137,11 @@ class JobTelemetry:
 
 
 class TelemetryHub:
-    """Process-global aggregator of live run telemetry.
+    """Aggregator of live run telemetry from the recorders it attaches to.
 
-    Use as a context manager (``with TelemetryHub() as hub:``) or via
-    :meth:`install`/:meth:`uninstall` to occupy the module's
-    :data:`ACTIVE` slot that the runtime and JobTracker consult; call
-    :meth:`attach` with the run's TraceRecorder to start receiving
-    events.
+    Call :meth:`attach` with the run's TraceRecorder to start receiving
+    its events; used as a context manager (``with TelemetryHub() as
+    hub:``), the hub detaches from every recorder on exit.
     """
 
     def __init__(
@@ -165,15 +149,10 @@ class TelemetryHub:
         *,
         capacity: int = DEFAULT_CAPACITY,
         clock=perf_counter,
-        worker_chunk_rows: int | None = None,
     ) -> None:
         self._lock = threading.Lock()
         self._clock = clock
         self._capacity = capacity
-        self.worker_chunk_rows = worker_chunk_rows
-        """Rows per worker scan chunk (flush cadence), or None for the
-        scan layer's default. Small values make workers flush often —
-        useful in tests and for watching very slow scans."""
         self.started_wall = clock()
         # The live watchdog: incremental anomaly detectors over the same
         # event stream (imported lazily — doctor sits above the hub in
@@ -187,47 +166,24 @@ class TelemetryHub:
         self.slots_available: int | None = None
         self.sweep: dict | None = None
         self.events_seen = 0
-        self._registries: dict[str, MetricsRegistry] = {}
-        self._registry_prev: dict[str, tuple[float, dict]] = {}
         self._recorders: list = []
-        self._previous: "TelemetryHub | None" = None
-        self._installed = False
 
     # ------------------------------------------------------------------
-    # Installation / attachment
+    # Attachment
     # ------------------------------------------------------------------
-    def install(self) -> "TelemetryHub":
-        """Occupy the process-global :data:`ACTIVE` slot; returns self."""
-        global ACTIVE
-        if self._installed:
-            return self
-        self._previous = ACTIVE
-        ACTIVE = self
-        self._installed = True
-        return self
-
-    def uninstall(self) -> None:
-        """Release :data:`ACTIVE` and detach recorders."""
-        global ACTIVE
-        if self._installed:
-            ACTIVE = self._previous
-            self._previous = None
-            self._installed = False
-        for recorder in self._recorders:
-            recorder.remove_listener(self.on_event)
-        self._recorders.clear()
-
-    def __enter__(self) -> "TelemetryHub":
-        return self.install()
-
-    def __exit__(self, *exc_info) -> None:
-        self.uninstall()
-
     def attach(self, recorder) -> "TelemetryHub":
         """Subscribe to a TraceRecorder's event stream; returns self."""
         recorder.add_listener(self.on_event)
         self._recorders.append(recorder)
         return self
+
+    def __enter__(self) -> "TelemetryHub":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for recorder in self._recorders:
+            recorder.remove_listener(self.on_event)
+        self._recorders.clear()
 
     # ------------------------------------------------------------------
     # Event ingestion (TraceRecorder listener)
@@ -290,7 +246,7 @@ class TelemetryHub:
                 job.ci_series.append(wall, float(half))
         cluster = event.get("cluster")
         if isinstance(cluster, dict):
-            self._observe_cluster_locked(cluster, wall)
+            self._on_cluster_status(cluster, wall)
 
     def _on_input_added(self, event: dict, wall: float) -> None:
         # splits_added is driven by provider grants (both substrates emit
@@ -360,27 +316,11 @@ class TelemetryHub:
         if event.get("cached"):
             self.sweep["cached"] += 1
 
-    # ------------------------------------------------------------------
-    # Cluster status (JobTracker hook + provider evaluations)
-    # ------------------------------------------------------------------
-    def observe_cluster(self, status) -> None:
-        """Record live slot availability (called after dispatch passes).
-
-        ``status`` is a :class:`~repro.engine.job.ClusterStatus` (or any
-        object with ``total_map_slots`` / ``available_map_slots``).
-        """
-        with self._lock:
-            self._observe_cluster_locked(
-                {
-                    "total_map_slots": status.total_map_slots,
-                    "available_map_slots": status.available_map_slots,
-                },
-                self._clock(),
-            )
-
-    def _observe_cluster_locked(self, cluster: dict, wall: float) -> None:
-        total = cluster.get("total_map_slots")
-        available = cluster.get("available_map_slots")
+    def _on_cluster_status(self, status: dict, wall: float) -> None:
+        """Record live slot availability: a ``cluster_status`` event, or
+        a provider evaluation's ``cluster`` dict (same two keys)."""
+        total = status.get("total_map_slots")
+        available = status.get("available_map_slots")
         if not total:
             return
         self.slots_total = total
@@ -388,58 +328,23 @@ class TelemetryHub:
         busy = total - (available or 0)
         self.slot_series.append(wall, busy / total)
 
-    # ------------------------------------------------------------------
-    # Cross-process worker telemetry
-    # ------------------------------------------------------------------
-    def record_worker_delta(self, delta: "WorkerDelta") -> None:
+    def _on_worker_delta(self, event: dict, wall: float) -> None:
         """Fold one live worker chunk checkpoint into the job's series.
 
         Deltas carry *cumulative* rows per (job, partition), so folding
         is idempotent: a repeated or reordered delta never inflates
         counts (max-so-far per partition).
         """
-        job_id = delta.job_id
-        if not job_id:
+        job = self._job(event["job_id"], wall)
+        if job.state != "running":
             return
-        wall = self._clock()
-        with self._lock:
-            job = self._job(job_id, wall)
-            if job.state != "running":
-                return
-            previous = job.worker_live.get(delta.partition, 0)
-            job.worker_live[delta.partition] = max(previous, delta.rows_scanned)
-            job.worker_deltas += 1
-            if delta.wall_s > 0 and delta.chunk_rows > 0:
-                job.worker_rate.observe(delta.chunk_rows / delta.wall_s)
-            job.rows_series.append(wall, float(job.rows_now))
-
-    # ------------------------------------------------------------------
-    # Registry deltas
-    # ------------------------------------------------------------------
-    def track_registry(self, name: str, registry: MetricsRegistry) -> None:
-        """Sample ``registry`` on every :meth:`snapshot`, exposing counter
-        values plus between-sample rates."""
-        with self._lock:
-            self._registries[name] = registry
-
-    def _sample_registries_locked(self, wall: float) -> dict:
-        sampled: dict[str, dict] = {}
-        for name, registry in self._registries.items():
-            snap = registry.snapshot()
-            prev_wall, prev_snap = self._registry_prev.get(name, (wall, {}))
-            dt = wall - prev_wall
-            entries: dict[str, dict] = {}
-            for metric, entry in snap.items():
-                value = entry["value"]
-                out = {"kind": entry["kind"], "value": value}
-                if entry["kind"] == "counter" and dt > 0:
-                    prev_entry = prev_snap.get(metric)
-                    prev_value = prev_entry["value"] if prev_entry else 0
-                    out["rate"] = max(0.0, (value - prev_value) / dt)
-                entries[metric] = out
-            sampled[name] = entries
-            self._registry_prev[name] = (wall, snap)
-        return sampled
+        partition = event["partition"]
+        previous = job.worker_live.get(partition, 0)
+        job.worker_live[partition] = max(previous, event["rows_scanned"])
+        job.worker_deltas += 1
+        if event["wall_s"] > 0 and event["chunk_rows"] > 0:
+            job.worker_rate.observe(event["chunk_rows"] / event["wall_s"])
+        job.rows_series.append(wall, float(job.rows_now))
 
     # ------------------------------------------------------------------
     # Read-out
@@ -466,7 +371,6 @@ class TelemetryHub:
                 "sweep": dict(self.sweep) if self.sweep is not None else None,
                 "alerts": self.watchdog.alerts(),
                 "jobs": {job_id: job.snapshot() for job_id, job in self.jobs.items()},
-                "registries": self._sample_registries_locked(wall),
             }
 
 
@@ -483,4 +387,6 @@ _EVENT_HANDLERS = {
     "job_killed": TelemetryHub._on_job_finished,
     "sweep_started": TelemetryHub._on_sweep_started,
     "sweep_point": TelemetryHub._on_sweep_point,
+    "cluster_status": TelemetryHub._on_cluster_status,
+    "worker_delta": TelemetryHub._on_worker_delta,
 }

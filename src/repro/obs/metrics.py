@@ -252,17 +252,13 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._metrics)
 
-    def snapshot(self, *, prefix: str | None = None) -> dict:
+    def snapshot(self) -> dict:
         """Plain-dict view, sorted by name — stable for trace export.
 
         Shape: ``{name: {"kind": ..., "value": ...}}`` where ``value``
         is a number for counters/gauges and a stats dict for histograms.
-        With ``prefix=`` only metrics whose name starts with it are
-        included, so renderers can pull one phase without copying the
-        whole registry.
         """
         return {
             name: {"kind": metric.kind, "value": metric.snapshot()}
             for name, metric in sorted(self._metrics.items())
-            if prefix is None or name.startswith(prefix)
         }

@@ -1,17 +1,20 @@
 """Structured trace export: typed JSONL events for a whole run.
 
-:class:`TraceRecorder` extends :class:`repro.engine.history.JobHistory`
-— it accepts the same ``record(time, kind, job_id, ...)`` calls the
-JobTracker already makes, so it can be attached anywhere a JobHistory
-can — and adds:
+:class:`TraceRecorder` is the run's one event log. The JobTracker and
+the LocalRunner hand it every lifecycle transition through
+``record(time, kind, job_id, ...)``; beyond the job lifecycle it takes
 
-* typed events beyond the job lifecycle: every Input Provider
-  evaluation with its full inputs (``JobProgress``, ``ClusterStatus``,
-  policy knobs) and response, per-split scan-engine spans, metrics
-  snapshots, and sweep progress;
-* JSONL export (one event per line) with a versioned schema, validated
-  by :func:`validate_trace_event` and checked in CI against a golden
-  trace file.
+* typed events: every Input Provider evaluation with its full inputs
+  (``JobProgress``, ``ClusterStatus``, policy knobs) and response,
+  per-split scan-engine spans, metrics snapshots, and sweep progress;
+* listener-only events (:meth:`TraceRecorder.publish`): live samples
+  such as ``cluster_status`` and ``worker_delta`` that only its
+  listeners (the telemetry hub, progress lines) see — never logged, so
+  the trace's bytes do not depend on who listens.
+
+Logged events are exported as JSONL (one event per line) with a
+versioned schema, validated by :func:`validate_trace_event` and checked
+in CI against a golden trace file.
 
 Event wire format — every line is a JSON object with::
 
@@ -21,9 +24,8 @@ Event wire format — every line is a JSON object with::
     type   event type (see EVENT_FIELDS)
 
 plus the per-type fields listed in :data:`EVENT_FIELDS`. Lifecycle
-events mirror JobHistory kinds one-to-one; their free-form ``detail``
-dict rides along unflattened so the schema stays stable as engines add
-annotations.
+events carry the recording engine's free-form ``detail`` dict
+unflattened, so the schema stays stable as engines add annotations.
 """
 
 from __future__ import annotations
@@ -34,12 +36,11 @@ from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from typing import IO, Any, Iterable
 
-from repro.engine.history import JobHistory
 from repro.errors import ReproError
 
 TRACE_SCHEMA_VERSION = 1
 
-#: JobHistory lifecycle kinds mirrored one-to-one as trace event types.
+#: Job and task lifecycle kinds, as the engines record them.
 LIFECYCLE_EVENT_TYPES = (
     "job_submitted",
     "job_activated",
@@ -123,8 +124,8 @@ def _jsonable(value: Any) -> Any:
     return repr(value)
 
 
-class TraceRecorder(JobHistory):
-    """JobHistory that also emits every event as a typed JSONL record.
+class TraceRecorder:
+    """The run's event log: every logged event as a typed JSONL record.
 
     ``path`` (or an open ``stream``) receives one JSON line per event as
     it happens; either way the raw event dicts stay available on
@@ -137,9 +138,7 @@ class TraceRecorder(JobHistory):
         path: str | Path | None = None,
         *,
         stream: IO[str] | None = None,
-        capacity: int | None = None,
     ) -> None:
-        super().__init__(capacity=capacity)
         self.raw_events: list[dict] = []
         self._seq = 0
         self._listeners: list = []
@@ -172,6 +171,22 @@ class TraceRecorder(JobHistory):
             self._notify(event)
         return event
 
+    def publish(self, type_: str, time: float, **fields) -> None:
+        """Hand a listener-only event to the listeners, and nothing else.
+
+        For live samples that only live consumers read (``cluster_status``
+        after a dispatch pass, a worker's ``worker_delta``): the event
+        gets no ``seq``, no :attr:`raw_events` entry and no file line, so
+        the trace is the same whoever listens. Producers check
+        :attr:`listening` first, to skip building samples nobody reads.
+        """
+        self._notify({"time": time, "type": type_, **fields})
+
+    @property
+    def listening(self) -> bool:
+        """True while at least one listener is attached."""
+        return bool(self._listeners)
+
     def _notify(self, event: dict) -> None:
         """Fan the event out to listeners, isolating their failures.
 
@@ -196,12 +211,13 @@ class TraceRecorder(JobHistory):
             self._listeners.remove(listener)
 
     def add_listener(self, listener) -> None:
-        """Register a callable invoked with every emitted event dict.
+        """Register a callable invoked with every event dict, logged
+        (:meth:`emit`) or listener-only (:meth:`publish`).
 
         Listeners are strictly read-side consumers (live progress
-        reporting); they must not mutate the event. A listener that
-        raises is detached (with one stderr notice) instead of
-        propagating into — and killing — the traced job.
+        reporting, the telemetry hub); they must not mutate the event.
+        A listener that raises is detached (with one stderr notice)
+        instead of propagating into — and killing — the traced job.
         """
         self._listeners.append(listener)
 
@@ -213,7 +229,7 @@ class TraceRecorder(JobHistory):
             pass
 
     # ------------------------------------------------------------------
-    # JobHistory contract — lifecycle events from the JobTracker
+    # Lifecycle events from the JobTracker and the LocalRunner
     # ------------------------------------------------------------------
     def record(
         self,
@@ -230,7 +246,6 @@ class TraceRecorder(JobHistory):
         if detail:
             fields["detail"] = detail
         self.emit(kind, time, **fields)
-        super().record(time, kind, job_id, task_id=task_id, **detail)
 
     # ------------------------------------------------------------------
     # Typed events beyond the lifecycle

@@ -9,9 +9,10 @@ source once — never pickled rows. On each pipe a batch is one exchange,
 in this order:
 
 1. the parent sends the pickled task;
-2. if the task carries a job id (a telemetry hub is live in the parent),
-   the worker sends a cumulative :class:`WorkerDelta` after every scan
-   chunk, so the hub sees progress while the task runs;
+2. if the task carries a job id (the parent runner's trace recorder has
+   a listener), the worker sends a cumulative :class:`WorkerDelta` after
+   every scan chunk, which the parent publishes to the listeners, so
+   they see progress while the task runs;
 3. the worker sends its results, one :class:`ScanTaskResult` per
    partition.
 
@@ -101,16 +102,17 @@ class ScanTask:
     spec: ScanTaskSpec
 
     job_id: str | None = None
-    """Telemetry routing key. Set only when a
-    :class:`~repro.obs.hub.TelemetryHub` is live in the parent; the
-    worker then scans in ``chunk_rows`` chunks and sends a
-    :class:`WorkerDelta` stamped with it after each, so the hub can
-    multiplex live progress across concurrent jobs. ``None`` (the
-    default) keeps the worker on the serial loop's batch-sized chunks,
-    sending nothing but its results."""
+    """Telemetry routing key. Set only when the parent runner's trace
+    recorder has a listener; the worker then scans in ``chunk_rows``
+    chunks and sends a :class:`WorkerDelta` stamped with it after each,
+    so listeners such as the telemetry hub can multiplex live progress
+    across concurrent jobs. ``None`` (the default) keeps the worker on
+    the serial loop's batch-sized chunks, sending nothing but its
+    results."""
 
     chunk_rows: int = TELEMETRY_CHUNK_ROWS
-    """Rows per telemetry chunk: the hub's ``worker_chunk_rows``."""
+    """Rows per telemetry chunk; the runtime always sends
+    :data:`TELEMETRY_CHUNK_ROWS`."""
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ same query again)." (paper §V-D)
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.engine.cluster_engine import SimulatedCluster

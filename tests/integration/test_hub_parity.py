@@ -1,12 +1,13 @@
-"""The telemetry hub is pure read-side: installing it changes no output.
+"""The telemetry hub is pure read-side: attaching it changes no output.
 
 Same acceptance shape as ``test_trace_parity.py``, one layer up: a job
-run with the hub installed (recorder attached, worker telemetry wired,
-cluster observed) must produce a pickle-identical ``JobResult`` to a
-bare run — on both substrates, across all scan modes, and under both
-map executors. For the process executor this additionally pins the
-chunked worker scan (telemetry on) against the single-call scan
-(telemetry off), i.e. chunking-independence of the batch matcher.
+run with a hub attached to its recorder (lifecycle events, worker deltas
+and cluster samples all flowing to it) must produce a pickle-identical
+``JobResult`` to a bare run — on both substrates, across all scan modes,
+and under both map executors. For the process executor this additionally
+pins the chunked worker scan (a listener is attached, so workers send
+deltas) against the batch-sized scan (no listener), i.e.
+chunking-independence of the batch matcher.
 """
 
 import pickle
@@ -112,10 +113,13 @@ class TestLocalRunnerSubstrate:
 
 class TestProcessExecutor:
     @pytest.mark.parametrize("policy", [None, "LA"])
-    def test_chunked_worker_scan_matches_single_call(self, mmap_splits, policy):
-        """Hub installed -> workers scan in telemetry chunks; hub absent
-        -> one matcher call per split. Output must be byte-identical."""
+    def test_chunked_worker_scan_matches_single_call(
+        self, mmap_splits, chunk_rows, policy
+    ):
+        """Hub attached -> workers scan in telemetry chunks; no listener
+        -> batch-sized chunks, no deltas. Output must be byte-identical."""
         pred, splits = mmap_splits
+        chunk_rows(500)
         conf = make_sampling_conf(
             name="q", input_path="/t", predicate=pred, sample_size=40,
             policy_name=policy,
@@ -123,7 +127,7 @@ class TestProcessExecutor:
         with LocalRunner(seed=7, map_executor="process", map_workers=2) as runner:
             bare = runner.run(conf, splits)
         trace = TraceRecorder()
-        with TelemetryHub(worker_chunk_rows=500) as hub:
+        with TelemetryHub() as hub:
             hub.attach(trace)
             with LocalRunner(
                 seed=7, map_executor="process", map_workers=2, trace=trace
@@ -134,10 +138,11 @@ class TestProcessExecutor:
         job = snapshot["jobs"][observed.job_id]
         assert job["rows_total"] == observed.records_processed
 
-    def test_limit_short_circuit_parity_under_hub(self, mmap_splits):
+    def test_limit_short_circuit_parity_under_hub(self, mmap_splits, chunk_rows):
         # LIMIT-k stops mid-partition; the chunked scan must stop at the
         # exact same row (records_read feeds the selectivity estimator).
         pred, splits = mmap_splits
+        chunk_rows(100)
         conf = make_sampling_conf(
             name="q", input_path="/t", predicate=pred, sample_size=5,
             policy_name=None,
@@ -145,7 +150,7 @@ class TestProcessExecutor:
         with LocalRunner(map_executor="process", map_workers=2) as runner:
             bare = runner.run(conf, splits)
         trace = TraceRecorder()
-        with TelemetryHub(worker_chunk_rows=100) as hub:
+        with TelemetryHub() as hub:
             hub.attach(trace)
             with LocalRunner(
                 map_executor="process", map_workers=2, trace=trace
@@ -154,8 +159,11 @@ class TestProcessExecutor:
         assert pickle.dumps(observed) == pickle.dumps(bare)
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_scan_job_parity_under_both_executors(self, mmap_splits, executor):
+    def test_scan_job_parity_under_both_executors(
+        self, mmap_splits, chunk_rows, executor
+    ):
         pred, splits = mmap_splits
+        chunk_rows(1000)
         conf = make_scan_conf(
             name="q", input_path="/t", predicate=pred,
             columns=("l_orderkey", "l_quantity"),
@@ -163,7 +171,7 @@ class TestProcessExecutor:
         with LocalRunner(map_executor=executor, map_workers=2) as runner:
             bare = runner.run(conf, splits)
         trace = TraceRecorder()
-        with TelemetryHub(worker_chunk_rows=1000) as hub:
+        with TelemetryHub() as hub:
             hub.attach(trace)
             with LocalRunner(
                 map_executor=executor, map_workers=2, trace=trace

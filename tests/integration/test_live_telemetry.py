@@ -28,7 +28,6 @@ from repro.data import (
 from repro.dfs import DistributedFileSystem
 from repro.obs import TelemetryHub, TraceRecorder, parse_exposition, render_top
 from repro.obs.export import TelemetryExporter
-from repro.scan.proc import WorkerDelta
 
 
 @pytest.fixture(scope="module")
@@ -57,22 +56,24 @@ class RecordingHub(TelemetryHub):
         super().__init__(**kwargs)
         self.delta_states: list[tuple[int, str | None]] = []
 
-    def record_worker_delta(self, delta: WorkerDelta) -> None:
-        job = self.jobs.get(delta.job_id)
-        state = job.state if job is not None else None
-        super().record_worker_delta(delta)
-        self.delta_states.append((delta.rows_scanned, state))
+    def on_event(self, event: dict) -> None:
+        if event["type"] == "worker_delta":
+            job = self.jobs.get(event["job_id"])
+            state = job.state if job is not None else None
+            self.delta_states.append((event["rows_scanned"], state))
+        super().on_event(event)
 
 
 class TestMidJobWorkerCounters:
-    def test_worker_counters_arrive_before_completion(self, mmap_splits):
+    def test_worker_counters_arrive_before_completion(self, mmap_splits, chunk_rows):
         pred, splits = mmap_splits
+        chunk_rows(512)
         conf = make_scan_conf(
             name="q", input_path="/t", predicate=pred,
             columns=("l_orderkey",),
         )
         trace = TraceRecorder()
-        with RecordingHub(worker_chunk_rows=512) as hub:
+        with RecordingHub() as hub:
             hub.attach(trace)
             with LocalRunner(
                 map_executor="process", map_workers=2, trace=trace
@@ -89,10 +90,13 @@ class TestMidJobWorkerCounters:
         # And the final accounting still reconciles exactly.
         assert job["rows_total"] == result.records_processed
 
-    def test_hub_installed_after_the_workers_forked_gets_deltas(self, mmap_splits):
-        """Deltas ride each task's pipe, so a hub installed after the
+    def test_hub_installed_after_the_workers_forked_gets_deltas(
+        self, mmap_splits, chunk_rows
+    ):
+        """Deltas ride each task's pipe, so a hub attached after the
         workers forked still sees their progress while the job runs."""
         pred, splits = mmap_splits
+        chunk_rows(512)
         conf = make_scan_conf(
             name="q", input_path="/t", predicate=pred,
             columns=("l_orderkey",),
@@ -100,7 +104,7 @@ class TestMidJobWorkerCounters:
         trace = TraceRecorder()
         with LocalRunner(map_executor="process", map_workers=2, trace=trace) as runner:
             runner.run(conf, splits)  # forks the workers; no hub yet
-            with RecordingHub(worker_chunk_rows=512) as hub:
+            with RecordingHub() as hub:
                 hub.attach(trace)
                 result = runner.run(conf, splits)
                 snapshot = hub.snapshot()
@@ -110,16 +114,17 @@ class TestMidJobWorkerCounters:
         assert live, f"no mid-job delta (states: {hub.delta_states})"
         assert job["rows_total"] == result.records_processed
 
-    def test_polling_thread_sees_live_rows(self, mmap_splits):
+    def test_polling_thread_sees_live_rows(self, mmap_splits, chunk_rows):
         """The wall-clock version: a second thread sampling the hub the
         way the exporter does observes non-zero in-flight rows."""
         pred, splits = mmap_splits
+        chunk_rows(256)
         conf = make_scan_conf(name="q", input_path="/t", predicate=pred)
         trace = TraceRecorder()
         observations: list[int] = []
         done = threading.Event()
 
-        with TelemetryHub(worker_chunk_rows=256) as hub:
+        with TelemetryHub() as hub:
             hub.attach(trace)
 
             def poll():

@@ -1,12 +1,9 @@
 """Unit tests for the TelemetryHub: event folding, multiplexing, worker
-deltas, registry sampling, and the install/uninstall discipline."""
+deltas, and detaching on leaving its context."""
 
 import pytest
 
-from repro.engine.job import ClusterStatus
-from repro.obs import hub as hub_module
-from repro.obs.hub import TelemetryHub, active_hub
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.hub import TelemetryHub
 from repro.obs.trace import TraceRecorder
 from repro.scan.proc import WorkerDelta
 
@@ -33,27 +30,13 @@ def feed(hub: TelemetryHub, recorder: TraceRecorder) -> None:
     hub.attach(recorder)
 
 
-class TestInstallDiscipline:
-    def test_install_uninstall_restores_previous(self):
-        assert active_hub() is None
-        first, _ = make_hub()
-        second, _ = make_hub()
-        first.install()
-        assert hub_module.ACTIVE is first
-        second.install()
-        assert hub_module.ACTIVE is second
-        second.uninstall()
-        assert hub_module.ACTIVE is first
-        first.uninstall()
-        assert hub_module.ACTIVE is None
+def publish_delta(recorder: TraceRecorder, **fields) -> None:
+    """Publish one worker delta, as the LocalRunner does."""
+    recorder.publish("worker_delta", 0.0, **vars(WorkerDelta(**fields)))
 
-    def test_context_manager(self):
-        hub, _ = make_hub()
-        with hub:
-            assert active_hub() is hub
-        assert active_hub() is None
 
-    def test_uninstall_detaches_listener(self):
+class TestAttachment:
+    def test_leaving_the_context_detaches_the_hub(self):
         recorder = TraceRecorder()
         hub, _ = make_hub()
         with hub:
@@ -62,6 +45,7 @@ class TestInstallDiscipline:
             assert hub.events_seen == 1
         recorder.record(0.0, "job_succeeded", "j1")
         assert hub.events_seen == 1  # no longer subscribed
+        assert not recorder.listening
 
 
 class TestEventFolding:
@@ -219,19 +203,15 @@ class TestEventFolding:
         assert job["ci"]["met"] is True
 
     def test_cluster_utilization_series(self):
+        recorder = TraceRecorder()
         hub, clock = make_hub()
-        hub.observe_cluster(
-            ClusterStatus(
-                total_map_slots=40, available_map_slots=30,
-                running_map_tasks=10, queued_map_tasks=0,
-            )
+        feed(hub, recorder)
+        recorder.publish(
+            "cluster_status", 1.0, total_map_slots=40, available_map_slots=30
         )
         clock.advance(1.0)
-        hub.observe_cluster(
-            ClusterStatus(
-                total_map_slots=40, available_map_slots=40,
-                running_map_tasks=0, queued_map_tasks=0,
-            )
+        recorder.publish(
+            "cluster_status", 2.0, total_map_slots=40, available_map_slots=40
         )
         slots = hub.snapshot()["slots"]
         assert slots["total"] == 40
@@ -252,14 +232,14 @@ class TestEventFolding:
 
 class TestWorkerTelemetry:
     def test_worker_deltas_are_cumulative_and_idempotent(self):
+        recorder = TraceRecorder()
         hub, clock = make_hub()
+        feed(hub, recorder)
         for rows in (100, 300, 300, 200):  # duplicate + reorder
             clock.advance(0.1)
-            hub.record_worker_delta(
-                WorkerDelta(
-                    job_id="j1", partition=0, rows_scanned=rows,
-                    hits=1, chunk_rows=100, wall_s=0.05,
-                )
+            publish_delta(
+                recorder, job_id="j1", partition=0, rows_scanned=rows,
+                hits=1, chunk_rows=100, wall_s=0.05,
             )
         job = hub.snapshot()["jobs"]["j1"]
         # max-so-far per partition: the stale 200 cannot shrink the view.
@@ -278,11 +258,9 @@ class TestWorkerTelemetry:
         hub, clock = make_hub()
         feed(hub, recorder)
         recorder.record(0.0, "job_submitted", "j1", name="q", splits=1)
-        hub.record_worker_delta(
-            WorkerDelta(
-                job_id="j1", partition=0, rows_scanned=500,
-                hits=2, chunk_rows=500, wall_s=0.1,
-            )
+        publish_delta(
+            recorder, job_id="j1", partition=0, rows_scanned=500,
+            hits=2, chunk_rows=500, wall_s=0.1,
         )
         assert hub.snapshot()["jobs"]["j1"]["worker"]["live_rows"] == 500
         clock.advance(0.1)
@@ -301,27 +279,11 @@ class TestWorkerTelemetry:
         feed(hub, recorder)
         recorder.record(0.0, "job_submitted", "j1", name="q")
         recorder.record(1.0, "job_succeeded", "j1")
-        hub.record_worker_delta(
-            WorkerDelta(
-                job_id="j1", partition=3, rows_scanned=500,
-                hits=0, chunk_rows=500, wall_s=0.1,
-            )
+        publish_delta(
+            recorder, job_id="j1", partition=3, rows_scanned=500,
+            hits=0, chunk_rows=500, wall_s=0.1,
         )
         job = hub.snapshot()["jobs"]["j1"]
         assert job["rows_total"] == 0
         assert job["worker"]["live_rows"] == 0
 
-
-class TestRegistrySampling:
-    def test_counter_rates_between_samples(self):
-        hub, clock = make_hub()
-        registry = MetricsRegistry(scope="bench")
-        hub.track_registry("bench", registry)
-        registry.counter("rows").inc(100)
-        first = hub.snapshot()["registries"]["bench"]
-        assert first["rows"]["value"] == 100
-        registry.counter("rows").inc(50)
-        clock.advance(2.0)
-        second = hub.snapshot()["registries"]["bench"]
-        assert second["rows"]["value"] == 150
-        assert second["rows"]["rate"] == 25.0

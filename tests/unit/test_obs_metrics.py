@@ -179,18 +179,6 @@ class TestRegistry:
         assert snap["alpha"] == {"kind": "counter", "value": 2}
         assert snap["zeta"] == {"kind": "gauge", "value": 1}
 
-    def test_snapshot_prefix_filter(self):
-        registry = MetricsRegistry()
-        registry.counter("profile.scan.calls").inc()
-        registry.counter("profile.kernel.calls").inc(2)
-        registry.gauge("queue.depth").set(3)
-        snap = registry.snapshot(prefix="profile.")
-        assert list(snap) == ["profile.kernel.calls", "profile.scan.calls"]
-        assert snap["profile.scan.calls"]["value"] == 1
-        # No prefix keeps the full view; unmatched prefix is empty.
-        assert len(registry.snapshot()) == 3
-        assert registry.snapshot(prefix="nope.") == {}
-
     def test_registry_is_picklable(self):
         registry = MetricsRegistry(scope="job:j1")
         registry.counter("records").inc(3)

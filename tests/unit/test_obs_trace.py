@@ -5,19 +5,28 @@ import json
 
 import pytest
 
+from repro import SimulatedCluster, make_sampling_conf
+from repro.cluster import paper_topology
 from repro.core import paper_policies
 from repro.core.protocol import ClusterStatus, JobProgress
-from repro.engine.history import JobHistory
+from repro.data import build_profiled_dataset, dataset_spec_for_scale, predicate_for_skew
+from repro.engine.failures import FailFirstAttempts
 from repro.obs import (
     TRACE_SCHEMA_VERSION,
     TraceRecorder,
     TraceSchemaError,
+    analyze_trace,
     load_trace,
     render_metrics,
     render_timeline,
     validate_trace_event,
 )
-from repro.obs.trace import EVENT_FIELDS, policy_knobs, validate_trace
+from repro.obs.trace import (
+    EVENT_FIELDS,
+    LIFECYCLE_EVENT_TYPES,
+    policy_knobs,
+    validate_trace,
+)
 
 
 def progress(job_id="job_000001"):
@@ -42,15 +51,43 @@ def cluster():
     )
 
 
+def run_traced(*, policy="LA", failure_injector=None, scale=5):
+    """One simulated sampling job with a recorder attached."""
+    pred = predicate_for_skew(0)
+    data = build_profiled_dataset(dataset_spec_for_scale(scale), {pred: 0.0}, seed=0)
+    trace = TraceRecorder()
+    cluster = SimulatedCluster(
+        paper_topology(), trace=trace, failure_injector=failure_injector, seed=0
+    )
+    cluster.load_dataset("/d", data)
+    conf = make_sampling_conf(
+        name="q", input_path="/d", predicate=pred, sample_size=10_000,
+        policy_name=policy,
+    )
+    result = cluster.run_job(conf)
+    return result, trace.raw_events
+
+
+def lifecycle(events, job_id, kind=None):
+    """One job's lifecycle events, in recording order."""
+    return [
+        event
+        for event in events
+        if event["type"] in LIFECYCLE_EVENT_TYPES
+        and event["job_id"] == job_id
+        and (kind is None or event["type"] == kind)
+    ]
+
+
 class TestRecorderCore:
-    def test_is_a_job_history(self):
+    def test_record_logs_each_lifecycle_event_once(self):
         recorder = TraceRecorder()
-        assert isinstance(recorder, JobHistory)
         recorder.record(1.0, "job_submitted", "job_000001", name="q")
-        # Both views see the event: the history log and the typed stream.
-        assert recorder.kinds("job_000001") == ["job_submitted"]
-        assert recorder.raw_events[0]["type"] == "job_submitted"
-        assert recorder.raw_events[0]["detail"] == {"name": "q"}
+        assert len(recorder.raw_events) == 1
+        event = recorder.raw_events[0]
+        assert event["type"] == "job_submitted"
+        assert event["job_id"] == "job_000001"
+        assert event["detail"] == {"name": "q"}
 
     def test_events_carry_version_and_increasing_seq(self):
         recorder = TraceRecorder()
@@ -82,6 +119,80 @@ class TestRecorderCore:
             recorder.metrics_snapshot(9.0, scope="job", job_id="j", metrics={})
         events = load_trace(path)
         assert [e["type"] for e in events] == ["job_submitted", "metrics_snapshot"]
+
+
+class TestLifecycleLog:
+    """The JobTracker records a simulated job's whole lifecycle."""
+
+    def test_lifecycle_sequence_for_a_dynamic_job(self):
+        result, events = run_traced(policy="C")
+        kinds = [event["type"] for event in lifecycle(events, result.job_id)]
+        assert kinds[0] == "job_submitted"
+        assert kinds[-1] == "job_succeeded"
+        # Ordering constraints.
+        assert kinds.index("job_activated") < kinds.index("map_started")
+        assert kinds.index("input_complete") < kinds.index("reduce_started")
+        assert kinds.index("reduce_started") < kinds.index("reduce_finished")
+        # A conservative dynamic job grows through several increments.
+        assert kinds.count("input_added") >= 2
+
+    def test_map_counts_match_result(self):
+        result, events = run_traced()
+        started = lifecycle(events, result.job_id, "map_started")
+        finished = lifecycle(events, result.job_id, "map_finished")
+        assert len(finished) == result.splits_processed
+        assert len(started) == len(finished)
+
+    def test_event_timestamps_monotone(self):
+        _result, events = run_traced()
+        times = [event["time"] for event in events]
+        assert times == sorted(times)
+
+    def test_increment_sizes_respect_grab_limit(self):
+        result, events = run_traced(policy="C")
+        added = lifecycle(events, result.job_id, "input_added")
+        assert added
+        # C on the 40-slot cluster can never add more than ceil(0.1*40)=4.
+        for event in added:
+            assert 1 <= event["detail"]["splits"] <= 4
+
+    def test_failures_recorded(self):
+        result, events = run_traced(
+            failure_injector=FailFirstAttempts(attempts_to_fail=1)
+        )
+        failed = lifecycle(events, result.job_id, "map_failed")
+        assert len(failed) == result.failed_map_attempts > 0
+        # Failed attempts carry their attempt number.
+        assert all(event["detail"]["attempt"] == 1 for event in failed)
+
+    def test_concurrency_timeline_shape(self):
+        result, events = run_traced(policy="Hadoop")
+        timeline = analyze_trace(events).jobs[result.job_id].utilization()
+        peak = max(count for _time, count in timeline)
+        assert peak == 40  # the full cluster, one wave
+        assert timeline[-1][1] == 0  # all maps drained at the end
+
+    def test_detail_fields(self):
+        result, events = run_traced()
+        submitted = lifecycle(events, result.job_id, "job_submitted")[0]
+        assert submitted["detail"]["dynamic"] is True
+        assert submitted["detail"]["name"] == "q"
+        started = lifecycle(events, result.job_id, "map_started")[0]
+        assert started["detail"]["local"] in (True, False)
+        assert started["task_id"] is not None
+
+    def test_no_recorder_attached_is_silent(self):
+        pred = predicate_for_skew(0)
+        data = build_profiled_dataset(dataset_spec_for_scale(5), {pred: 0.0}, seed=0)
+        cluster = SimulatedCluster(paper_topology(), seed=0)
+        cluster.load_dataset("/d", data)
+        conf = make_sampling_conf(
+            name="q", input_path="/d", predicate=pred, sample_size=100,
+            policy_name="HA",
+        )
+        result = cluster.run_job(conf)
+        assert cluster.trace is None
+        assert result.outputs_produced == 100
 
 
 class TestTypedEvents:
@@ -252,3 +363,54 @@ class TestListenerIsolation:
         recorder.remove_listener(listener)
         recorder.remove_listener(listener)  # second remove: no error
         recorder.record(0.0, "job_submitted", "j1")
+
+
+class TestPublish:
+    """Listener-only events reach the listeners and nothing else: no
+    ``seq``, no ``raw_events`` entry, no file line."""
+
+    def test_listeners_receive_what_the_log_never_sees(self):
+        stream = io.StringIO()
+        recorder = TraceRecorder(stream=stream)
+        seen = []
+        assert not recorder.listening
+        recorder.add_listener(seen.append)
+        assert recorder.listening
+        recorder.record(0.0, "job_submitted", "j1")
+        recorder.publish(
+            "cluster_status", 1.5, total_map_slots=40, available_map_slots=8
+        )
+        recorder.record(2.0, "job_succeeded", "j1")
+        recorder.close()
+        assert seen[1] == {
+            "time": 1.5,
+            "type": "cluster_status",
+            "total_map_slots": 40,
+            "available_map_slots": 8,
+        }
+        assert [e["type"] for e in seen] == [
+            "job_submitted", "cluster_status", "job_succeeded",
+        ]
+        logged = [json.loads(line) for line in stream.getvalue().splitlines()]
+        assert logged == recorder.raw_events
+        assert [e["type"] for e in logged] == ["job_submitted", "job_succeeded"]
+        assert [e["seq"] for e in logged] == [0, 1]
+        recorder.remove_listener(seen.append)
+        assert not recorder.listening
+
+    def test_raising_listener_is_detached_after_one_notice(self, capsys):
+        recorder = TraceRecorder()
+        seen = []
+
+        def broken(event):
+            raise RuntimeError("listener bug")
+
+        recorder.add_listener(broken)
+        recorder.add_listener(seen.append)
+        recorder.publish("worker_delta", 0.0, job_id="j1", rows_scanned=10)
+        err = capsys.readouterr().err
+        assert err.count("RuntimeError") == 1
+        recorder.publish("worker_delta", 0.0, job_id="j1", rows_scanned=20)
+        assert capsys.readouterr().err == ""
+        assert [e["rows_scanned"] for e in seen] == [10, 20]
+        assert recorder.raw_events == []
