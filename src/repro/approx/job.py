@@ -8,8 +8,7 @@ column's value for SUM/AVG and ``0.0`` for COUNT(*). As in SQL, SUM and
 AVG ignore NULLs: a match whose aggregated value is NULL adds nothing,
 while COUNT(*) counts every match, and a group with no counted match
 emits nothing. No cap: unlike Algorithm 1's k-limit, every match in a
-grabbed split contributes to the estimate. The row path and the batch
-path share one fold.
+grabbed split contributes to the estimate.
 
 Reduce side: one task adds each group's per-split totals into exact
 ``{count, sum}`` totals over the *scanned* splits. The statistical
@@ -43,7 +42,7 @@ from repro.engine.jobconf import (
 )
 from repro.engine.mapreduce import MapContext, Mapper, ReduceContext, Reducer
 from repro.errors import JobConfError, JobError
-from repro.scan.codegen import compile_batch_matcher, compile_row_matcher
+from repro.scan.codegen import compile_batch_matcher
 
 
 class ApproxAggregationMapper(Mapper):
@@ -65,24 +64,11 @@ class ApproxAggregationMapper(Mapper):
     ) -> None:
         self._predicate = predicate
         self._aggregate = (spec.column, group_by)
-        self._match = predicate.matches
         self._batch_matcher = None
         self._totals: dict = {}
 
-    def prepare_scan(self, mode: str) -> None:
-        if mode == "compiled":
-            self._match = compile_row_matcher(self._predicate)
-
     def setup(self, context: MapContext) -> None:
         self._totals = {}
-
-    def map(self, key: Any, value: Any, context: MapContext) -> None:
-        if self._match(value):
-            # The matching row as a one-row scan view.
-            row = {
-                name: (value[name],) for name in self._aggregate if name is not None
-            }
-            self._fold(row, (0,))
 
     def run_batch(self, batch, context: MapContext) -> bool:
         if self._batch_matcher is None:

@@ -63,7 +63,6 @@ from repro.engine.jobconf import STATS_MODES
 from repro.engine.runtime import MAP_EXECUTORS
 from repro.obs import TraceRecorder, load_trace
 from repro.obs.render import render_metrics, render_timeline
-from repro.scan import DEFAULT_BATCH_SIZE, SCAN_BATCH, SCAN_MODES
 from repro.experiments.tables import (
     TABLE1_HEADERS,
     TABLE2_HEADERS,
@@ -297,14 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--rows", type=int, default=20_000, help="demo table size")
     query.add_argument("--seed", type=int, default=0)
     query.add_argument("--max-print", type=int, default=10)
-    query.add_argument(
-        "--scan-mode", default=SCAN_BATCH, choices=SCAN_MODES,
-        help="predicate evaluation path (default: batch)",
-    )
-    query.add_argument(
-        "--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
-        help="rows per columnar batch in batch mode",
-    )
     query.add_argument(
         "--map-workers", type=int, default=None, metavar="N",
         help=(
@@ -804,8 +795,6 @@ def cmd_query(args, out) -> int:
     from repro.engine.runtime import LocalRunner
     from repro.hive import HiveSession
 
-    from repro.scan.engine import ScanOptions
-
     scratch = None
     if args.data is not None:
         from repro.scan.mmapstore import load_mmap_dataset
@@ -832,9 +821,6 @@ def cmd_query(args, out) -> int:
         with _trace_recorder(args) as trace, _telemetry(args, trace):
             with LocalRunner(
                 seed=args.seed,
-                scan_options=ScanOptions(
-                    mode=args.scan_mode, batch_size=args.batch_size
-                ),
                 map_workers=args.map_workers,
                 map_executor=args.map_executor,
                 trace=trace,

@@ -39,10 +39,6 @@ class ClusterTopology:
         return sum(n.spec.map_slots for n in self._nodes.values())
 
     @property
-    def total_reduce_slots(self) -> int:
-        return sum(n.spec.reduce_slots for n in self._nodes.values())
-
-    @property
     def available_map_slots(self) -> int:
         return sum(n.free_map_slots for n in self._nodes.values())
 

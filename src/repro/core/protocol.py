@@ -53,8 +53,3 @@ class JobProgress:
     records_processed: int
     outputs_produced: int
     records_pending: int
-
-    @property
-    def splits_remaining(self) -> int:
-        """Splits of the full input not yet added to the job."""
-        return self.total_splits_known - self.splits_added

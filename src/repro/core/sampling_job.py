@@ -20,7 +20,6 @@ import random
 from typing import Any
 
 from repro.data.predicates import Predicate
-from repro.data.record import project
 from repro.dfs.split import InputSplit
 from repro.engine.jobconf import (
     DYNAMIC_INPUT_PROVIDER,
@@ -34,11 +33,7 @@ from repro.engine.jobconf import (
 )
 from repro.engine.mapreduce import MapContext, Mapper, ReduceContext, Reducer
 from repro.errors import JobConfError
-from repro.scan.codegen import (
-    batch_matcher_source,
-    compile_batch_matcher,
-    compile_row_matcher,
-)
+from repro.scan.codegen import batch_matcher_source, compile_batch_matcher
 
 DUMMY_KEY = "k_dummy"
 """The single intermediate key shared by all sampling map output."""
@@ -47,13 +42,13 @@ DUMMY_KEY = "k_dummy"
 class SamplingMapper(Mapper):
     """Algorithm 1: emit up to ``k`` predicate-matching records.
 
-    The record loop stops scanning the moment the task's own ``k`` is
-    reached — exactly Algorithm 1's premise that a task processing its
-    partition in isolation needs at most ``k`` matches; any further rows
-    cannot change its output. ``records_read`` therefore reflects only
-    rows actually scanned, which the Input Provider's selectivity
-    estimator consumes. All three scan modes (interpreted / compiled /
-    batch) share this semantics and produce byte-identical output.
+    The batch scan stops the moment the task's own ``k`` is reached —
+    exactly Algorithm 1's premise that a task processing its partition
+    in isolation needs at most ``k`` matches; any further rows cannot
+    change its output. ``records_read`` therefore reflects only rows
+    actually scanned, which the Input Provider's selectivity estimator
+    consumes. The process executor's workers scan the same way from
+    :meth:`scan_task_spec`.
     """
 
     def __init__(
@@ -68,12 +63,7 @@ class SamplingMapper(Mapper):
         self._k = k
         self._columns = columns
         self._found_records = 0
-        self._match = predicate.matches
         self._batch_matcher = None
-
-    def prepare_scan(self, mode: str) -> None:
-        if mode == "compiled":
-            self._match = compile_row_matcher(self._predicate)
 
     def scan_task_spec(self):
         from repro.scan.proc import ScanTaskSpec
@@ -86,31 +76,6 @@ class SamplingMapper(Mapper):
             columns=self._columns,
             fixed_key=DUMMY_KEY,
         )
-
-    def map(self, key: Any, value: Any, context: MapContext) -> None:
-        if self._found_records < self._k and self._match(value):
-            self._found_records += 1
-            output = (
-                project(value, self._columns) if self._columns is not None else value
-            )
-            context.emit(DUMMY_KEY, output)
-
-    def run(self, records, context: MapContext) -> None:
-        self.setup(context)
-        k = self._k
-        match = self._match
-        columns = self._columns
-        for _key, value in records:
-            context.records_read += 1
-            if match(value):
-                self._found_records += 1
-                context.emit(
-                    DUMMY_KEY,
-                    project(value, columns) if columns is not None else value,
-                )
-                if self._found_records >= k:
-                    break  # LIMIT short-circuit: stop scanning mid-split
-        self.cleanup(context)
 
     def run_batch(self, batch, context: MapContext) -> bool:
         if self._batch_matcher is None:
@@ -182,12 +147,7 @@ class ScanMapper(Mapper):
     ) -> None:
         self._predicate = predicate
         self._columns = columns
-        self._match = predicate.matches
         self._batch_matcher = None
-
-    def prepare_scan(self, mode: str) -> None:
-        if mode == "compiled":
-            self._match = compile_row_matcher(self._predicate)
 
     def scan_task_spec(self):
         from repro.scan.proc import ScanTaskSpec
@@ -200,13 +160,6 @@ class ScanMapper(Mapper):
             columns=self._columns,
             fixed_key=None,
         )
-
-    def map(self, key: Any, value: Any, context: MapContext) -> None:
-        if self._match(value):
-            output = (
-                project(value, self._columns) if self._columns is not None else value
-            )
-            context.emit(key, output)
 
     def run_batch(self, batch, context: MapContext) -> bool:
         if self._batch_matcher is None:

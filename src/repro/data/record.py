@@ -3,9 +3,9 @@
 Rows are plain ``dict[str, value]`` objects: the local MapReduce runtime
 iterates millions of them and a class wrapper would roughly double the
 per-row cost for no semantic gain. ``Row`` is the type alias used in
-signatures throughout the library; helpers here cover projection and
-stable serialization (used to estimate row widths and to write samples
-out of examples).
+signatures throughout the library; helpers here synthesize a row from
+column-major storage and serialize rows stably (used to estimate row
+widths and to write samples out of examples).
 """
 
 from __future__ import annotations
@@ -14,11 +14,6 @@ from typing import Mapping
 
 Row = dict
 """A table row: column name -> value."""
-
-
-def project(row: Mapping, columns: tuple[str, ...]) -> Row:
-    """Return a new row containing only ``columns`` (in the given order)."""
-    return {name: row[name] for name in columns}
 
 
 def row_at(names: tuple[str, ...], columns: Mapping[str, list], index: int) -> Row:

@@ -77,7 +77,3 @@ class NameNode:
             for path in self._files
             if path == canonical or path.startswith(canonical + "/")
         )
-
-    @property
-    def num_files(self) -> int:
-        return len(self._files)

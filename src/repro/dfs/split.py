@@ -82,8 +82,9 @@ class InputSplit:
             )
         return payload.iter_rows()
 
-    def iter_batches(self, size: int = 4096) -> "Iterator[ColumnBatch]":
-        """Column-major batches of up to ``size`` rows (materialized only).
+    def iter_batches(self) -> "Iterator[ColumnBatch]":
+        """Column-major batches of up to
+        :data:`~repro.scan.columnar.DEFAULT_BATCH_SIZE` rows (materialized only).
 
         Batches are views over the split's :class:`ColumnStore` — built
         natively for columnar datasets, transposed once and cached for
@@ -95,7 +96,7 @@ class InputSplit:
             raise DfsError(
                 f"split {self.split_id} is profile-only; rows are not materialized"
             )
-        return payload.column_store().iter_batches(size)
+        return payload.column_store().iter_batches()
 
     def is_local_to(self, node_id: str) -> bool:
         return self.block.is_local_to(node_id)

@@ -167,10 +167,6 @@ class JobTracker:
             queued_map_tasks=queued,
         )
 
-    @property
-    def active_jobs(self) -> list[Job]:
-        return list(self._active_jobs)
-
     # ------------------------------------------------------------------
     # Internal lifecycle
     # ------------------------------------------------------------------

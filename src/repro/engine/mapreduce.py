@@ -50,12 +50,12 @@ class Mapper:
     One instance is created per map task; :meth:`setup` / :meth:`cleanup`
     bracket the record loop as in Hadoop.
 
-    The scan engine adds a columnar fast path: when a split is stored (or
-    cached) column-major, the engine calls :meth:`run_batches` with
-    :class:`~repro.scan.columnar.ColumnBatch` views instead of driving
-    :meth:`run` row by row. Mappers that can scan whole batches override
-    :meth:`run_batch`; the default re-synthesizes row dicts so any mapper
-    stays correct under either layout.
+    The scan engine adds a columnar fast path: for a mapper that
+    overrides :meth:`run_batch`, it calls :meth:`run_batches` with the
+    split's :class:`~repro.scan.columnar.ColumnBatch` views instead of
+    driving :meth:`run` row by row (:func:`repro.scan.engine.run_map_task`).
+    The default :meth:`run_batch` re-synthesizes row dicts, so any mapper
+    stays correct when driven batch by batch.
     """
 
     def setup(self, context: MapContext) -> None:
@@ -66,16 +66,6 @@ class Mapper:
 
     def cleanup(self, context: MapContext) -> None:
         """Called once after the last record."""
-
-    def prepare_scan(self, mode: str) -> None:
-        """Scan-engine hook, called once before the record loop.
-
-        ``mode`` is one of ``interpreted`` / ``compiled`` / ``batch``
-        (see :mod:`repro.scan.engine`). In ``compiled`` mode, mappers
-        that evaluate predicates swap in a compiled row matcher here; in
-        ``batch`` mode they compile only the batch matcher their
-        :meth:`run_batch` calls. The default ignores it.
-        """
 
     def scan_task_spec(self):
         """Process-executor hook: this mapper's work as a shippable spec.

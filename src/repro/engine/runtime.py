@@ -7,9 +7,10 @@ map tasks for real, report progress, evaluate, repeat until end of
 input, then shuffle and reduce.
 
 Because execution is synchronous, the LocalRunner models the cluster
-status handed to providers with a configurable virtual slot pool: all
-slots are "available" at every evaluation (nothing else is running), so
-policies degrade gracefully to their idle-cluster grab limits.
+status handed to providers with a fixed virtual slot pool
+(:data:`VIRTUAL_MAP_SLOTS`): all slots are "available" at every
+evaluation (nothing else is running), so policies degrade gracefully to
+their idle-cluster grab limits.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.engine.shuffle import group_outputs
 from repro.errors import JobConfError, JobError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import record_provider_evaluation
-from repro.scan.engine import ScanOptions, ScanSpan, run_map_task
+from repro.scan.engine import ScanSpan, run_map_task
 from repro.scan.proc import (
     TELEMETRY_CHUNK_ROWS,
     ScanTask,
@@ -43,6 +44,10 @@ from repro.scan.proc import (
     materialize_outputs,
 )
 from repro.sim.random_source import RandomSource
+
+VIRTUAL_MAP_SLOTS = 40
+"""Map slots in the cluster status a LocalRunner hands its providers:
+all of them free at every evaluation."""
 
 MAP_EXECUTORS = ("thread", "process")
 """How the LocalRunner parallelizes a map batch across workers."""
@@ -73,14 +78,10 @@ class LocalRunner:
         policies: PolicyRegistry | None = None,
         providers: ProviderRegistry | None = None,
         seed: int = 0,
-        virtual_map_slots: int = 40,
-        scan_options: ScanOptions | None = None,
         map_workers: int | None = None,
         trace=None,
         map_executor: str | None = None,
     ) -> None:
-        if virtual_map_slots < 1:
-            raise JobConfError("virtual_map_slots must be >= 1")
         if map_executor is None:
             map_executor = os.environ.get(MAP_EXECUTOR_ENV) or "thread"
         if map_executor not in MAP_EXECUTORS:
@@ -100,8 +101,6 @@ class LocalRunner:
         self._policies = policies or paper_policies()
         self._providers = providers or default_providers()
         self._random = RandomSource(seed)
-        self._slots = virtual_map_slots
-        self._scan_options = scan_options or ScanOptions()
         self._map_workers = map_workers
         self._map_executor = map_executor
         self._workers: ScanWorkers | None = None
@@ -292,8 +291,8 @@ class LocalRunner:
 
     def _cluster_status(self) -> ClusterStatus:
         return ClusterStatus(
-            total_map_slots=self._slots,
-            available_map_slots=self._slots,
+            total_map_slots=VIRTUAL_MAP_SLOTS,
+            available_map_slots=VIRTUAL_MAP_SLOTS,
             running_map_tasks=0,
             queued_map_tasks=0,
         )
@@ -302,13 +301,12 @@ class LocalRunner:
     # Task execution
     # ------------------------------------------------------------------
     def _run_map(self, conf: JobConf, split: InputSplit) -> LocalMapResult:
-        options = self._scan_options.with_conf(conf)
         if self.trace is None:
-            context = run_map_task(conf, split, options)
+            context = run_map_task(conf, split)
             span = None
         else:
             holder: list = []
-            context = run_map_task(conf, split, options, span_sink=holder.append)
+            context = run_map_task(conf, split, span_sink=holder.append)
             span = holder[0]
         return LocalMapResult(
             split=split,
@@ -349,7 +347,6 @@ class LocalRunner:
                     task_id=f"{job_id}_m_{self._task_seq:06d}",
                     split_id=span.split_id,
                     mode=span.mode,
-                    batch_size=span.batch_size,
                     rows=span.rows,
                     outputs=span.outputs,
                     elapsed_s=span.elapsed_s,
@@ -433,7 +430,6 @@ class LocalRunner:
             self._workers = None  # already stopped; the next batch forks anew
             return None
         outcomes = [packed[i % count][i // count] for i in range(len(splits))]
-        options = self._scan_options.with_conf(conf)
         results: list[LocalMapResult] = []
         for split, outcome in zip(splits, outcomes):
             outputs = materialize_outputs(
@@ -441,13 +437,11 @@ class LocalRunner:
             )
             span = None
             if self.trace is not None:
-                # Workers always run the generated batch matcher; the
-                # span reports the runner's requested mode, which is
-                # byte-equivalent by the scan-mode parity contract.
+                # Workers run the generated batch matcher, as run_map_task
+                # does for this mapper in process.
                 span = ScanSpan(
                     split_id=split.split_id,
-                    mode=options.mode,
-                    batch_size=options.batch_size,
+                    mode="batch",
                     rows=outcome.scanned,
                     outputs=len(outputs),
                     elapsed_s=outcome.scan_wall_s,

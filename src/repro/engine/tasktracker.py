@@ -20,7 +20,7 @@ from repro.engine.mapreduce import ReduceContext
 from repro.engine.shuffle import group_outputs
 from repro.engine.task import MapTask, ReduceTask
 from repro.errors import JobError
-from repro.scan.engine import ScanOptions, run_map_task
+from repro.scan.engine import run_map_task
 from repro.sim.simulator import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -152,15 +152,12 @@ class TaskTracker:
                         task_id=task.task_id,
                         split_id=span.split_id,
                         mode=span.mode,
-                        batch_size=span.batch_size,
                         rows=span.rows,
                         outputs=span.outputs,
                         elapsed_s=span.elapsed_s,
                     )
 
-            context = run_map_task(
-                conf, split, ScanOptions().with_conf(conf), span_sink=span_sink
-            )
+            context = run_map_task(conf, split, span_sink=span_sink)
             return context.records_read, context.outputs_produced, context.outputs
         if conf.profile_outputs is None:
             raise JobError(

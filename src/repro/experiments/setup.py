@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro.data.datasets import PartitionedDataset, build_profiled_dataset, dataset_spec_for_scale
-from repro.data.predicates import MarkerEquals, predicate_for_skew
+from repro.data.predicates import predicate_for_skew
 from repro.engine.cluster_engine import SimulatedCluster
 
 PAPER_POLICIES = ("Hadoop", "HA", "MA", "LA", "C")
@@ -32,10 +32,6 @@ def dataset_for(scale: float, z: int, seed: int = 0) -> PartitionedDataset:
     return build_profiled_dataset(
         dataset_spec_for_scale(scale), {predicate: float(z)}, seed=seed
     )
-
-
-def predicate_for(z: int) -> MarkerEquals:
-    return predicate_for_skew(z)
 
 
 def single_user_cluster(

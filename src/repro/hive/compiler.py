@@ -4,9 +4,7 @@ This is the analogue of the paper's Hive compiler modification (§IV):
 a SELECT with a LIMIT compiles to a predicate-based sampling job whose
 JobConf carries ``dynamic.job = true``, the configured
 ``dynamic.job.policy``, and ``dynamic.input.provider = sampling``; a
-SELECT without a LIMIT compiles to a plain static scan job. Every job
-also carries the session's ``scan.mode`` and ``scan.batch.size``, if
-set (:class:`~repro.scan.engine.ScanOptions`).
+SELECT without a LIMIT compiles to a plain static scan job.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from repro.engine.jobconf import JobConf
 from repro.errors import HiveAnalysisError
 from repro.hive.ast import SelectStatement
 from repro.hive.expressions import compile_predicate, resolve_column
-from repro.scan.engine import SCAN_BATCH_SIZE_PARAM, SCAN_MODE_PARAM, ScanOptions
 
 # Session parameters understood by the compiler.
 PARAM_POLICY = "dynamic.job.policy"
@@ -118,10 +115,6 @@ class QueryCompiler:
                 fallback_selectivity=float(fallback) if fallback is not None else None,
                 user=user,
             )
-        for key in (SCAN_MODE_PARAM, SCAN_BATCH_SIZE_PARAM):
-            if key in params:
-                conf.set(key, params[key])
-        ScanOptions().with_conf(conf)  # a bad mode or size fails here, not mid-job
         return conf
 
     def _compile_aggregate(

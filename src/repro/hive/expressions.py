@@ -202,7 +202,7 @@ def _compile_bool(expr: Expression, schema: Schema | None):
 
 
 # ---------------------------------------------------------------------------
-# Source codegen (the scan engine's compiled path)
+# Source codegen (the scan engine's batch matcher)
 # ---------------------------------------------------------------------------
 def _checked_arithmetic(expr: Arithmetic) -> Callable[[float, float], float]:
     """The arithmetic kernel: NULL-propagating, with the ``/`` and ``%``
@@ -243,7 +243,7 @@ def emit_condition(expr: Expression, em, schema: Schema | None = None) -> str:
 
     Mirrors :func:`_compile_bool` node for node, so the interpreted
     closures and the generated source agree row-for-row — the scan
-    engine's equivalence tests cross-check exactly this pair.
+    equivalence tests hold the generated source to those closures.
     """
     if isinstance(expr, Literal):
         if isinstance(expr.value, bool):
@@ -310,9 +310,11 @@ def emit_condition(expr: Expression, em, schema: Schema | None = None) -> str:
 class ExpressionPredicate(FunctionPredicate):
     """A WHERE-clause predicate that carries its AST.
 
-    Behaves exactly like the :class:`FunctionPredicate` it extends (the
-    interpreted fallback), but also implements the scan codegen hook so
-    :func:`repro.scan.codegen.compile_batch_matcher` can inline the whole
+    Behaves exactly like the :class:`FunctionPredicate` it extends: its
+    ``matches`` calls the interpreted closure, which map tasks never run
+    but the property suites keep as the reference for the generated
+    scan. It also implements the scan codegen hook, so
+    :func:`repro.scan.codegen.compile_batch_matcher` inlines the whole
     expression into the fused scan loop instead of calling ``fn`` on a
     synthesized row dict.
     """
@@ -350,8 +352,8 @@ def compile_predicate(expr: Expression, schema: Schema | None = None) -> Predica
     :class:`~repro.data.predicates.ColumnCompare` so their names line up
     with the generator's controlled marker predicates; everything else
     becomes an :class:`ExpressionPredicate` labeled with the SQL text,
-    carrying both the interpreted closure and the AST the scan engine
-    compiles to source.
+    carrying both the interpreted closure (the tests' reference) and the
+    AST the scan engine compiles to source.
     """
     simple = as_simple_comparison(expr, schema)
     if simple is not None:

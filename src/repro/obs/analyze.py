@@ -31,12 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.errors import ReproError
-
-
-class TraceAnalysisError(ReproError):
-    """The event stream cannot be assembled into a run model."""
-
 
 # ---------------------------------------------------------------------------
 # Model dataclasses

@@ -58,11 +58,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.core.policy import GrabLimitExpression
-from repro.errors import ReproError
-
-
-class AuditError(ReproError):
-    """The trace cannot be audited (malformed beyond schema checks)."""
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,8 @@ CI half-width          accuracy jobs' interval convergence over time
 
 The hub is **strictly read-side**: it never mutates events, consumes no
 randomness, and attaching it changes no job output bytes (the hub
-parity suite asserts this across both substrates, all scan modes, and
-both map executors). Consumers — ``repro top``, the Prometheus
+parity suite asserts this across both substrates and both map
+executors). Consumers — ``repro top``, the Prometheus
 exporter — read a consistent :meth:`snapshot` under the hub lock.
 
 Time axes: points are stamped with the wall clock

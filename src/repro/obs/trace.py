@@ -304,7 +304,6 @@ class TraceRecorder:
         task_id: str,
         split_id: str,
         mode: str,
-        batch_size: int,
         rows: int,
         outputs: int,
         elapsed_s: float,
@@ -319,7 +318,6 @@ class TraceRecorder:
             task_id=task_id,
             split_id=split_id,
             mode=mode,
-            batch_size=batch_size,
             rows=rows,
             outputs=outputs,
             elapsed_s=elapsed_s,

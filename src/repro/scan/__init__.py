@@ -2,32 +2,19 @@
 
 The real-execution hot path: columnar split storage
 (:mod:`repro.scan.columnar`), predicate/projection compilation via
-source codegen (:mod:`repro.scan.codegen`), and the batch map-task
-executor shared by the LocalRunner and the simulated TaskTrackers
+source codegen (:mod:`repro.scan.codegen`), and the map-task executor
+shared by the LocalRunner and the simulated TaskTrackers
 (:mod:`repro.scan.engine`).
 """
 
 from repro.scan.columnar import DEFAULT_BATCH_SIZE, ColumnBatch, ColumnStore
-from repro.scan.codegen import compile_batch_matcher, compile_row_matcher
-from repro.scan.engine import (
-    SCAN_BATCH,
-    SCAN_COMPILED,
-    SCAN_INTERPRETED,
-    SCAN_MODES,
-    ScanOptions,
-    run_map_task,
-)
+from repro.scan.codegen import compile_batch_matcher
+from repro.scan.engine import run_map_task
 
 __all__ = [
     "ColumnBatch",
     "ColumnStore",
     "DEFAULT_BATCH_SIZE",
     "compile_batch_matcher",
-    "compile_row_matcher",
-    "SCAN_BATCH",
-    "SCAN_COMPILED",
-    "SCAN_INTERPRETED",
-    "SCAN_MODES",
-    "ScanOptions",
     "run_map_task",
 ]

@@ -1,19 +1,16 @@
 """Predicate compilation via Python source codegen.
 
-The interpreted scan path pays, per row, a generator resumption, an
-``_OPERATORS`` dict dispatch, a lambda frame, and one attribute walk per
-predicate node. This module instead renders a predicate tree into a
-single Python boolean expression, wraps it in a function, and
-``compile()``s it once per task:
-
-* :func:`compile_row_matcher` — ``fn(row) -> bool``, a drop-in for
-  ``Predicate.matches`` with zero interpretation overhead per row.
-* :func:`compile_batch_matcher` — a fused scan loop over a
-  :class:`~repro.scan.columnar.ColumnStore`'s column lists. Referenced
-  columns are bound to locals once per call, the predicate is inlined in
-  the loop body, and an optional match limit short-circuits the scan
-  mid-batch (Algorithm 1's LIMIT semantics). Returns rows scanned so
-  progress counters stay exact under early exit.
+Interpreting a predicate tree row by row (``Predicate.matches``) costs,
+per row, a generator resumption, an ``_OPERATORS`` dict dispatch, a
+lambda frame, and one attribute walk per predicate node. This module
+instead renders a predicate tree into a single Python boolean
+expression, inlines it in a generated scan loop, and ``compile()``s it
+once per predicate: :func:`compile_batch_matcher` returns a fused scan
+over a :class:`~repro.scan.columnar.ColumnStore`'s column lists.
+Referenced columns are bound to locals once per call, the predicate is
+inlined in the loop body, and an optional match limit short-circuits
+the scan mid-batch (Algorithm 1's LIMIT semantics). It returns the rows
+scanned, so progress counters stay exact under early exit.
 
 The batch matcher has a vectorized first stage. Its top-level AND is
 split into *kernel leaves* — ``column <op> literal`` conjuncts whose
@@ -26,9 +23,10 @@ candidate rows, testing only the residual. Otherwise the call runs the
 plain loop over the whole range with the full expression. Either way
 the rows, their order and the returned scanned count are the same.
 
-Both generated forms implement the same NULL semantics as the (kept)
-interpreted path: any comparison whose operand is ``None`` evaluates
-false. Predicates outside the core algebra participate through an
+The generated matcher implements the same NULL semantics as
+``Predicate.matches``, which the property suites keep as its reference:
+any comparison whose operand is ``None`` evaluates false. Predicates
+outside the core algebra participate through an
 ``emit_source(emitter)`` hook (the Hive expression layer implements it)
 or, as a last resort, through a per-row callback on a synthesized row
 dict — still fused into the batch loop, just not column-bound.
@@ -60,10 +58,6 @@ from repro.scan.mmapstore import NullableColumn
 #: the non-None literals the guard-free path is limited to.
 _GUARDED_OPS = {"!=", "<", "<=", ">", ">="}
 _VALID_OPS = {"=", "!=", "<", "<=", ">", ">="}
-
-
-class RowMatcher(Protocol):
-    def __call__(self, row: dict) -> bool: ...
 
 
 class BatchMatcher(Protocol):
@@ -159,25 +153,8 @@ def _emit_compare(em: SourceEmitter, column: str, op: str, value: object) -> str
 # ---------------------------------------------------------------------------
 # Compilation entry points
 # ---------------------------------------------------------------------------
-_row_cache: dict[Predicate, RowMatcher] = {}
 _batch_cache: dict[Predicate, BatchMatcher] = {}
 _source_cache: dict[Predicate, tuple[str, dict]] = {}
-
-
-def compile_row_matcher(pred: Predicate) -> RowMatcher:
-    """Compile ``pred`` into a single-function ``fn(row) -> bool``."""
-    try:
-        cached = _row_cache.get(pred)
-    except TypeError:  # unhashable literal somewhere in the tree
-        cached = None
-    if cached is not None:
-        return cached
-    em = SourceEmitter(ref=lambda name: f"_r[{_name_const(em, name)}]", row_expr="_r")
-    expr = emit_predicate(pred, em)
-    source = f"def _match(_r):\n    return {expr}\n"
-    matcher = _compile(source, "_match", em.namespace, pred)
-    _cache_put(_row_cache, pred, matcher)
-    return matcher
 
 
 def compile_batch_matcher(pred: Predicate) -> BatchMatcher:

@@ -33,7 +33,7 @@ mapping, so job output is byte-identical to serial execution:
   order the serial batch loop appends matches.
 * **LIMIT-k accounting** — the generated matcher returns ``index of the
   k-th match + 1`` on early exit, a quantity independent of batch
-  chunking (the batch-size parity tests pin this), so the worker's
+  chunking (the chunking tests pin this), so the worker's
   chunks yield the same ``records_read`` as the serial batch loop,
   whatever their size. The limit applies per partition, never
   across the partitions of a packed task.

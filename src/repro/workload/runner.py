@@ -43,12 +43,6 @@ class WorkloadResult:
             return 0.0
         return len(self._measured(user_class)) * 3600.0 / self.measurement
 
-    def mean_response_time(self, user_class: UserClass | None = None) -> float:
-        measured = self._measured(user_class)
-        if not measured:
-            return 0.0
-        return sum(r.result.response_time for r in measured) / len(measured)
-
     def mean_partitions_processed(self, user_class: UserClass | None = None) -> float:
         measured = self._measured(user_class)
         if not measured:

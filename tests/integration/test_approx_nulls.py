@@ -1,10 +1,11 @@
 """SUM and AVG ``WITHIN ... ERROR`` ignore NULL values, as SQL does.
 
 A matching row whose aggregated value is NULL contributes nothing to
-SUM or AVG, while COUNT(*) still counts it. Covered on every scan mode
-over in-memory and mmap partitions, and end to end through the
-LocalRunner and the Hive surface: once every split has been read, the
-estimate is the exact SUM/AVG over the non-NULL values.
+SUM or AVG, while COUNT(*) still counts it. Covered for the map task and
+for the reference fold it is held to, over in-memory and mmap
+partitions, and end to end through the LocalRunner and the Hive
+surface: once every split has been read, the estimate is the exact
+SUM/AVG over the non-NULL values.
 """
 
 import pytest
@@ -22,27 +23,15 @@ from repro.data.predicates import ColumnCompare
 from repro.dfs import DistributedFileSystem
 from repro.hive import HiveSession
 from repro.scan.columnar import ColumnStore
-from repro.scan.engine import SCAN_MODES, ScanOptions, run_map_task
+from repro.scan.engine import run_map_task
 from repro.scan.mmapstore import MmapDataset, MmapDatasetWriter, write_mmap_dataset
+from tests.unit.test_scan_equivalence import StoreSplit, reference_fold
 
 ROWS = [
     {"g": "a", "x": 1.5},
     {"g": "a", "x": None},
     {"g": "b", "x": 4.0},
 ]
-
-
-class _Split:
-    split_id = "s0"
-
-    def __init__(self, store):
-        self.store = store
-
-    def iter_rows(self):
-        return self.store.iter_rows()
-
-    def iter_batches(self, size):
-        return self.store.iter_batches(size)
 
 
 def _store(layout, tmp_path):
@@ -54,7 +43,7 @@ def _store(layout, tmp_path):
 
 
 @pytest.mark.parametrize("layout", ["columns", "mmap"])
-@pytest.mark.parametrize("mode", SCAN_MODES)
+@pytest.mark.parametrize("path", ["interpreted", "batch"])
 @pytest.mark.parametrize(
     "aggregate, expected",
     [
@@ -63,15 +52,21 @@ def _store(layout, tmp_path):
         ("count", [("a", (2, 0.0)), ("b", (1, 0.0))]),
     ],
 )
-def test_map_task_skips_null_values(layout, mode, aggregate, expected, tmp_path):
-    conf = make_approx_conf(
-        name="nulls", input_path="/t", predicate=ColumnCompare("g", "!=", "z"),
-        aggregate=aggregate, error_pct=5.0, group_by="g",
-    )
-    split = _Split(_store(layout, tmp_path))
-    context = run_map_task(conf, split, ScanOptions(mode=mode))
-    assert context.outputs == expected
-    assert context.records_read == len(ROWS)
+def test_map_task_skips_null_values(layout, path, aggregate, expected, tmp_path):
+    """``batch`` is the map task; ``interpreted`` the reference fold."""
+    predicate = ColumnCompare("g", "!=", "z")
+    split = StoreSplit(_store(layout, tmp_path))
+    if path == "batch":
+        conf = make_approx_conf(
+            name="nulls", input_path="/t", predicate=predicate,
+            aggregate=aggregate, error_pct=5.0, group_by="g",
+        )
+        context = run_map_task(conf, split)
+        outputs, records_read = context.outputs, context.records_read
+    else:
+        outputs, records_read = reference_fold(split, predicate, aggregate, "g")
+    assert outputs == expected
+    assert records_read == len(ROWS)
 
 
 PREDICATE = ColumnCompare("l_quantity", "<=", 25)

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs.trace import load_trace
 
 
 def run_cli(argv):
@@ -31,11 +32,14 @@ class TestParser:
             ["sample", "--profile"],
             ["query", "SELECT * FROM lineitem LIMIT 1", "--profile-dir", "d"],
             ["sweep", "--figure", "4", "--profile"],
+            ["query", "SELECT * FROM lineitem LIMIT 1", "--scan-mode", "batch"],
+            ["query", "SELECT * FROM lineitem LIMIT 1", "--batch-size", "7"],
         ],
     )
-    def test_retired_bench_and_profile_surfaces_exit_2(self, argv):
-        # Benchmarks run through `python -m benchmarks.query` only, and
-        # runs are profiled with `python -m cProfile -m repro ...`.
+    def test_retired_surfaces_exit_2(self, argv):
+        # Benchmarks run through `python -m benchmarks.query` only, runs
+        # are profiled with `python -m cProfile -m repro ...`, and every
+        # query scans through the one batch path.
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
@@ -117,23 +121,13 @@ class TestCommands:
 class TestScanFlags:
     SQL = "SELECT ORDERKEY FROM lineitem WHERE l_quantity = 51 LIMIT 3"
 
-    def test_query_identical_across_scan_modes_and_workers(self):
+    def test_query_identical_across_layouts_and_workers(self):
         outputs = set()
-        for extra in (
-            ["--scan-mode", "interpreted"],
-            ["--scan-mode", "compiled"],
-            ["--scan-mode", "batch"],
-            ["--scan-mode", "batch", "--map-workers", "4"],
-            ["--layout", "columnar"],
-        ):
+        for extra in ([], ["--map-workers", "4"], ["--layout", "columnar"]):
             code, text = run_cli(["query", self.SQL, "--rows", "8000"] + extra)
             assert code == 0
             outputs.add(text)
         assert len(outputs) == 1  # byte-identical output in every configuration
-
-    def test_unknown_scan_mode_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["query", self.SQL, "--scan-mode", "turbo"])
 
 
 class TestTracing:
@@ -172,6 +166,10 @@ class TestTracing:
         content = trace_path.read_text()
         assert '"type": "scan_span"' in content
         assert '"type": "provider_evaluation"' in content
+        spans = [e for e in load_trace(trace_path) if e["type"] == "scan_span"]
+        # Each span names the loop that ran; the batch size is not traced.
+        assert {span["mode"] for span in spans} == {"batch"}
+        assert not any("batch_size" in span for span in spans)
 
     def test_sweep_trace_out_records_points(self, tmp_path):
         trace_path = tmp_path / "s.jsonl"

@@ -12,7 +12,7 @@ from repro.data import (
 )
 from repro.dfs import DistributedFileSystem
 from repro.cluster import paper_topology
-from repro.errors import HiveAnalysisError, HiveError, JobConfError
+from repro.errors import HiveAnalysisError, HiveError
 from repro.hive import HiveSession
 
 
@@ -115,7 +115,6 @@ class TestMatcherReuse:
     ):
         from repro.scan import codegen
 
-        monkeypatch.setattr(codegen, "_row_cache", {})
         monkeypatch.setattr(codegen, "_batch_cache", {})
         compiled = []
         compile_source = codegen._compile
@@ -159,7 +158,7 @@ def mmap_sessions(tmp_path):
 
 
 SCAN_PARAM_QUERIES = [
-    # sampling job; both conjuncts are numeric, so batch mode runs the kernel
+    # sampling job; both conjuncts are numeric, so the scan runs the kernel
     "SELECT l_orderkey, l_tax FROM lineitem WHERE l_quantity = 51 AND l_tax <= 0.04 LIMIT 7",
     # static scan job, with a string conjunct left to the generated loop
     "SELECT l_orderkey FROM lineitem WHERE l_quantity >= 51 AND l_shipmode <> 'FOB'",
@@ -168,54 +167,23 @@ SCAN_PARAM_QUERIES = [
 ]
 
 
-def _scan_spans(trace):
-    return [event for event in trace.raw_events if event["type"] == "scan_span"]
-
-
 def _answer(result):
     job = result.job
     return result.rows, job.records_processed, job.splits_processed
 
 
 class TestScanParams:
-    """``SET scan.mode`` / ``SET scan.batch.size`` reach every job the
-    session compiles, and a bad value fails the query."""
-
     @pytest.mark.parametrize("query", SCAN_PARAM_QUERIES)
-    def test_set_scan_mode_runs_interpreted_with_batch_answers(
-        self, mmap_sessions, query
-    ):
-        from repro.obs.trace import TraceRecorder
-
-        trace = TraceRecorder()
-        session = mmap_sessions(trace)
-        session.execute("SET scan.mode = interpreted")
-        interpreted = session.execute(query)
-        spans = _scan_spans(trace)
-        assert spans and {span["mode"] for span in spans} == {"interpreted"}
-        assert _answer(interpreted) == _answer(mmap_sessions().execute(query))
-
-    @pytest.mark.parametrize("query", SCAN_PARAM_QUERIES)
-    def test_set_scan_batch_size_keeps_the_answer(self, mmap_sessions, query):
-        from repro.obs.trace import TraceRecorder
-
-        trace = TraceRecorder()
-        session = mmap_sessions(trace)
-        session.execute("SET scan.batch.size = 7")
-        small = session.execute(query)
-        spans = _scan_spans(trace)
-        assert spans and {span["batch_size"] for span in spans} == {7}
-        assert _answer(small) == _answer(mmap_sessions().execute(query))
-
-    @pytest.mark.parametrize(
-        "setting", ["scan.mode = bogus", "scan.batch.size = 0", "scan.batch.size = x"]
-    )
-    def test_bad_scan_params_are_rejected(self, mmap_sessions, setting):
+    def test_retired_scan_params_are_stored_and_ignored(self, mmap_sessions, query):
+        """``scan.mode`` and ``scan.batch.size`` no longer configure the
+        scan: a session stores them like any parameter it does not know,
+        even values that once failed the query, and answers as before."""
         session = mmap_sessions()
-        session.execute(f"SET {setting}")
-        for query in SCAN_PARAM_QUERIES:
-            with pytest.raises(JobConfError):
-                session.execute(query)
+        session.execute("SET scan.mode = interpreted")
+        session.execute("SET scan.batch.size = 0")
+        assert session.params["scan.mode"] == "interpreted"
+        assert session.params["scan.batch.size"] == "0"
+        assert _answer(session.execute(query)) == _answer(mmap_sessions().execute(query))
 
 
 class TestClusterExecution:

@@ -3,11 +3,11 @@
 Same acceptance shape as ``test_trace_parity.py``, one layer up: a job
 run with a hub attached to its recorder (lifecycle events, worker deltas
 and cluster samples all flowing to it) must produce a pickle-identical
-``JobResult`` to a bare run — on both substrates, across all scan modes,
-and under both map executors. For the process executor this additionally
-pins the chunked worker scan (a listener is attached, so workers send
-deltas) against the batch-sized scan (no listener), i.e.
-chunking-independence of the batch matcher.
+``JobResult`` to a bare run — on both substrates and under both map
+executors. For the process executor this additionally pins the chunked
+worker scan (a listener is attached, so workers send deltas) against
+the batch-sized scan (no listener), i.e. chunking-independence of the
+batch matcher.
 """
 
 import pickle
@@ -24,7 +24,6 @@ from repro.data import (
 )
 from repro.dfs import DistributedFileSystem
 from repro.obs import TelemetryHub, TraceRecorder
-from repro.scan.engine import SCAN_MODES, ScanOptions
 
 
 @pytest.fixture()
@@ -91,14 +90,12 @@ class TestSimulatedSubstrate:
 
 
 class TestLocalRunnerSubstrate:
-    @pytest.mark.parametrize("mode", SCAN_MODES)
-    def test_results_identical_per_scan_mode(self, materialized, mode):
+    def test_results_identical_with_hub(self, materialized):
         pred, splits = materialized
         conf = make_sampling_conf(
             name="q", input_path="/t", predicate=pred, sample_size=25,
             policy_name="LA",
         )
-        conf.set("scan.mode", mode)
         bare = LocalRunner(seed=0).run(conf, splits)
         trace = TraceRecorder()
         with TelemetryHub() as hub:

@@ -12,6 +12,13 @@ from repro.data import (
 )
 from repro.dfs import DistributedFileSystem
 from repro.errors import JobConfError, JobError
+from repro.obs.trace import TraceRecorder
+from repro.scan.engine import run_map_task
+from tests.unit.test_scan_equivalence import (
+    StoreSplit,
+    reference_sample,
+    reference_sampling_job,
+)
 
 
 def build_splits(z=0, num_partitions=16, selectivity=0.01, seed=0, scale=0.002):
@@ -141,35 +148,32 @@ def result_fingerprint(result):
 
 
 class TestScanModeParity:
-    """The acceptance bar: byte-identical results across scan modes and
-    across serial/parallel map execution."""
+    """The acceptance bar: results that match the reference map tasks,
+    byte-identical across serial/parallel map execution, layouts and
+    batch sizes."""
 
-    def run_with(self, conf_name, *, scan_options=None, map_workers=1,
-                 policy_name="LA", seed=3):
-        from repro.scan.engine import ScanOptions
-
+    def run_with(self, conf_name, *, map_workers=1, policy_name="LA", seed=3):
         pred, _data, splits = build_splits()
         conf = make_sampling_conf(
             name=conf_name, input_path="/t", predicate=pred, sample_size=40,
             policy_name=policy_name,
         )
-        runner = LocalRunner(
-            seed=seed,
-            scan_options=scan_options or ScanOptions(),
-            map_workers=map_workers,
-        )
+        runner = LocalRunner(seed=seed, map_workers=map_workers)
         return runner.run(conf, splits)
 
-    def test_modes_byte_identical(self):
-        from repro.scan.engine import SCAN_MODES, ScanOptions
-
-        fingerprints = [
-            result_fingerprint(
-                self.run_with("q", scan_options=ScanOptions(mode=mode))
-            )
-            for mode in SCAN_MODES
-        ]
-        assert fingerprints[0] == fingerprints[1] == fingerprints[2]
+    def test_matches_the_reference(self):
+        pred, _data, splits = build_splits()
+        conf = make_sampling_conf(
+            name="q", input_path="/t", predicate=pred, sample_size=40,
+            policy_name="LA",
+        )
+        trace = TraceRecorder()
+        result = LocalRunner(seed=3, trace=trace).run(conf, splits)
+        order = [e["split_id"] for e in trace.raw_events if e["type"] == "scan_span"]
+        assert len(order) == result.splits_processed
+        assert (
+            result.output_data, result.records_processed, result.map_outputs_produced
+        ) == reference_sampling_job(splits, order, pred, 40)
 
     def test_serial_parallel_byte_identical(self):
         serial = result_fingerprint(self.run_with("q", map_workers=1))
@@ -177,38 +181,22 @@ class TestScanModeParity:
         assert serial == parallel
 
     def test_batch_size_does_not_change_results(self):
-        from repro.scan.engine import ScanOptions
-
-        small = result_fingerprint(
-            self.run_with("q", scan_options=ScanOptions(batch_size=7))
-        )
-        large = result_fingerprint(
-            self.run_with("q", scan_options=ScanOptions(batch_size=4096))
-        )
-        assert small == large
-
-    def test_jobconf_scan_params_override_runner(self):
-        from repro.scan.engine import SCAN_MODE_PARAM, ScanOptions
-
         pred, _data, splits = build_splits()
         conf = make_sampling_conf(
             name="q", input_path="/t", predicate=pred, sample_size=40,
             policy_name=None,
         )
-        conf.set(SCAN_MODE_PARAM, "interpreted")
-        result = LocalRunner(
-            scan_options=ScanOptions(mode="batch")
-        ).run(conf, splits)
-        baseline = LocalRunner(
-            scan_options=ScanOptions(mode="interpreted")
-        ).run(
-            make_sampling_conf(
-                name="q", input_path="/t", predicate=pred, sample_size=40,
-                policy_name=None,
-            ),
-            splits,
-        )
-        assert result_fingerprint(result) == result_fingerprint(baseline)
+        for split in splits:
+            store = split.block.payload.column_store()
+            small, large = (
+                run_map_task(conf, StoreSplit(store, size)) for size in (7, 4096)
+            )
+            assert (small.outputs, small.records_read) == (
+                large.outputs, large.records_read
+            )
+            assert (large.outputs, large.records_read) == reference_sample(
+                split, pred, 40
+            )
 
     def test_columnar_layout_byte_identical_to_row(self):
         pred = predicate_for_skew(0)
@@ -234,22 +222,17 @@ class TestScanModeParity:
 
     def test_short_circuit_reduces_records_processed(self):
         """A static sampling job scans fewer rows than the dataset when
-        matches are plentiful — and the count is identical in all modes."""
-        from repro.scan.engine import SCAN_MODES, ScanOptions
-
+        matches are plentiful — exactly the reference's count."""
         pred, data, splits = build_splits(selectivity=0.05)
-        counts = set()
-        for mode in SCAN_MODES:
-            conf = make_sampling_conf(
-                name="q", input_path="/t", predicate=pred, sample_size=5,
-                policy_name=None,
-            )
-            result = LocalRunner(
-                scan_options=ScanOptions(mode=mode)
-            ).run(conf, splits)
-            counts.add(result.records_processed)
-            assert result.records_processed < data.total_records
-        assert len(counts) == 1
+        conf = make_sampling_conf(
+            name="q", input_path="/t", predicate=pred, sample_size=5,
+            policy_name=None,
+        )
+        result = LocalRunner().run(conf, splits)
+        assert result.records_processed < data.total_records
+        order = [split.split_id for split in splits]  # a static job scans all
+        _output, records, _outputs = reference_sampling_job(splits, order, pred, 5)
+        assert result.records_processed == records
 
 
 class TestRunnerValidation:

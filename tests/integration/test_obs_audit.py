@@ -29,7 +29,6 @@ from repro.data import (
 from repro.dfs import DistributedFileSystem
 from repro.obs.audit import audit_events, render_audit
 from repro.obs.trace import TraceRecorder, load_trace
-from repro.scan import SCAN_MODES
 
 GOLDEN = Path(__file__).parent.parent / "data" / "golden_trace.jsonl"
 
@@ -50,11 +49,11 @@ def _sim_trace(tmp_path, policy: str, *, scale: int = 5, k: int = 2000) -> Path:
     return path
 
 
-def _local_trace(tmp_path, mode: str) -> Path:
-    path = tmp_path / f"local_{mode}.jsonl"
+def _local_trace(tmp_path) -> Path:
+    path = tmp_path / "local.jsonl"
     code, _ = run_cli(
         ["query", "SELECT * FROM lineitem WHERE l_quantity = 51 LIMIT 5",
-         "--rows", "6000", "--scan-mode", mode, "--trace-out", str(path)]
+         "--rows", "6000", "--trace-out", str(path)]
     )
     assert code == 0
     return path
@@ -68,9 +67,8 @@ class TestAuditCleanRuns:
         assert code == 0, text
         assert "audit OK" in text
 
-    @pytest.mark.parametrize("mode", SCAN_MODES)
-    def test_every_scan_mode_audits_clean_on_local_runner(self, tmp_path, mode):
-        path = _local_trace(tmp_path, mode)
+    def test_query_trace_audits_clean_on_local_runner(self, tmp_path):
+        path = _local_trace(tmp_path)
         code, text = run_cli(["audit", str(path)])
         assert code == 0, text
 

@@ -34,9 +34,9 @@ from repro.engine.runtime import (
 from repro.errors import JobConfError
 from repro.obs.trace import TraceRecorder
 from repro.scan import codegen, proc
-from repro.scan.engine import SCAN_MODES, ScanOptions
 from repro.scan.proc import ScanWorkers
 from repro.scan.proc import run_scan_task as proc_run_scan_task
+from tests.unit.test_scan_equivalence import reference_sampling_job
 
 
 @pytest.fixture(scope="module")
@@ -70,21 +70,28 @@ def fingerprint(result):
 
 
 class TestParity:
-    @pytest.mark.parametrize("mode", SCAN_MODES)
     @pytest.mark.parametrize("policy", [None, "LA", "C"])
-    def test_process_matches_serial_exactly(self, mmap_splits, mode, policy):
+    def test_process_matches_serial_exactly(self, mmap_splits, policy):
         predicate, _dataset, splits = mmap_splits
         conf = make_sampling_conf(
             name="q", input_path="/t", predicate=predicate, sample_size=40,
             policy_name=policy,
         )
-        options = ScanOptions(mode=mode)
-        serial = LocalRunner(seed=7, scan_options=options).run(conf, splits)
+        serial = LocalRunner(seed=7, map_executor="thread").run(conf, splits)
+        trace = TraceRecorder()
         with LocalRunner(
-            seed=7, scan_options=options, map_executor="process", map_workers=2
+            seed=7, map_executor="process", map_workers=2, trace=trace
         ) as runner:
             parallel = runner.run(conf, splits)
         assert fingerprint(parallel) == fingerprint(serial)
+        # Both match the reference map tasks over the splits grabbed.
+        order = [e["split_id"] for e in trace.raw_events if e["type"] == "scan_span"]
+        assert len(order) == parallel.splits_processed
+        assert (
+            parallel.output_data,
+            parallel.records_processed,
+            parallel.map_outputs_produced,
+        ) == reference_sampling_job(splits, order, predicate, 40)
 
     def test_scan_job_matches_serial_exactly(self, mmap_splits):
         predicate, dataset, splits = mmap_splits

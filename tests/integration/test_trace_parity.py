@@ -1,8 +1,8 @@
 """Tracing is pure read-side: attaching a recorder changes no output bytes.
 
 These tests pin the acceptance criteria of the observability layer:
-results are byte-identical with tracing on and off (both substrates, all
-three scan modes, and through the sweep engine), every Input Provider
+results are byte-identical with tracing on and off (both substrates and
+through the sweep engine), every Input Provider
 invocation produces exactly one provider_evaluation event, and the
 checked-in golden trace stays schema-valid.
 """
@@ -133,14 +133,12 @@ class TestSimulatedSubstrate:
 
 
 class TestLocalRunnerSubstrate:
-    @pytest.mark.parametrize("mode", ["interpreted", "compiled", "batch"])
-    def test_results_identical_per_scan_mode(self, materialized, mode, tmp_path):
+    def test_results_identical_with_and_without_trace(self, materialized, tmp_path):
         pred, splits = materialized
         conf = make_sampling_conf(
             name="q", input_path="/t", predicate=pred, sample_size=25,
             policy_name="LA",
         )
-        conf.set("scan.mode", mode)
         bare = LocalRunner(seed=0).run(conf, splits)
         with TraceRecorder(tmp_path / "run.jsonl") as trace:
             traced = LocalRunner(seed=0, trace=trace).run(conf, splits)

@@ -4,10 +4,10 @@ The approx mapper once emitted one ``(group, value)`` pair per matching
 row, and the accuracy demand folded those back into per-group
 ``(count, sum)`` totals. It now folds on the map side. For any rows —
 NULL values, NULL, empty and non-ASCII group keys, ``-0.0`` and floats
-of mixed magnitude — every scan mode over an in-memory and an mmap
-partition must return exactly (by ``==``, and bit for bit) those pairs
-folded in row order from ``(0, 0.0)``, for COUNT, SUM and AVG, with and
-without GROUP BY.
+of mixed magnitude — its map task over an in-memory and an mmap
+partition, in batches of any size, must return exactly (by ``==``, and
+bit for bit) the reference fold: those pairs folded in row order from
+``(0, 0.0)``, for COUNT, SUM and AVG, with and without GROUP BY.
 """
 
 import itertools
@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 from repro.approx.job import make_approx_conf
 from repro.data.predicates import ColumnCompare
 from repro.scan.columnar import ColumnStore
-from repro.scan.engine import SCAN_MODES, ScanOptions, run_map_task
+from repro.scan.engine import run_map_task
 from repro.scan.mmapstore import MmapDataset, MmapDatasetWriter
+from tests.unit.test_scan_equivalence import StoreSplit, reference_fold
 
 _TMPDIR = Path(tempfile.mkdtemp(prefix="repro_approx_fold_"))
 _file_seq = itertools.count()
@@ -52,44 +53,9 @@ rows_strategy = st.lists(
 )
 
 
-def reference(rows, predicate, aggregate, group_by):
-    """The per-row mapper's ``(group, value)`` pairs, folded in row order.
-
-    One pair per match: the aggregated value, or ``0.0`` for COUNT(*);
-    a NULL value under SUM/AVG emitted nothing.
-    """
-    column = aggregate.partition(":")[2] or None
-    pairs = []
-    for row in rows:
-        if not predicate.matches(row):
-            continue
-        value = row[column] if column is not None else 0.0
-        if value is None:
-            continue
-        pairs.append((row[group_by] if group_by else None, float(value)))
-    stats = {}
-    for group, value in pairs:
-        count, total = stats.get(group, (0, 0.0))
-        stats[group] = (count + 1, total + float(value))
-    return list(stats.items())
-
-
 def bits(outputs):
     """Outputs with each sum as its exact bit pattern (tells -0.0 from 0.0)."""
     return [(group, (count, total.hex())) for group, (count, total) in outputs]
-
-
-class _Split:
-    split_id = "s0"
-
-    def __init__(self, store):
-        self.store = store
-
-    def iter_rows(self):
-        return self.store.iter_rows()
-
-    def iter_batches(self, size):
-        return self.store.iter_batches(size)
 
 
 @settings(max_examples=60, deadline=None)
@@ -117,16 +83,16 @@ def test_folded_totals_equal_the_per_row_pairs(rows, cutoff, batch_size):
         "mmap": MmapDataset(path).partition_store(0),
     }
     for aggregate, group_by in itertools.product(AGGREGATES, GROUP_BYS):
-        expected = reference(rows, predicate, aggregate, group_by)
+        expected, scanned = reference_fold(
+            StoreSplit(stores["columns"]), predicate, aggregate, group_by
+        )
+        assert scanned == len(rows)
         conf = make_approx_conf(
             name="fold", input_path="/t", predicate=predicate,
             aggregate=aggregate, error_pct=5.0, group_by=group_by,
         )
         for layout, store in stores.items():
-            for mode in SCAN_MODES:
-                context = run_map_task(
-                    conf, _Split(store), ScanOptions(mode=mode, batch_size=batch_size)
-                )
-                assert context.outputs == expected, (layout, mode, aggregate, group_by)
-                assert bits(context.outputs) == bits(expected)
-                assert context.records_read == len(rows)
+            context = run_map_task(conf, StoreSplit(store, batch_size))
+            assert context.outputs == expected, (layout, aggregate, group_by)
+            assert bits(context.outputs) == bits(expected)
+            assert context.records_read == len(rows)

@@ -1,7 +1,8 @@
 """Property tests for the RCS1 mmap layout (satellite: any schema and
 row set — NULLs, empty strings, unicode included — must encode, map, and
-decode back byte-identically, and the three scan modes must agree on
-mmap-backed datasets exactly as they do on the in-memory layouts).
+decode back byte-identically, and the batch scan over mmap-backed
+datasets must agree with the reference map task, as it does on the
+in-memory layouts).
 """
 
 import itertools
@@ -119,14 +120,14 @@ class TestRoundTrip:
         many.unlink()
 
 
-class TestScanModeParityOnMmap:
+class TestReferenceParityOnMmap:
     @given(
         partitions=st.integers(min_value=1, max_value=6),
         selectivity=st.sampled_from([0.0, 0.005, 0.05]),
         seed=st.integers(min_value=0, max_value=50),
     )
     @settings(max_examples=15, deadline=None)
-    def test_three_modes_agree_on_mmap_layout(
+    def test_batch_scan_matches_the_reference_on_mmap_layout(
         self, partitions, selectivity, seed
     ):
         from repro.cluster import paper_topology
@@ -137,7 +138,8 @@ class TestScanModeParityOnMmap:
         )
         from repro.data.predicates import predicate_for_skew
         from repro.dfs import DistributedFileSystem
-        from repro.scan.engine import SCAN_MODES, ScanOptions, run_map_task
+        from repro.scan.engine import run_map_task
+        from tests.unit.test_scan_equivalence import reference_scan
 
         predicate = predicate_for_skew(0)
         rows = partitions * 250
@@ -156,21 +158,13 @@ class TestScanModeParityOnMmap:
         dfs = DistributedFileSystem(paper_topology().storage_locations())
         dfs.write_dataset("/t", dataset)
         splits = dfs.open_splits("/t")
+        columns = ("l_orderkey", "l_quantity")
         conf = make_scan_conf(
-            name="q", input_path="/t", predicate=predicate,
-            columns=("l_orderkey", "l_quantity"),
+            name="q", input_path="/t", predicate=predicate, columns=columns,
         )
-        outcomes = []
-        for mode in SCAN_MODES:
-            contexts = [
-                run_map_task(conf, split, ScanOptions(mode=mode))
-                for split in splits
-            ]
-            outcomes.append(
-                (
-                    [c.records_read for c in contexts],
-                    [c.outputs for c in contexts],
-                )
+        for split in splits:
+            context = run_map_task(conf, split)
+            assert (context.outputs, context.records_read) == reference_scan(
+                split, predicate, columns
             )
-        assert outcomes[0] == outcomes[1] == outcomes[2]
         path.unlink()

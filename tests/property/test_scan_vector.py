@@ -46,6 +46,7 @@ from repro.scan.codegen import (
 from repro.scan.columnar import ColumnStore
 from repro.scan.mmapstore import MmapDataset, MmapDatasetWriter, NullableColumn
 from repro.scan.proc import ScanTask, ScanTaskSpec
+from tests.unit.test_scan_equivalence import interpreted
 from tests.unit.test_scan_equivalence import predicates as small_core_trees
 
 OPS = ("=", "!=", "<", "<=", ">", ">=")
@@ -232,17 +233,6 @@ def fresh_matcher(predicate):
     matcher may hold another kernel)."""
     source, namespace = batch_matcher_source(predicate)
     return compile_batch_matcher_from_source(source, namespace)
-
-
-def interpreted(predicate, rows, start, stop, limit):
-    """One call of the interpreted loop: hits, and rows scanned."""
-    hits = []
-    for index in range(start, stop):
-        if predicate.matches(rows[index]):
-            hits.append(index)
-            if len(hits) == limit:
-                return hits, index - start + 1
-    return hits, stop - start
 
 
 def call(matcher, store, start, stop, limit):

@@ -108,7 +108,7 @@ class TestEventFolding:
         clock.advance(0.25)
         recorder.scan_span(
             0.0, job_id="local_1", task_id="local_1_m_000001",
-            split_id="/d:0", mode="batch", batch_size=4096,
+            split_id="/d:0", mode="batch",
             rows=1000, outputs=10, elapsed_s=0.2,
         )
         recorder.record(0.0, "job_succeeded", "local_1")
@@ -135,7 +135,7 @@ class TestEventFolding:
         recorder.record(1.0, "map_started", "j1", task_id="t1")
         recorder.scan_span(
             2.0, job_id="j1", task_id="t1", split_id="/d:0", mode="batch",
-            batch_size=4096, rows=700, outputs=7, elapsed_s=0.1,
+            rows=700, outputs=7, elapsed_s=0.1,
         )
         recorder.record(2.0, "map_finished", "j1", task_id="t1", records=700, outputs=7)
         job = hub.snapshot()["jobs"]["j1"]
@@ -266,7 +266,7 @@ class TestWorkerTelemetry:
         clock.advance(0.1)
         recorder.scan_span(
             0.0, job_id="j1", task_id="j1_m_000001", split_id="s0",
-            mode="batch", batch_size=4096, rows=1000, outputs=2, elapsed_s=0.15,
+            mode="batch", rows=1000, outputs=2, elapsed_s=0.15,
         )
         job = hub.snapshot()["jobs"]["j1"]
         assert job["worker"]["live_rows"] == 0

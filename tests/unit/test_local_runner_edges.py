@@ -14,7 +14,7 @@ from repro.core.input_provider import (
 )
 from repro.data import build_materialized_dataset, dataset_spec_for_scale, predicate_for_skew
 from repro.dfs import DistributedFileSystem
-from repro.errors import JobConfError, JobError
+from repro.errors import JobError
 
 
 def build_splits(num_partitions=8):
@@ -75,10 +75,6 @@ class TestDynamicDriverEdges:
         result = runner.run(conf, splits)
         assert result.outputs_produced == 10
         assert result.splits_processed == 8
-
-    def test_virtual_slot_pool_validated(self):
-        with pytest.raises(JobConfError):
-            LocalRunner(virtual_map_slots=0)
 
     def test_result_metadata(self):
         pred, splits = build_splits()

@@ -241,12 +241,23 @@ class TestTypedEvents:
     def test_scan_span_derives_throughput(self):
         recorder = TraceRecorder()
         recorder.scan_span(
-            1.0, task_id="t", split_id="s", mode="batch", batch_size=4096,
+            1.0, task_id="t", split_id="s", mode="batch",
             rows=1000, outputs=10, elapsed_s=0.5,
         )
         event = recorder.raw_events[0]
         validate_trace_event(event)
         assert event["rows_per_sec"] == pytest.approx(2000.0)
+
+    def test_scan_span_of_an_older_trace_still_validates(self):
+        # Traces written before the scan engine had one path carry the
+        # batch size and an ``interpreted`` or ``compiled`` mode.
+        recorder = TraceRecorder()
+        recorder.scan_span(
+            1.0, task_id="t", split_id="s", mode="row",
+            rows=1000, outputs=10, elapsed_s=0.5,
+        )
+        event = dict(recorder.raw_events[0], mode="interpreted", batch_size=4096)
+        validate_trace_event(event)
 
     def test_sweep_events(self):
         recorder = TraceRecorder()

@@ -11,42 +11,47 @@ from repro.core.sampling_job import (
     make_scan_conf,
 )
 from repro.data.predicates import ColumnCompare, MarkerEquals
-from repro.engine.mapreduce import MapContext, ReduceContext
+from repro.engine.jobconf import JobConf
+from repro.engine.mapreduce import ReduceContext
 from repro.errors import JobConfError
+from repro.scan.columnar import ColumnStore
+from repro.scan.engine import run_map_task
+from tests.unit.test_scan_equivalence import StoreSplit
 
 
 PRED = ColumnCompare("x", ">", 10)
 
 
-def rows(values):
-    return [(i, {"x": v, "y": i}) for i, v in enumerate(values)]
+def run_mapper(mapper, values):
+    """One map task of ``mapper`` over rows ``{"x": v, "y": i}``."""
+    split = StoreSplit(
+        ColumnStore.from_rows([{"x": v, "y": i} for i, v in enumerate(values)])
+    )
+    conf = JobConf(name="t", input_path="/t", mapper_factory=lambda: mapper)
+    return run_map_task(conf, split)
 
 
 class TestSamplingMapper:
     def test_emits_only_matches_under_dummy_key(self):
-        context = MapContext()
-        SamplingMapper(PRED, k=10).run(rows([5, 15, 20, 3]), context)
+        context = run_mapper(SamplingMapper(PRED, k=10), [5, 15, 20, 3])
         assert [key for key, _ in context.outputs] == [DUMMY_KEY, DUMMY_KEY]
         assert [v["x"] for _, v in context.outputs] == [15, 20]
 
     def test_caps_output_at_k(self):
-        context = MapContext()
-        SamplingMapper(PRED, k=3).run(rows([20] * 10), context)
+        context = run_mapper(SamplingMapper(PRED, k=3), [20] * 10)
         assert context.outputs_produced == 3
         # LIMIT short-circuit: the task stops scanning once its own k is
         # reached, so records_read reflects only rows actually scanned.
         assert context.records_read == 3
 
     def test_short_circuit_scans_up_to_kth_match(self):
-        context = MapContext()
         # Matches at positions 1, 3, 5; k=2 stops right after position 3.
-        SamplingMapper(PRED, k=2).run(rows([5, 20, 5, 20, 5, 20]), context)
+        context = run_mapper(SamplingMapper(PRED, k=2), [5, 20, 5, 20, 5, 20])
         assert context.outputs_produced == 2
         assert context.records_read == 4
 
     def test_projection(self):
-        context = MapContext()
-        SamplingMapper(PRED, k=5, columns=("y",)).run(rows([20]), context)
+        context = run_mapper(SamplingMapper(PRED, k=5, columns=("y",)), [20])
         assert context.outputs == [(DUMMY_KEY, {"y": 0})]
 
     def test_invalid_k_rejected(self):
@@ -56,9 +61,8 @@ class TestSamplingMapper:
     def test_state_is_per_instance(self):
         """Each map task caps independently (paper: each task assumes it
         may be the only one finding matches)."""
-        a, b = MapContext(), MapContext()
-        SamplingMapper(PRED, k=2).run(rows([20] * 5), a)
-        SamplingMapper(PRED, k=2).run(rows([20] * 5), b)
+        a = run_mapper(SamplingMapper(PRED, k=2), [20] * 5)
+        b = run_mapper(SamplingMapper(PRED, k=2), [20] * 5)
         assert a.outputs_produced == b.outputs_produced == 2
 
 
@@ -80,44 +84,8 @@ class TestSamplingReducer:
 
 class TestScanMapper:
     def test_no_cap(self):
-        context = MapContext()
-        ScanMapper(PRED).run(rows([20] * 7), context)
+        context = run_mapper(ScanMapper(PRED), [20] * 7)
         assert context.outputs_produced == 7
-
-
-class TestPrepareScan:
-    """A batch scan calls only the batch matcher, so ``prepare_scan``
-    compiles the row matcher in ``compiled`` mode alone."""
-
-    @staticmethod
-    def mappers():
-        from repro.approx.estimators import AggregateSpec
-        from repro.approx.job import ApproxAggregationMapper
-
-        return (
-            SamplingMapper(PRED, 5),
-            ScanMapper(PRED),
-            ApproxAggregationMapper(PRED, AggregateSpec("sum", "x")),
-        )
-
-    @pytest.mark.parametrize("mode,compiles", [("batch", 0), ("compiled", 3)])
-    def test_row_matcher_compiles_only_in_compiled_mode(
-        self, monkeypatch, mode, compiles
-    ):
-        import repro.approx.job as approx_job
-        import repro.core.sampling_job as sampling_job
-
-        compiled = []
-
-        def spy(predicate):
-            compiled.append(predicate)
-            return predicate.matches
-
-        monkeypatch.setattr(sampling_job, "compile_row_matcher", spy)
-        monkeypatch.setattr(approx_job, "compile_row_matcher", spy)
-        for mapper in self.mappers():
-            mapper.prepare_scan(mode)
-        assert len(compiled) == compiles
 
 
 class TestMakeSamplingConf:

@@ -1,5 +1,6 @@
-"""Unit tests for the scan engine: columnar storage, batch execution,
-and LIMIT short-circuit accounting."""
+"""Unit tests for the scan engine: columnar storage, the loop each
+mapper runs, and LIMIT short-circuit accounting, held to the reference
+map tasks of ``test_scan_equivalence``."""
 
 import pytest
 
@@ -7,38 +8,24 @@ from repro.core.sampling_job import SamplingMapper, ScanMapper
 from repro.data.predicates import ColumnCompare
 from repro.engine.jobconf import JobConf
 from repro.engine.mapreduce import IdentityMapper, MapContext
-from repro.errors import DataGenerationError, JobConfError
+from repro.errors import DataGenerationError
 from repro.scan.columnar import ColumnBatch, ColumnStore
-from repro.scan.engine import (
-    SCAN_BATCH_SIZE_PARAM,
-    SCAN_MODE_PARAM,
-    SCAN_MODES,
-    ScanOptions,
-    run_map_task,
+from repro.scan.engine import run_map_task
+from tests.unit.test_scan_equivalence import (
+    StoreSplit,
+    reference_sample,
+    reference_scan,
 )
 
 ROWS = [{"x": i, "y": i * 10} for i in range(10)]
 
 
-class FakeSplit:
-    """A materialized split backed by a plain row list."""
-
-    def __init__(self, rows):
-        self._store = ColumnStore.from_rows(rows)
-        self._rows = rows
-
-    def iter_rows(self):
-        return iter(self._rows)
-
-    def iter_batches(self, size):
-        return self._store.iter_batches(size)
+def split_of(rows, batch_size=4096):
+    return StoreSplit(ColumnStore.from_rows(rows), batch_size)
 
 
-def make_conf(mapper_factory, **params):
-    conf = JobConf(name="t", input_path="/t", mapper_factory=mapper_factory)
-    for key, value in params.items():
-        conf.set(key, value)
-    return conf
+def make_conf(mapper_factory):
+    return JobConf(name="t", input_path="/t", mapper_factory=mapper_factory)
 
 
 class TestColumnStore:
@@ -77,81 +64,59 @@ class TestColumnStore:
         assert list(store.iter_batches(4)) == []
 
 
-class TestScanOptions:
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(JobConfError):
-            ScanOptions(mode="vectorized")
-
-    def test_rejects_bad_batch_size(self):
-        with pytest.raises(JobConfError):
-            ScanOptions(batch_size=0)
-
-    def test_conf_overrides(self):
-        conf = make_conf(
-            IdentityMapper, **{SCAN_MODE_PARAM: "compiled", SCAN_BATCH_SIZE_PARAM: "7"}
-        )
-        options = ScanOptions().with_conf(conf)
-        assert options.mode == "compiled"
-        assert options.batch_size == 7
-
-    def test_conf_without_params_is_identity(self):
-        options = ScanOptions(mode="interpreted", batch_size=3)
-        assert options.with_conf(make_conf(IdentityMapper)) is options
-
-
 class TestRunMapTask:
-    @pytest.mark.parametrize("mode", SCAN_MODES)
-    def test_generic_mapper_identical_across_modes(self, mode):
-        conf = make_conf(IdentityMapper)
-        context = run_map_task(conf, FakeSplit(ROWS), ScanOptions(mode=mode))
+    def test_generic_mapper_runs_the_row_loop(self):
+        spans = []
+        context = run_map_task(
+            make_conf(IdentityMapper), split_of(ROWS), span_sink=spans.append
+        )
         assert context.records_read == len(ROWS)
         assert context.outputs == list(enumerate(ROWS))
+        assert [span.mode for span in spans] == ["row"]
 
-    @pytest.mark.parametrize("mode", SCAN_MODES)
-    def test_scan_mapper_identical_across_modes(self, mode):
+    @pytest.mark.parametrize("batch_size", [1, 3, 4096])
+    def test_scan_mapper_matches_the_reference(self, batch_size):
         predicate = ColumnCompare("x", ">=", 5)
-        conf = make_conf(lambda: ScanMapper(predicate))
+        split = split_of(ROWS, batch_size)
+        spans = []
         context = run_map_task(
-            conf, FakeSplit(ROWS), ScanOptions(mode=mode, batch_size=3)
+            make_conf(lambda: ScanMapper(predicate)), split, span_sink=spans.append
         )
-        assert context.records_read == len(ROWS)
+        assert (context.outputs, context.records_read) == reference_scan(
+            split, predicate
+        )
         assert context.outputs == [(i, ROWS[i]) for i in range(5, 10)]
+        assert [span.mode for span in spans] == ["batch"]
 
 
 class TestLimitShortCircuit:
-    """records_read must reflect only rows actually scanned, identically
-    in all three modes."""
+    """records_read must reflect only rows actually scanned, whatever
+    the batch size."""
 
-    @pytest.mark.parametrize("mode", SCAN_MODES)
     @pytest.mark.parametrize("batch_size", [1, 3, 4096])
-    def test_stops_at_kth_match(self, mode, batch_size):
+    def test_stops_at_kth_match(self, batch_size):
         # Matches at indices 2, 5, 8; k=2 -> scanning stops at index 5.
         rows = [{"x": 1 if i in (2, 5, 8) else 0} for i in range(10)]
         predicate = ColumnCompare("x", "=", 1)
         conf = make_conf(lambda: SamplingMapper(predicate, k=2))
-        context = run_map_task(
-            conf, FakeSplit(rows), ScanOptions(mode=mode, batch_size=batch_size)
-        )
+        context = run_map_task(conf, split_of(rows, batch_size))
         assert context.outputs_produced == 2
         assert context.records_read == 6
 
-    @pytest.mark.parametrize("mode", SCAN_MODES)
-    def test_scans_everything_when_under_k(self, mode):
+    def test_scans_everything_when_under_k(self):
         rows = [{"x": 1 if i == 4 else 0} for i in range(10)]
         predicate = ColumnCompare("x", "=", 1)
         conf = make_conf(lambda: SamplingMapper(predicate, k=5))
-        context = run_map_task(conf, FakeSplit(rows), ScanOptions(mode=mode))
+        context = run_map_task(conf, split_of(rows))
         assert context.outputs_produced == 1
         assert context.records_read == 10
 
-    def test_all_modes_agree_exactly(self):
+    def test_agrees_with_the_reference(self):
         rows = [{"x": i % 3} for i in range(50)]
         predicate = ColumnCompare("x", "=", 2)
-        results = []
-        for mode in SCAN_MODES:
-            conf = make_conf(lambda: SamplingMapper(predicate, k=7))
-            context = run_map_task(
-                conf, FakeSplit(rows), ScanOptions(mode=mode, batch_size=8)
-            )
-            results.append((context.records_read, context.outputs))
-        assert results[0] == results[1] == results[2]
+        split = split_of(rows, batch_size=8)
+        conf = make_conf(lambda: SamplingMapper(predicate, k=7))
+        context = run_map_task(conf, split)
+        assert (context.outputs, context.records_read) == reference_sample(
+            split, predicate, 7
+        )

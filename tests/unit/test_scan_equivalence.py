@@ -1,17 +1,18 @@
-"""Property tests: the three scan paths agree row-for-row.
+"""Property tests: the batch scan agrees with the interpreted loop.
 
 Random predicate trees over random row batches (NULLs included) must
-produce identical decisions through:
-
-* the interpreted path (``Predicate.matches``),
-* the compiled row matcher (:func:`compile_row_matcher`),
-* the compiled batch scan (:func:`compile_batch_matcher`).
+produce the same decisions through the compiled batch scan
+(:func:`compile_batch_matcher`) as through ``Predicate.matches``, which
+map tasks never call and which is kept as the reference.
 
 The same holds for predicates compiled from Hive WHERE expressions,
 whose codegen goes through :func:`repro.hive.expressions.emit_condition`
 instead of the core-predicate emitter, and for their batch scan over the
 same rows written to an mmap partition, cold and with its string column
 decoded.
+
+This module also holds the reference map tasks other suites compare
+``run_map_task`` with: the interpreted loop over ``split.iter_rows()``.
 """
 
 import itertools
@@ -21,6 +22,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from repro.core.sampling_job import DUMMY_KEY
 from repro.data.predicates import (
     And,
     ColumnCompare,
@@ -32,7 +34,7 @@ from repro.data.predicates import (
 from repro.data.tpch import LINEITEM_SCHEMA
 from repro.hive.expressions import compile_predicate
 from repro.hive.parser import parse_statement
-from repro.scan.codegen import compile_batch_matcher, compile_row_matcher
+from repro.scan.codegen import compile_batch_matcher
 from repro.scan.columnar import ColumnStore
 from repro.scan.mmapstore import MmapDataset, MmapDatasetWriter
 
@@ -69,6 +71,95 @@ predicates = st.recursive(
 )
 
 
+# ---------------------------------------------------------------------------
+# The reference: the interpreted loop, and map tasks built on it
+# ---------------------------------------------------------------------------
+def interpreted(predicate, rows, start, stop, limit):
+    """One call of the interpreted loop: hits, and rows scanned."""
+    hits = []
+    for index in range(start, stop):
+        if predicate.matches(rows[index]):
+            hits.append(index)
+            if len(hits) == limit:
+                return hits, index - start + 1
+    return hits, stop - start
+
+
+def _project(row, columns):
+    return row if columns is None else {name: row[name] for name in columns}
+
+
+def reference_sample(split, predicate, k, columns=None):
+    """A sampling map task's ``(outputs, records_read)``: the split's
+    first ``k`` matches, projected, under the dummy key, and the rows
+    scanned up to the k-th match."""
+    rows = list(split.iter_rows())
+    hits, scanned = interpreted(predicate, rows, 0, len(rows), k)
+    return [(DUMMY_KEY, _project(rows[i], columns)) for i in hits], scanned
+
+
+def reference_scan(split, predicate, columns=None):
+    """A scan map task's ``(outputs, records_read)``: every match,
+    projected and keyed by its row index, and every row scanned."""
+    rows = list(split.iter_rows())
+    hits, scanned = interpreted(predicate, rows, 0, len(rows), None)
+    return [(i, _project(rows[i], columns)) for i in hits], scanned
+
+
+def reference_fold(split, predicate, aggregate, group_by=None):
+    """An approx map task's ``(outputs, records_read)``: per group, in
+    first-seen order, ``(count, sum)`` of the matches folded in row
+    order from ``(0, 0.0)``. COUNT adds ``0.0`` per match; SUM and AVG
+    skip a NULL value, and a group with no counted match is absent."""
+    column = aggregate.partition(":")[2] or None
+    rows = list(split.iter_rows())
+    hits, scanned = interpreted(predicate, rows, 0, len(rows), None)
+    totals = {}
+    for i in hits:
+        value = rows[i][column] if column is not None else 0.0
+        if value is None:
+            continue
+        group = rows[i][group_by] if group_by is not None else None
+        count, total = totals.get(group, (0, 0.0))
+        totals[group] = (count + 1, total + float(value))
+    return list(totals.items()), scanned
+
+
+def reference_sampling_job(splits, split_ids, predicate, k, columns=None):
+    """A sampling job's ``(output_data, records_processed,
+    map_outputs_produced)`` over the splits ``split_ids`` names, in that
+    order (a run's grab order, as its scan spans list it): the reference
+    map tasks' outputs in that order, of which Algorithm 2 keeps the
+    first ``k``."""
+    by_id = {split.split_id: split for split in splits}
+    outputs, records = [], 0
+    for split_id in split_ids:
+        split_outputs, scanned = reference_sample(by_id[split_id], predicate, k, columns)
+        outputs += split_outputs
+        records += scanned
+    return outputs[:k], records, len(outputs)
+
+
+class StoreSplit:
+    """A materialized split over a column store, scanned in batches of
+    ``batch_size`` rows."""
+
+    split_id = "s0"
+
+    def __init__(self, store, batch_size=4096):
+        self.store = store
+        self.batch_size = batch_size
+
+    def iter_rows(self):
+        return self.store.iter_rows()
+
+    def iter_batches(self):
+        return self.store.iter_batches(self.batch_size)
+
+
+# ---------------------------------------------------------------------------
+# The batch scan against the interpreted loop
+# ---------------------------------------------------------------------------
 def batch_decisions(predicate, rows):
     """Row indices accepted by the compiled batch scan."""
     store = ColumnStore.from_rows(rows)
@@ -82,11 +173,7 @@ def batch_decisions(predicate, rows):
 @settings(max_examples=200, deadline=None)
 @given(predicate=predicates, rows=rows_strategy)
 def test_core_predicates_agree_across_paths(predicate, rows):
-    interpreted = [predicate.matches(row) for row in rows]
-    row_matcher = compile_row_matcher(predicate)
-    compiled = [bool(row_matcher(row)) for row in rows]
-    assert compiled == interpreted
-    expected_hits = [i for i, hit in enumerate(interpreted) if hit]
+    expected_hits, _scanned = interpreted(predicate, rows, 0, len(rows), None)
     assert batch_decisions(predicate, rows) == expected_hits
 
 
@@ -167,10 +254,7 @@ def mmap_partition(tmp_path_factory):
 def test_hive_predicates_agree_across_paths(condition, rows, mmap_partition):
     statement = parse_statement(f"SELECT * FROM lineitem WHERE {condition}")
     predicate = compile_predicate(statement.where, LINEITEM_SCHEMA)
-    interpreted = [predicate.matches(row) for row in rows]
-    row_matcher = compile_row_matcher(predicate)
-    assert [bool(row_matcher(row)) for row in rows] == interpreted
-    expected_hits = [i for i, hit in enumerate(interpreted) if hit]
+    expected_hits, _scanned = interpreted(predicate, rows, 0, len(rows), None)
     assert batch_decisions(predicate, rows) == expected_hits
     # The same rows from an mmap partition: the first (cold) scan reads
     # l_shipmode value by value, the second (warm) one from its decoded

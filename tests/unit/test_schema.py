@@ -3,7 +3,7 @@
 import pytest
 
 from repro.data import Field, Schema
-from repro.data.record import project, serialize
+from repro.data.record import serialize
 from repro.errors import DataGenerationError
 
 
@@ -82,10 +82,6 @@ class TestValidateRow:
 
 
 class TestRowHelpers:
-    def test_project_keeps_order(self):
-        row = {"a": 1, "b": 2, "c": 3}
-        assert list(project(row, ("c", "a")).items()) == [("c", 3), ("a", 1)]
-
     def test_serialize_formats_floats(self):
         assert serialize({"x": 1.5}, ("x",)) == "1.50"
 
