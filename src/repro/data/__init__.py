@@ -27,11 +27,8 @@ from repro.data.datasets import (
     TABLE2_SCALES,
 )
 from repro.data.predicates import (
-    And,
     ColumnCompare,
     MarkerEquals,
-    Not,
-    Or,
     Predicate,
     TruePredicate,
     predicate_for_skew,
@@ -44,7 +41,6 @@ from repro.data.tpch import LINEITEM_SCHEMA, LineItemGenerator, ROWS_PER_SCALE_F
 from repro.data.zipf import ZipfDistribution
 
 __all__ = [
-    "And",
     "ColumnCompare",
     "DatasetSpec",
     "Field",
@@ -52,8 +48,6 @@ __all__ = [
     "LineItemGenerator",
     "MarkerEquals",
     "MatchPlacement",
-    "Not",
-    "Or",
     "PAPER_SELECTIVITY",
     "PartitionData",
     "PartitionedDataset",

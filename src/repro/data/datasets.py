@@ -101,16 +101,17 @@ def dataset_spec_for_scale(
 class PartitionData:
     """One input partition: metadata always, data only when materialized.
 
-    Materialized partitions store their data in one of three layouts:
-    row-major (``rows``, the original list of dicts), column-major
-    (``columns``, a :class:`~repro.scan.columnar.ColumnStore`), or
-    on-disk binary columnar (``mmap_ref``, a file-range reference into
-    an :mod:`repro.scan.mmapstore` dataset file opened read-only via
-    ``mmap``). Any layout serves both access patterns — :meth:`iter_rows`
-    synthesizes dicts from a column store, and :meth:`column_store`
-    transposes rows (or maps the file region, zero-copy) on first use —
-    so the scan engine's batch path works on any materialized partition
-    regardless of how it was built.
+    Materialized partitions store their data in one of two layouts:
+    row-major (``rows``, the original list of dicts) or on-disk binary
+    columnar (``mmap_ref``, a file-range reference into an
+    :mod:`repro.scan.mmapstore` dataset file opened read-only via
+    ``mmap``). Either layout serves both access patterns —
+    :meth:`iter_rows` synthesizes dicts from a column store, and
+    :meth:`column_store` (``columns``, a
+    :class:`~repro.scan.columnar.ColumnStore`) transposes rows (or maps
+    the file region, zero-copy) on first use — so the scan engine's
+    batch path works on any materialized partition regardless of how it
+    was built.
     """
 
     index: int
@@ -169,12 +170,6 @@ class PartitionData:
                 )
             self.columns = ColumnStore.from_rows(self.rows)
         return self.columns
-
-    def to_columnar(self) -> "PartitionData":
-        """Switch this partition to column-major storage (drops the row dicts)."""
-        self.column_store()
-        self.rows = None
-        return self
 
 
 @dataclass
@@ -274,7 +269,7 @@ def build_profiled_dataset(
     )
 
 
-DATASET_LAYOUTS = ("row", "columnar", "mmap")
+DATASET_LAYOUTS = ("row", "mmap")
 """The materialized-dataset layouts the builders understand."""
 
 
@@ -297,13 +292,11 @@ def build_materialized_dataset(
     rows — paper-scale experiments must use :func:`build_profiled_dataset`
     instead.
 
-    ``layout="columnar"`` stores each partition column-major (the scan
-    engine's native layout) instead of as row dicts. ``layout="mmap"``
-    streams each partition into the binary columnar file at ``mmap_path``
-    (required) as it is generated and drops the rows immediately, so peak
-    memory stays bounded by one partition no matter the scale — the
-    ``max_rows`` guard does not apply. All layouts yield identical rows
-    in identical order.
+    ``layout="mmap"`` streams each partition into the binary columnar
+    file at ``mmap_path`` (required) as it is generated and drops the
+    rows immediately, so peak memory stays bounded by one partition no
+    matter the scale — the ``max_rows`` guard does not apply. Both
+    layouts yield identical rows in identical order.
 
     ``stats=True`` (mmap layout only) makes the writer accumulate the
     per-partition zone maps and bloom filters for the footer STATS
@@ -383,8 +376,6 @@ def build_materialized_dataset(
             )
         else:
             partition.rows = rows
-            if layout == "columnar":
-                partition.to_columnar()
     if writer is not None:
         writer.close()
     return dataset

@@ -2,8 +2,14 @@
 
 Two concerns meet here:
 
-1. *Evaluation* — the sampling map task needs a fast ``matches(row)``
-   callable; the Hive layer compiles WHERE clauses down to these objects.
+1. *Evaluation* — the program builds three leaf predicates here:
+   :class:`ColumnCompare` (a ``column <op> literal`` WHERE clause),
+   :class:`MarkerEquals` and :class:`TruePredicate` (plain scans). Every
+   compound condition is a HiveQL WHERE tree, which
+   :func:`repro.hive.expressions.compile_predicate` wraps in an
+   ``ExpressionPredicate``. Map tasks run the source the scan engine
+   generates from a predicate (:mod:`repro.scan.codegen`); ``matches(row)``
+   is the reference the tests hold that source to.
 2. *Controlled generation* — the paper's experiments fix overall predicate
    selectivity at exactly 0.05% and control the per-partition placement of
    matching records. :class:`MarkerEquals` supports that: it matches a
@@ -63,18 +69,6 @@ class Predicate:
     def matches(self, row: Mapping) -> bool:
         raise NotImplementedError
 
-    def __call__(self, row: Mapping) -> bool:
-        return self.matches(row)
-
-    def __and__(self, other: "Predicate") -> "And":
-        return And((self, other))
-
-    def __or__(self, other: "Predicate") -> "Or":
-        return Or((self, other))
-
-    def __invert__(self) -> "Not":
-        return Not(self)
-
 
 @dataclass(frozen=True)
 class TruePredicate(Predicate):
@@ -110,69 +104,6 @@ class ColumnCompare(Predicate):
 
     def __str__(self) -> str:
         return f"{self.column} {self.op} {self.value!r}"
-
-
-@dataclass(frozen=True)
-class And(Predicate):
-    children: tuple[Predicate, ...]
-
-    @property
-    def name(self) -> str:
-        return " AND ".join(c.name for c in self.children)
-
-    def matches(self, row: Mapping) -> bool:
-        return all(child.matches(row) for child in self.children)
-
-    def __str__(self) -> str:
-        return "(" + " AND ".join(str(c) for c in self.children) + ")"
-
-
-@dataclass(frozen=True)
-class Or(Predicate):
-    children: tuple[Predicate, ...]
-
-    @property
-    def name(self) -> str:
-        return " OR ".join(c.name for c in self.children)
-
-    def matches(self, row: Mapping) -> bool:
-        return any(child.matches(row) for child in self.children)
-
-    def __str__(self) -> str:
-        return "(" + " OR ".join(str(c) for c in self.children) + ")"
-
-
-@dataclass(frozen=True)
-class Not(Predicate):
-    child: Predicate
-
-    @property
-    def name(self) -> str:
-        return f"NOT {self.child.name}"
-
-    def matches(self, row: Mapping) -> bool:
-        return not self.child.matches(row)
-
-    def __str__(self) -> str:
-        return f"(NOT {self.child})"
-
-
-@dataclass(frozen=True)
-class FunctionPredicate(Predicate):
-    """Wraps an arbitrary callable; used by the Hive expression compiler."""
-
-    fn: Callable[[Mapping], bool]
-    label: str
-
-    @property
-    def name(self) -> str:
-        return self.label
-
-    def matches(self, row: Mapping) -> bool:
-        return bool(self.fn(row))
-
-    def __str__(self) -> str:
-        return self.label
 
 
 @dataclass(frozen=True)

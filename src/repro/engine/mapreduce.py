@@ -54,8 +54,7 @@ class Mapper:
     overrides :meth:`run_batch`, it calls :meth:`run_batches` with the
     split's :class:`~repro.scan.columnar.ColumnBatch` views instead of
     driving :meth:`run` row by row (:func:`repro.scan.engine.run_map_task`).
-    The default :meth:`run_batch` re-synthesizes row dicts, so any mapper
-    stays correct when driven batch by batch.
+    Any other mapper runs :meth:`run`.
     """
 
     def setup(self, context: MapContext) -> None:
@@ -105,13 +104,11 @@ class Mapper:
     def run_batch(self, batch, context: MapContext) -> bool:
         """Process one columnar batch; return True to stop scanning.
 
-        Default: per-row fallback over synthesized dicts, byte-identical
-        to :meth:`run` on the same split.
+        Only mappers that override it are driven batch by batch: the
+        scan engine checks for an override, so the base method is never
+        called.
         """
-        for key, row in batch.iter_indexed_rows():
-            context.records_read += 1
-            self.map(key, row, context)
-        return False
+        raise NotImplementedError
 
 
 class Reducer:

@@ -374,8 +374,8 @@ class LocalRunner:
 
         Preconditions checked here, not assumed: the mapper must expose
         a scan-task spec, every split must reference an mmap dataset
-        file, and every packed task must pickle (opaque predicates may
-        not).
+        file, and every packed task must pickle (an arithmetic WHERE
+        does not: its checked-arithmetic closure is in the namespace).
 
         The batch is dealt round-robin into ``min(map_workers, len(splits))``
         packed tasks (split *i* goes to task *i mod n*), so each worker

@@ -1,24 +1,27 @@
 """Compiling WHERE expressions into predicates.
 
-Two outputs matter:
+Every compound condition the program runs is a WHERE tree compiled
+here. Two outputs matter:
 
-* a fast ``matches(row)`` callable (wrapped as a
-  :class:`~repro.data.predicates.Predicate`), used by the sampling map
-  tasks; and
-* a canonical predicate *name*. A simple ``column = literal`` equality
-  compiles to :class:`~repro.data.predicates.ColumnCompare`, whose name
-  (``l_quantity=51``) coincides with the marker-predicate names the data
-  generator controls — which is what lets profile-mode simulation look up
-  exact match counts for Hive-issued queries.
+* the predicate the scan engine compiles: a simple ``column <op>
+  literal`` compiles to :class:`~repro.data.predicates.ColumnCompare`;
+  anything else to an :class:`ExpressionPredicate`, which carries the
+  AST that :func:`emit_condition` renders into the generated scan loop,
+  and an interpreted closure that the tests keep as its reference; and
+* a canonical predicate *name*. A ``column = literal`` equality's
+  name (``l_quantity=51``) coincides with the marker-predicate names the
+  data generator controls — which is what lets profile-mode simulation
+  look up exact match counts for Hive-issued queries.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
-from repro.data.predicates import ColumnCompare, FunctionPredicate, Predicate
+from repro.data.predicates import _OPERATORS, ColumnCompare, Predicate
 from repro.data.schema import Schema
 from repro.errors import HiveAnalysisError
 from repro.hive.ast import (
@@ -35,26 +38,6 @@ from repro.hive.ast import (
     LogicalNot,
     LogicalOr,
 )
-
-def _null_safe(op: Callable[[object, object], bool]) -> Callable[[object, object], bool]:
-    """Comparisons involving NULL evaluate false (SQL WHERE semantics)."""
-
-    def compare(a: object, b: object) -> bool:
-        if a is None or b is None:
-            return False
-        return op(a, b)
-
-    return compare
-
-
-_COMPARE: dict[str, Callable[[object, object], bool]] = {
-    "=": _null_safe(lambda a, b: a == b),
-    "!=": _null_safe(lambda a, b: a != b),
-    "<": _null_safe(lambda a, b: a < b),
-    "<=": _null_safe(lambda a, b: a <= b),
-    ">": _null_safe(lambda a, b: a > b),
-    ">=": _null_safe(lambda a, b: a >= b),
-}
 
 #: Python source for each comparison operator (used by the codegen path).
 _COMPARE_SOURCE = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
@@ -90,7 +73,9 @@ def resolve_column(name: str, schema: Schema | None) -> str:
 
 
 def like_to_regex(pattern: str) -> re.Pattern:
-    """SQL LIKE pattern (% and _) compiled to an anchored regex."""
+    """SQL LIKE pattern (% and _) compiled to a regex that must match the
+    whole value: ``\\Z``, not ``$``, which also matches before a trailing
+    newline."""
     out = []
     for ch in pattern:
         if ch == "%":
@@ -99,7 +84,7 @@ def like_to_regex(pattern: str) -> re.Pattern:
             out.append(".")
         else:
             out.append(re.escape(ch))
-    return re.compile("^" + "".join(out) + "$", re.DOTALL)
+    return re.compile("^" + "".join(out) + r"\Z", re.DOTALL)
 
 
 def _compile_value(expr: Expression, schema: Schema | None):
@@ -150,7 +135,7 @@ def _compile_bool(expr: Expression, schema: Schema | None):
     if isinstance(expr, Comparison):
         left = _compile_value(expr.left, schema)
         right = _compile_value(expr.right, schema)
-        op = _COMPARE[expr.op]
+        op = _OPERATORS[expr.op]
         return lambda row: op(left(row), right(row))
     if isinstance(expr, Between):
         operand = _compile_value(expr.operand, schema)
@@ -225,7 +210,7 @@ def _emit_value(expr: Expression, em, schema: Schema | None) -> str:
     """Render an expression as Python source for its per-row value.
 
     ``em`` is a :class:`repro.scan.codegen.SourceEmitter` (duck-typed:
-    ``const``/``temp``/``ref``/``row_expr``).
+    ``const``/``temp``/``ref``).
     """
     if isinstance(expr, Literal):
         return em.const(expr.value)
@@ -307,42 +292,35 @@ def emit_condition(expr: Expression, em, schema: Schema | None = None) -> str:
 
 
 @dataclass(frozen=True)
-class ExpressionPredicate(FunctionPredicate):
-    """A WHERE-clause predicate that carries its AST.
+class ExpressionPredicate(Predicate):
+    """A WHERE-clause predicate: its AST, the schema its columns resolve
+    against, and the interpreted closure ``fn`` built from them.
 
-    Behaves exactly like the :class:`FunctionPredicate` it extends: its
-    ``matches`` calls the interpreted closure, which map tasks never run
-    but the property suites keep as the reference for the generated
-    scan. It also implements the scan codegen hook, so
-    :func:`repro.scan.codegen.compile_batch_matcher` inlines the whole
-    expression into the fused scan loop instead of calling ``fn`` on a
-    synthesized row dict.
+    The scan codegen hook :meth:`emit_source` inlines the whole
+    expression into the fused scan loop of
+    :func:`repro.scan.codegen.compile_batch_matcher`. ``matches`` calls
+    ``fn``, which map tasks never run but the property suites keep as
+    the reference for the generated scan. ``fn`` is a fresh closure per
+    compile, so it stays out of equality and the hash: two compiles of
+    one WHERE clause share the scan matcher caches.
     """
 
-    expression: Expression | None = None
-    schema: Schema | None = None
+    expression: Expression
+    schema: Schema | None
+    fn: Callable[[Mapping], bool] = field(compare=False, repr=False)
 
-    def _identity(self) -> tuple:
-        # ``fn`` and ``label`` derive from the AST and schema, and ``fn`` is
-        # a fresh closure per compile, so it stays out of the comparison:
-        # two compiles of one WHERE clause share the scan matcher caches.
-        # Without an AST the matcher inlines ``fn``, so ``fn`` is the identity.
-        if self.expression is None:
-            return self.fn, self.label
-        return self.expression, self.schema
+    @cached_property
+    def name(self) -> str:
+        return str(self.expression)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._identity() == other._identity()
-
-    def __hash__(self) -> int:
-        return hash(self._identity())
+    def matches(self, row: Mapping) -> bool:
+        return bool(self.fn(row))
 
     def emit_source(self, em) -> str:
-        if self.expression is None:  # pragma: no cover - defensive
-            return f"bool({em.const(self.fn)}({em.row_expr}))"
         return emit_condition(self.expression, em, self.schema)
+
+    def __str__(self) -> str:
+        return self.name
 
 
 def compile_predicate(expr: Expression, schema: Schema | None = None) -> Predicate:
@@ -358,12 +336,7 @@ def compile_predicate(expr: Expression, schema: Schema | None = None) -> Predica
     simple = as_simple_comparison(expr, schema)
     if simple is not None:
         return simple
-    return ExpressionPredicate(
-        fn=_compile_bool(expr, schema),
-        label=str(expr),
-        expression=expr,
-        schema=schema,
-    )
+    return ExpressionPredicate(expr, schema, _compile_bool(expr, schema))
 
 
 def as_simple_comparison(

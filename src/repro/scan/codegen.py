@@ -25,11 +25,11 @@ the rows, their order and the returned scanned count are the same.
 
 The generated matcher implements the same NULL semantics as
 ``Predicate.matches``, which the property suites keep as its reference:
-any comparison whose operand is ``None`` evaluates false. Predicates
-outside the core algebra participate through an
-``emit_source(emitter)`` hook (the Hive expression layer implements it)
-or, as a last resort, through a per-row callback on a synthesized row
-dict — still fused into the batch loop, just not column-bound.
+any comparison whose operand is ``None`` evaluates false. The leaf
+predicates of :mod:`repro.data.predicates` render here; a compound
+condition is a Hive WHERE tree, whose ``ExpressionPredicate`` renders
+itself through the ``emit_source(emitter)`` hook. Any other predicate
+type raises :class:`~repro.errors.ScanCompileError`.
 """
 
 from __future__ import annotations
@@ -40,12 +40,8 @@ from typing import Callable, Protocol
 import numpy as np
 
 from repro.data.predicates import (
-    And,
     ColumnCompare,
-    FunctionPredicate,
     MarkerEquals,
-    Not,
-    Or,
     Predicate,
     TruePredicate,
 )
@@ -86,13 +82,11 @@ class SourceEmitter:
     tree renders itself to one Python expression string.
 
     ``ref(name)`` returns the source expression for the named column's
-    current-row value; ``row_expr`` is the source expression for the
-    whole current row (used only by opaque function predicates).
+    current-row value.
     """
 
-    def __init__(self, ref: Callable[[str], str], row_expr: str) -> None:
+    def __init__(self, ref: Callable[[str], str]) -> None:
         self.ref = ref
-        self.row_expr = row_expr
         self.namespace: dict[str, object] = {}
         self._counter = 0
 
@@ -117,23 +111,10 @@ def emit_predicate(pred: Predicate, em: SourceEmitter) -> str:
         return _emit_compare(em, pred.column, pred.op, pred.value)
     if isinstance(pred, MarkerEquals):
         return _emit_compare(em, pred.column, "=", pred.marker)
-    if isinstance(pred, And):
-        if not pred.children:
-            return "True"
-        return "(" + " and ".join(emit_predicate(c, em) for c in pred.children) + ")"
-    if isinstance(pred, Or):
-        if not pred.children:
-            return "False"
-        return "(" + " or ".join(emit_predicate(c, em) for c in pred.children) + ")"
-    if isinstance(pred, Not):
-        return f"(not {emit_predicate(pred.child, em)})"
-    emit = getattr(pred, "emit_source", None)
-    if emit is not None:
-        return emit(em)
-    if isinstance(pred, FunctionPredicate):
-        return f"bool({em.const(pred.fn)}({em.row_expr}))"
-    # Unknown Predicate subclass: fall back to its interpreted matches().
-    return f"bool({em.const(pred.matches)}({em.row_expr}))"
+    emit = getattr(pred, "emit_source", None)  # a Hive ExpressionPredicate
+    if emit is None:
+        raise ScanCompileError(f"cannot compile predicate {pred!r}")
+    return emit(em)
 
 
 def _emit_compare(em: SourceEmitter, column: str, op: str, value: object) -> str:
@@ -184,16 +165,15 @@ def batch_matcher_source(pred: Predicate) -> tuple[str, dict]:
     copy of the namespace, so a caller may ``exec`` into it and the
     cached one stays picklable.
 
-    This is the shippable form of a compiled predicate: for core-algebra
-    predicates the namespace holds only column names and literals (and,
-    when the predicate has kernel leaves, :func:`scan_kernel` by module
-    reference plus a tuple of ``(column, op, literal)`` leaves), so
-    ``(source, namespace)`` pickles cleanly and a map worker **process**
-    can re-``compile()`` the matcher locally instead of receiving code
-    objects (which don't pickle) or row data. Opaque function predicates
-    put callables in the namespace; whether those ship depends on their
-    own picklability — the runtime falls back to in-process execution
-    when they don't.
+    This is the shippable form of a compiled predicate: the namespace
+    holds column names and literals (and, when the predicate has kernel
+    leaves, :func:`scan_kernel` by module reference plus a tuple of
+    ``(column, op, literal)`` leaves), so ``(source, namespace)`` pickles
+    and a map worker **process** can re-``compile()`` the matcher locally
+    instead of receiving code objects (which don't pickle) or row data.
+    A LIKE puts a compiled regex in the namespace, which pickles too; an
+    arithmetic WHERE puts its checked-arithmetic closure there, which
+    does not, and the runtime runs such a job in-process.
 
     Without kernel leaves the source is one loop over ``[start, stop)``
     testing the whole predicate. With them, the function first asks
@@ -224,7 +204,7 @@ def _batch_source(pred: Predicate) -> tuple[str, dict]:
             col_vars[name] = var
         return f"{var}[_i]"
 
-    em = SourceEmitter(ref=ref, row_expr="_rowat(_i)")
+    em = SourceEmitter(ref=ref)
     expr = emit_predicate(pred, em)
     leaves: list[tuple[str, str, object]] = []
     residual: list[Callable[[SourceEmitter], str]] = []
@@ -234,8 +214,6 @@ def _batch_source(pred: Predicate) -> tuple[str, dict]:
         f"    {var} = _cols[{_name_const(em, name)}]"
         for name, var in col_vars.items()
     ]
-    if "_rowat" in expr:
-        lines.append(f"    _rowat = {em.const(_row_synthesizer)}(_cols)")
     lines.append("    _n = 0")
     if leaves:
         em.namespace["_kernel"] = scan_kernel
@@ -284,15 +262,12 @@ def _split_conjuncts(pred: Predicate, leaves: list, residual: list) -> None:
     """Sort ``pred``'s top-level AND conjuncts into kernel ``leaves``
     (``(column, op, literal)`` tuples) and ``residual`` emitters.
 
-    Flattens core :class:`And` and, through an ``ExpressionPredicate``'s
-    WHERE AST, Hive ``LogicalAnd``. A leaf compares one column with a
-    literal whose type is exactly ``int`` or ``float``; everything else
-    is residual, emitted by the same emitters as the full expression.
+    Flattens Hive ``LogicalAnd`` through an ``ExpressionPredicate``'s
+    WHERE AST. A leaf compares one column with a literal whose type is
+    exactly ``int`` or ``float``; everything else is residual, emitted by
+    the same emitters as the full expression.
     """
-    if isinstance(pred, And):
-        for child in pred.children:
-            _split_conjuncts(child, leaves, residual)
-    elif isinstance(pred, ColumnCompare) and _is_kernel_literal(pred.value):
+    if isinstance(pred, ColumnCompare) and _is_kernel_literal(pred.value):
         leaves.append((pred.column, pred.op, pred.value))
     elif isinstance(pred, MarkerEquals) and _is_kernel_literal(pred.marker):
         leaves.append((pred.column, "=", pred.marker))
@@ -432,16 +407,6 @@ def compile_batch_matcher_from_source(source: str, namespace: dict) -> BatchMatc
     fn = namespace["_scan"]
     fn.__scan_source__ = source
     return fn
-
-
-def _row_synthesizer(columns: dict[str, list]):
-    """Row-dict factory for opaque function predicates in batch mode."""
-    names = tuple(columns)
-
-    def rowat(index: int) -> dict:
-        return {name: columns[name][index] for name in names}
-
-    return rowat
 
 
 def _name_const(em: SourceEmitter, name: str) -> str:

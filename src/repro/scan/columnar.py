@@ -126,12 +126,6 @@ class ColumnBatch:
         """The row dict at absolute ``index`` (optionally projected)."""
         return self.store.row_at(index, columns)
 
-    def iter_indexed_rows(self) -> Iterator[tuple[int, Row]]:
-        """``(absolute_index, row_dict)`` pairs — the per-row fallback view."""
-        store = self.store
-        for index in range(self.start, self.stop):
-            yield index, store.row_at(index)
-
     def __len__(self) -> int:
         return self.stop - self.start
 

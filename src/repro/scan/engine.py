@@ -66,9 +66,6 @@ def run_map_task(
         mode = "batch"
         mapper.run_batches(split.iter_batches(), context)
     else:
-        # The default run_batch would only re-synthesize row dicts, so a
-        # mapper without its own keeps the row loop and skips the
-        # transpose to columns.
         mode = "row"
         mapper.run(enumerate(split.iter_rows()), context)
     elapsed = perf_counter() - start if span_sink is not None else 0.0

@@ -1,6 +1,6 @@
 """On-disk binary columnar storage, read back through ``mmap``.
 
-The third dataset layout (after ``row`` and ``columnar``): a dataset is
+The dataset layout beside ``row``: a dataset is
 committed to a fixed little-endian binary file at creation time and
 reopened read-only via ``mmap``, so every process scanning it shares the
 same page-cache pages with **zero per-worker deserialization** — the

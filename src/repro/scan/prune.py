@@ -2,8 +2,8 @@
 
 Answers one question per split without touching row data: *can this
 split possibly contain a matching row?* :func:`zone_test` compiles the
-two predicate shapes the scan engine executes — core
-:mod:`repro.data.predicates` trees and, through
+predicates the scan engine executes — the :mod:`repro.data.predicates`
+leaves and, through
 :class:`~repro.hive.expressions.ExpressionPredicate`, Hive WHERE ASTs —
 once per job into a :class:`ZoneTest` over one split's footer STATS
 mapping (:mod:`repro.scan.mmapstore`). Compiling resolves columns
@@ -35,11 +35,9 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.data.predicates import (
-    And,
+    _OPERATORS,
     ColumnCompare,
     MarkerEquals,
-    Not,
-    Or,
     Predicate,
     TruePredicate,
 )
@@ -132,7 +130,7 @@ def split_stats(split) -> Stats | None:
     """Column stats for a split's partition, or None when unavailable.
 
     Only mmap-backed splits whose dataset file carries a STATS section
-    have stats; everything else (row/columnar layouts, profile-only sim
+    have stats; everything else (the row layout, profile-only sim
     splits, unreadable files) yields None and is never pruned. The
     mapping is the dataset's shared, read-only one.
     """
@@ -165,7 +163,7 @@ def _stats_of(split, datasets: dict) -> Stats | None:
 
 
 # ---------------------------------------------------------------------------
-# Compiling core predicate trees: (verdict, selectivity) per node
+# Compiling a predicate: (verdict, selectivity)
 # ---------------------------------------------------------------------------
 def _compile(predicate: Predicate) -> tuple[VerdictFn, SelectivityFn]:
     if isinstance(predicate, TruePredicate):
@@ -174,43 +172,17 @@ def _compile(predicate: Predicate) -> tuple[VerdictFn, SelectivityFn]:
         return _compile_compare(predicate.column, "=", predicate.marker)
     if isinstance(predicate, ColumnCompare):
         return _compile_compare(predicate.column, predicate.op, predicate.value)
-    if isinstance(predicate, And):
-        verdicts, selectivities = _compile_children(predicate.children)
-
-        def and_selectivity(stats: Stats) -> float:
-            product = 1.0
-            for selectivity in selectivities:
-                product *= selectivity(stats)
-            return product
-
-        return _all_of(verdicts), and_selectivity
-    if isinstance(predicate, Or):
-        verdicts, selectivities = _compile_children(predicate.children)
-
-        def or_selectivity(stats: Stats) -> float:
-            misses = 1.0
-            for selectivity in selectivities:
-                misses *= 1.0 - selectivity(stats)
-            return 1.0 - misses
-
-        return _any_of(verdicts), or_selectivity
-    if isinstance(predicate, Not):
-        verdict, selectivity = _compile(predicate.child)
-        return _negate(verdict), lambda stats: 1.0 - selectivity(stats)
     # ExpressionPredicate (duck-typed to avoid importing the hive layer's
-    # concrete class here): carries the original WHERE AST + schema.
-    # FunctionPredicate and anything else opaque: never prune.
+    # concrete class here): carries the original WHERE AST + schema. Any
+    # other predicate type is never pruned. A WHERE tree is sized from its
+    # verdict alone: sizing it from its leaves' widths would reorder
+    # rank-mode grabs and the selectivity prior, and so the rows read.
     expression = getattr(predicate, "expression", None)
     if expression is None:
         verdict = _constant(_MAYBE)
     else:
         verdict = _compile_expression(expression, getattr(predicate, "schema", None))
     return verdict, _verdict_selectivity(verdict)
-
-
-def _compile_children(children) -> tuple[list[VerdictFn], list[SelectivityFn]]:
-    compiled = [_compile(child) for child in children]
-    return [c[0] for c in compiled], [c[1] for c in compiled]
 
 
 def _constant(verdict: Verdict) -> VerdictFn:
@@ -337,7 +309,7 @@ def _compare_verdict(column: str, op: str, value) -> VerdictFn:
 
 
 def _compile_compare(column: str, op: str, value) -> tuple[VerdictFn, SelectivityFn]:
-    """(verdict, selectivity) of a core ``column <op> literal`` leaf; the
+    """(verdict, selectivity) of a ``column <op> literal`` leaf; the
     selectivity sizes the comparison from the zone map's width."""
     verdict = _compare_verdict(column, op, value)
     equal_selectivity = (
@@ -396,7 +368,7 @@ def _compile_expression(expression, schema) -> VerdictFn:
     # unlucky entry point. By the time an AST is compiled, hive is loaded.
     from repro.errors import HiveAnalysisError
     from repro.hive import ast
-    from repro.hive.expressions import _COMPARE, resolve_column
+    from repro.hive.expressions import resolve_column
 
     def resolve(name: str) -> str | None:
         try:
@@ -419,7 +391,8 @@ def _compile_expression(expression, schema) -> VerdictFn:
                     return _constant(_MAYBE)
                 return _compare_verdict(column, op, right.value)
             if isinstance(left, ast.Literal) and isinstance(right, ast.Literal):
-                return _constant(_literal_compare(_COMPARE[op], left.value, right.value))
+                compare = _OPERATORS[op]
+                return _constant(_literal_compare(compare, left.value, right.value))
             return _constant(_MAYBE)  # column-column / arithmetic comparisons
         if isinstance(expr, ast.LogicalAnd):
             return _all_of([compile_node(expr.left), compile_node(expr.right)])

@@ -198,13 +198,14 @@ class TestScanModeParity:
                 split, pred, 40
             )
 
-    def test_columnar_layout_byte_identical_to_row(self):
+    def test_mmap_layout_byte_identical_to_row(self, tmp_path):
         pred = predicate_for_skew(0)
         spec = dataset_spec_for_scale(0.002, num_partitions=16)
         fingerprints = []
-        for layout in ("row", "columnar"):
+        for layout in ("row", "mmap"):
             data = build_materialized_dataset(
-                spec, {pred: 0.0}, seed=0, selectivity=0.01, layout=layout
+                spec, {pred: 0.0}, seed=0, selectivity=0.01, layout=layout,
+                mmap_path=str(tmp_path / "t.rcs") if layout == "mmap" else None,
             )
             dfs = DistributedFileSystem(paper_topology().storage_locations())
             dfs.write_dataset("/t", data)

@@ -5,7 +5,7 @@ execution detail, never a semantic one — byte-identical job output,
 identical ``records_read`` accounting (LIMIT-k short-circuit included),
 one trace scan span per split; and graceful inline fallback
 whenever a job cannot be shipped to worker processes, as error-bounded
-aggregates never are.
+aggregates and arithmetic WHERE clauses never are.
 """
 
 import multiprocessing
@@ -20,11 +20,12 @@ from repro import LocalRunner, make_sampling_conf, make_scan_conf
 from repro.approx.job import finalize_rows, make_approx_conf
 from repro.cluster import paper_topology
 from repro.data import (
+    LINEITEM_SCHEMA,
     build_materialized_dataset,
     dataset_spec_for_scale,
     predicate_for_skew,
 )
-from repro.data.predicates import And, ColumnCompare
+from repro.data.predicates import ColumnCompare
 from repro.dfs import DistributedFileSystem
 from repro.engine.runtime import (
     MAP_EXECUTOR_ENV,
@@ -32,6 +33,8 @@ from repro.engine.runtime import (
     MAP_WORKERS_ENV,
 )
 from repro.errors import JobConfError
+from repro.hive.expressions import compile_predicate
+from repro.hive.parser import parse_statement
 from repro.obs.trace import TraceRecorder
 from repro.scan import codegen, proc
 from repro.scan.proc import ScanWorkers
@@ -56,6 +59,11 @@ def mmap_splits(tmp_path_factory):
     dfs = DistributedFileSystem(paper_topology().storage_locations())
     dfs.write_dataset("/t", dataset)
     return predicate, dataset, dfs.open_splits("/t")
+
+
+def where(condition):
+    statement = parse_statement(f"SELECT * FROM lineitem WHERE {condition}")
+    return compile_predicate(statement.where, LINEITEM_SCHEMA)
 
 
 def fingerprint(result):
@@ -138,9 +146,7 @@ class TestStringColumns:
     once the workers decode ``l_shipmode`` for partitions they scan
     again."""
 
-    PREDICATE = And(
-        (ColumnCompare("l_shipmode", "=", "RAIL"), ColumnCompare("l_tax", "=", 0.0))
-    )
+    PREDICATE = where("l_shipmode = 'RAIL' AND l_tax = 0.0")
 
     def test_string_predicate_matches_serial_exactly(self, mmap_splits):
         _predicate, dataset, splits = mmap_splits
@@ -307,6 +313,35 @@ class TestProcessPathRuns:
             parallel = runner.run(conf, splits)
         assert fingerprint(parallel) == fingerprint(serial)
         assert batches == [(len(splits), 2)]
+
+
+class TestArithmeticFallback:
+    """An arithmetic WHERE is the one predicate whose scan-task spec does
+    not pickle: its namespace holds the checked-arithmetic closure. The
+    process executor runs such a job inline, with the serial answer."""
+
+    def test_arithmetic_where_runs_inline_and_matches_serial(
+        self, mmap_splits, monkeypatch
+    ):
+        _predicate, _dataset, splits = mmap_splits
+        predicate = where("l_quantity * 2 > 60")
+        _source, namespace = codegen.batch_matcher_source(predicate)
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(namespace)
+        conf = make_sampling_conf(
+            name="q", input_path="/t", predicate=predicate, sample_size=40,
+            policy_name="LA",
+        )
+        serial = LocalRunner(seed=7, map_executor="thread").run(conf, splits)
+        run_map_task = runtime.run_map_task
+        batches = spy_on_process_path(monkeypatch)
+        monkeypatch.setattr(runtime, "run_map_task", run_map_task)  # inline runs
+        with LocalRunner(seed=7, map_executor="process", map_workers=2) as runner:
+            parallel = runner.run(conf, splits)
+        assert batches, "no batch reached the process path"
+        assert all(submitted == 0 for _size, submitted in batches)
+        assert fingerprint(parallel) == fingerprint(serial)
+        assert len(parallel.output_data) == 40
 
 
 def answer(result):

@@ -5,7 +5,8 @@ over a split's stats. This module keeps the walker it replaced, which
 re-walked the predicate for every split, and requires the compiled test
 to answer exactly as it does: the same ``(may_match, matches_all)`` pair
 and the same ``estimate_matches`` float, by ``==``, for random core
-trees and random Hive WHERE clauses over partitions with NULLs, empty,
+trees (comparisons under AND/OR/NOT, as ``test_prune_soundness`` draws
+them) and random Hive WHERE clauses over partitions with NULLs, empty,
 all-NULL and single-valued columns, and blooms present, dropped past
 their distinct cap, or refuting a literal inside the zone-map range.
 The walker is kept as it was but for one amendment: ``NOT BETWEEN`` and
@@ -22,16 +23,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data.predicates import (
-    And,
+    _OPERATORS,
     ColumnCompare,
     MarkerEquals,
-    Not,
-    Or,
     Predicate,
     TruePredicate,
 )
 from repro.data.tpch import LINEITEM_SCHEMA
 from repro.errors import HiveAnalysisError
+from repro.hive.ast import Column, Comparison, Literal, LogicalAnd
 from repro.hive.expressions import ExpressionPredicate, compile_predicate
 from repro.hive.parser import parse_statement
 from repro.scan.codegen import compile_batch_matcher
@@ -115,21 +115,12 @@ def _analyze(predicate: Predicate, stats: Mapping[str, ColumnStats]) -> tuple[bo
         return _column_compare(stats, predicate.column, "=", predicate.marker)
     if isinstance(predicate, ColumnCompare):
         return _column_compare(stats, predicate.column, predicate.op, predicate.value)
-    if isinstance(predicate, And):
-        verdicts = [_analyze(child, stats) for child in predicate.children]
-        return all(v[0] for v in verdicts), all(v[1] for v in verdicts)
-    if isinstance(predicate, Or):
-        verdicts = [_analyze(child, stats) for child in predicate.children]
-        return any(v[0] for v in verdicts), any(v[1] for v in verdicts)
-    if isinstance(predicate, Not):
-        may, all_ = _analyze(predicate.child, stats)
-        return not all_, not may
     # ExpressionPredicate (duck-typed to avoid importing the hive layer's
     # concrete class here): carries the original WHERE AST + schema.
     expression = getattr(predicate, "expression", None)
     if expression is not None:
         return _analyze_expr(expression, stats, getattr(predicate, "schema", None))
-    # FunctionPredicate and anything else opaque: never prune.
+    # Any other predicate type: never prune.
     return _MAYBE
 
 
@@ -173,9 +164,7 @@ def _analyze_expr(expr, stats: Mapping[str, ColumnStats], schema) -> tuple[bool,
                 if a is None or b is None:
                     return False, False
                 try:
-                    from repro.hive.expressions import _COMPARE
-
-                    verdict = _COMPARE[expr.op](a, b)
+                    verdict = _OPERATORS[expr.op](a, b)
                     return verdict, verdict
                 except TypeError:
                     return _MAYBE
@@ -324,18 +313,6 @@ def _selectivity(predicate: Predicate, stats: Mapping[str, ColumnStats]) -> floa
         return _compare_selectivity(
             stats, predicate.column, predicate.op, predicate.value
         )
-    if isinstance(predicate, And):
-        product = 1.0
-        for child in predicate.children:
-            product *= _selectivity(child, stats)
-        return product
-    if isinstance(predicate, Or):
-        misses = 1.0
-        for child in predicate.children:
-            misses *= 1.0 - _selectivity(child, stats)
-        return 1.0 - misses
-    if isinstance(predicate, Not):
-        return 1.0 - _selectivity(predicate.child, stats)
     may, all_ = _analyze(predicate, stats)
     if not may:
         return 0.0
@@ -492,28 +469,24 @@ def hive_predicate(clause: str) -> Predicate:
     try:
         return compile_predicate(expression, LINEITEM_SCHEMA)
     except HiveAnalysisError:
-        return ExpressionPredicate(
-            fn=lambda row: False,
-            label=str(expression),
-            expression=expression,
-            schema=LINEITEM_SCHEMA,
-        )
+        return ExpressionPredicate(expression, LINEITEM_SCHEMA, lambda row: False)
 
 
 # ---------------------------------------------------------------------------
 # The compiled test answers exactly as the walker did
 # ---------------------------------------------------------------------------
-@given(partition=partitions(), predicate=trees(3))
+@given(partition=partitions(), tree=trees(3))
 @settings(max_examples=300, deadline=None)
-def test_core_trees_match_the_walker(partition, predicate):
+def test_core_trees_match_the_walker(partition, tree):
     columns, bloom_bits = partition
     stats = stats_of(
         {"x": columns["l_quantity"], "s": columns["l_shipmode"]},
         bloom_bits,
         codes={"x": "i", "s": "s"},
     )
-    assert_same_answers(predicate, stats)
-    assert_same_answers(And((predicate, MarkerEquals("x", 51))), stats)
+    assert_same_answers(compile_predicate(tree, None), stats)
+    marker = Comparison("=", Column("x"), Literal(51))
+    assert_same_answers(compile_predicate(LogicalAnd(tree, marker), None), stats)
 
 
 @given(partition=partitions(), clause=clauses(typed=False))
@@ -527,9 +500,8 @@ def test_core_trees_match_the_walker(partition, predicate):
 def test_hive_clauses_match_the_walker(partition, clause):
     columns, bloom_bits = partition
     stats = stats_of(columns, bloom_bits)
-    predicate = hive_predicate(clause)
-    assert_same_answers(predicate, stats)
-    assert_same_answers(Not(predicate), stats)
+    assert_same_answers(hive_predicate(clause), stats)
+    assert_same_answers(hive_predicate(f"NOT ({clause})"), stats)
 
 
 @given(partition=partitions(), clause=clauses(typed=True))

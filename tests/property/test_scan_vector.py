@@ -24,7 +24,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from repro.data.predicates import And, ColumnCompare, MarkerEquals, Not, Or
+from repro.data.predicates import ColumnCompare, MarkerEquals
 from repro.hive.ast import (
     Between,
     Column,
@@ -95,18 +95,26 @@ string_literals = st.one_of(st.sampled_from(MODES), st.none())
 
 
 # ---------------------------------------------------------------------------
-# Predicates
+# Predicates: Hive WHERE trees under a top-level AND, compiled as a
+# session compiles them. Core trees hold only comparisons of a column
+# with a literal; the Hive trees add the rest of the grammar.
 # ---------------------------------------------------------------------------
+def _compare(column, op, value, literal_first):
+    if literal_first:
+        return Comparison(op, Literal(value), Column(column))
+    return Comparison(op, Column(column), Literal(value))
+
+
 def core_leaves():
     numeric = st.builds(
-        ColumnCompare, st.sampled_from(NUMERIC + ("f",)), st.sampled_from(OPS),
-        numeric_literals,
+        _compare, st.sampled_from(NUMERIC + ("f",)), st.sampled_from(OPS),
+        numeric_literals, st.booleans(),
     )
     strings = st.builds(
-        ColumnCompare, st.just("s"), st.sampled_from(OPS), string_literals
+        _compare, st.just("s"), st.sampled_from(OPS), string_literals,
+        st.booleans(),
     )
-    markers = st.builds(MarkerEquals, st.sampled_from(NUMERIC), numeric_literals)
-    return st.one_of(numeric, numeric, strings, markers)
+    return st.one_of(numeric, numeric, strings)
 
 
 #: Literals where an inexact numpy comparison would show: an int64 value
@@ -122,32 +130,36 @@ NEAR_2_53 = [
 #: column against a float, or a float column against an int past 2**53).
 kernel_compares = st.one_of(
     st.builds(
-        ColumnCompare, st.sampled_from(INTS), st.sampled_from(OPS), int_values
+        _compare, st.sampled_from(INTS), st.sampled_from(OPS), int_values,
+        st.booleans(),
     ),
     st.builds(
-        ColumnCompare, st.sampled_from(NUMERIC), st.sampled_from(OPS),
+        _compare, st.sampled_from(NUMERIC), st.sampled_from(OPS),
         st.one_of(int_values, float_values, st.sampled_from(NEAR_2_53)),
+        st.booleans(),
     ),
 )
 
-core_trees = st.recursive(
-    core_leaves(),
-    lambda children: st.one_of(
-        st.builds(And, st.tuples(children, children)),
-        st.builds(Or, st.tuples(children, children)),
-        st.builds(Not, children),
-    ),
-    max_leaves=6,
-)
-core_predicates = st.lists(
-    st.one_of(kernel_compares, core_trees), min_size=1, max_size=4
-).map(lambda conjuncts: And(tuple(conjuncts)))
+
+def trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.builds(LogicalAnd, children, children),
+            st.builds(LogicalOr, children, children),
+            st.builds(LogicalNot, children),
+        ),
+        max_leaves=6,
+    )
 
 
-def _compare(column, op, value, literal_first):
-    if literal_first:
-        return Comparison(op, Literal(value), Column(column))
-    return Comparison(op, Column(column), Literal(value))
+def conjunction(conjuncts):
+    return st.lists(conjuncts, min_size=1, max_size=4).map(
+        lambda conjuncts: compile_predicate(reduce(LogicalAnd, conjuncts), None)
+    )
+
+
+core_predicates = conjunction(st.one_of(kernel_compares, trees(core_leaves())))
 
 
 def hive_leaves():
@@ -178,15 +190,6 @@ def hive_leaves():
     )
 
 
-hive_trees = st.recursive(
-    hive_leaves(),
-    lambda children: st.one_of(
-        st.builds(LogicalAnd, children, children),
-        st.builds(LogicalOr, children, children),
-        st.builds(LogicalNot, children),
-    ),
-    max_leaves=6,
-)
 hive_kernel_conjuncts = st.one_of(
     st.builds(
         _compare, st.sampled_from(NUMERIC), st.sampled_from(OPS),
@@ -200,9 +203,7 @@ hive_kernel_conjuncts = st.one_of(
         st.builds(Literal, st.one_of(int_values, float_values)),
     ),
 )
-hive_predicates = st.lists(
-    st.one_of(hive_kernel_conjuncts, hive_trees), min_size=1, max_size=4
-).map(lambda conjuncts: compile_predicate(reduce(LogicalAnd, conjuncts), None))
+hive_predicates = conjunction(st.one_of(hive_kernel_conjuncts, trees(hive_leaves())))
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +379,11 @@ DECLINED = {
     "int column, float literal": ColumnCompare("c", "<", 2.0**53 + 4),
     "int literal beyond int64": ColumnCompare("a", "<", 2**63),
     "float column, int literal beyond 2**53": ColumnCompare("d", "<", 2**53 + 1),
-    "one declining leaf declines all": And(
-        (ColumnCompare("a", "<=", 3), ColumnCompare("c", "<", 1.5))
+    "one declining leaf declines all": where(
+        [
+            Comparison("<=", Column("a"), Literal(3)),
+            Comparison("<", Column("c"), Literal(1.5)),
+        ]
     ),
 }
 
@@ -417,7 +421,13 @@ def test_kernel_declines_struct_columns(table, kernel_answers, monkeypatch):
     store = open_store(table)
     assert isinstance(store.columns["a"], NullableColumn)
     assert isinstance(store.columns["c"], mmapstore._StructColumn)
-    run_both(And((ColumnCompare("a", "<=", 3), ColumnCompare("c", ">", 0))), store)
+    predicate = where(
+        [
+            Comparison("<=", Column("a"), Literal(3)),
+            Comparison(">", Column("c"), Literal(0)),
+        ]
+    )
+    run_both(predicate, store)
     assert kernel_answers == [None]
 
 
@@ -471,8 +481,13 @@ class CountingView(Mapping):
 
 LOOKUP_PREDICATES = [
     ColumnCompare("a", "<=", 3),
-    And((ColumnCompare("s", "=", "AIR"), ColumnCompare("a", "<=", 3))),
-    And((ColumnCompare("a", "<=", 3), ColumnCompare("c", "<", 1.5))),  # declines
+    where(
+        [
+            Comparison("=", Column("s"), Literal("AIR")),
+            Comparison("<=", Column("a"), Literal(3)),
+        ]
+    ),
+    DECLINED["one declining leaf declines all"],
     where(
         [
             Between(Column("b"), Literal(-2), Literal(3.5)),

@@ -160,18 +160,11 @@ class TestDatasetLayouts:
         spec = dataset_spec_for_scale(0.0005, num_partitions=4)
         kwargs = dict(seed=3, selectivity=0.01)
         row = build_materialized_dataset(spec, {pred: 0.0}, **kwargs)
-        columnar = build_materialized_dataset(
-            spec, {pred: 0.0}, layout="columnar", **kwargs
-        )
         mmapped = build_materialized_dataset(
             spec, {pred: 0.0}, layout="mmap",
             mmap_path=str(tmp_path / "t.rcs"), **kwargs
         )
-        assert (
-            list(row.iter_rows())
-            == list(columnar.iter_rows())
-            == list(mmapped.iter_rows())
-        )
+        assert list(row.iter_rows()) == list(mmapped.iter_rows())
 
     def test_mmap_layout_reads_straight_from_the_file(self, tmp_path):
         """The ColumnStore over an mmap partition is the reader's own view

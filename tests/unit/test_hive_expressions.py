@@ -3,10 +3,17 @@
 import pytest
 
 from repro.data import LINEITEM_SCHEMA
-from repro.data.predicates import ColumnCompare, FunctionPredicate
+from repro.data.predicates import ColumnCompare
 from repro.errors import HiveAnalysisError
-from repro.hive.expressions import compile_predicate, like_to_regex, resolve_column
+from repro.hive.expressions import (
+    ExpressionPredicate,
+    compile_predicate,
+    like_to_regex,
+    resolve_column,
+)
 from repro.hive.parser import parse_statement
+from repro.scan.codegen import compile_batch_matcher
+from repro.scan.columnar import ColumnStore
 
 
 def where(text):
@@ -94,9 +101,9 @@ class TestCompoundExpressions:
         pred = compile_predicate(where(text), LINEITEM_SCHEMA)
         assert pred.matches(ROW) is expected
 
-    def test_compound_is_function_predicate(self):
+    def test_compound_is_expression_predicate(self):
         pred = compile_predicate(where("l_quantity = 51 AND l_tax = 0.09"), LINEITEM_SCHEMA)
-        assert isinstance(pred, FunctionPredicate)
+        assert isinstance(pred, ExpressionPredicate)
         assert "AND" in pred.name
 
     def test_division_by_zero_raises(self):
@@ -130,15 +137,6 @@ class TestPredicateIdentity:
         other = compile_predicate(where("l_shipmode = 'AIR' AND l_tax = 0.0"), LINEITEM_SCHEMA)
         assert first != other
 
-    def test_without_an_ast_the_callable_is_the_identity(self):
-        from repro.hive.expressions import ExpressionPredicate
-
-        def fn(row):
-            return True
-
-        assert ExpressionPredicate(fn, "p") == ExpressionPredicate(fn, "p")
-        assert ExpressionPredicate(fn, "p") != ExpressionPredicate(lambda row: True, "p")
-
 
 class TestLikeToRegex:
     @pytest.mark.parametrize(
@@ -152,7 +150,29 @@ class TestLikeToRegex:
             ("100%", "100 percent", True),
             ("a.b", "a.b", True),
             ("a.b", "axb", False),  # regex dot must be escaped
+            ("foo", "foo\n", False),  # $ would match before the newline
         ],
     )
     def test_patterns(self, pattern, text, match):
         assert (like_to_regex(pattern).match(text) is not None) is match
+
+    @pytest.mark.parametrize(
+        "condition,hits",
+        [
+            ("l_comment LIKE 'abc'", [1]),
+            ("l_comment NOT LIKE 'abc'", [0, 2]),
+            ("l_comment LIKE 'abc%'", [0, 1, 2]),
+            ("l_comment LIKE 'abc_'", [0, 2]),
+        ],
+    )
+    def test_like_matches_the_whole_value(self, condition, hits):
+        """A trailing newline is part of the value, in the interpreted
+        closure and in the generated scan alike."""
+        rows = [{"l_comment": "abc\n"}, {"l_comment": "abc"}, {"l_comment": "abcd"}]
+        pred = compile_predicate(where(condition), LINEITEM_SCHEMA)
+        assert [i for i, row in enumerate(rows) if pred.matches(row)] == hits
+        scanned = []
+        compile_batch_matcher(pred)(
+            ColumnStore.from_rows(rows).columns, 0, len(rows), None, scanned.append
+        )
+        assert scanned == hits

@@ -1,23 +1,26 @@
-"""Unit tests for predicate objects."""
+"""Unit tests for predicate objects.
+
+Compound conditions are Hive WHERE trees, compiled here without a
+schema, as the compound cases of the retired core algebra were built.
+"""
 
 import random
 
 import pytest
 
 from repro.data import predicate_for_skew
-from repro.data.predicates import (
-    And,
-    ColumnCompare,
-    FunctionPredicate,
-    MarkerEquals,
-    Not,
-    Or,
-    TruePredicate,
-)
+from repro.data.predicates import ColumnCompare, MarkerEquals, TruePredicate
 from repro.errors import DataGenerationError
+from repro.hive.expressions import compile_predicate
+from repro.hive.parser import parse_statement
 
 
 ROW = {"a": 5, "b": "x", "q": 10.0}
+
+
+def where(condition):
+    statement = parse_statement(f"SELECT * FROM t WHERE {condition}")
+    return compile_predicate(statement.where, None)
 
 
 class TestColumnCompare:
@@ -44,9 +47,6 @@ class TestColumnCompare:
     def test_name_is_stable(self):
         assert ColumnCompare("a", "<", 3).name == "a<3"
 
-    def test_callable_protocol(self):
-        assert ColumnCompare("a", "=", 5)(ROW) is True
-
 
 class TestNullSemantics:
     """SQL three-valued logic collapsed at the comparison: NULL never matches."""
@@ -63,7 +63,7 @@ class TestNullSemantics:
     def test_not_over_null_comparison_is_true(self):
         # NOT(NULL = 5) evaluates NOT(false) = true under the collapsed
         # semantics — the engine has no three-valued NOT.
-        assert Not(ColumnCompare("a", "=", 5)).matches({"a": None}) is True
+        assert where("NOT a = 5").matches({"a": None}) is True
 
     def test_marker_equals_null_row_value(self):
         predicate = MarkerEquals("a", marker=7)
@@ -76,32 +76,17 @@ class TestNullSemantics:
 
 class TestCompound:
     def test_and(self):
-        pred = And((ColumnCompare("a", "=", 5), ColumnCompare("b", "=", "x")))
-        assert pred.matches(ROW)
-        assert not And((ColumnCompare("a", "=", 5), ColumnCompare("b", "=", "y"))).matches(ROW)
+        assert where("a = 5 AND b = 'x'").matches(ROW)
+        assert not where("a = 5 AND b = 'y'").matches(ROW)
 
     def test_or(self):
-        pred = Or((ColumnCompare("a", "=", 0), ColumnCompare("b", "=", "x")))
-        assert pred.matches(ROW)
+        assert where("a = 0 OR b = 'x'").matches(ROW)
 
     def test_not(self):
-        assert Not(ColumnCompare("a", "=", 0)).matches(ROW)
-
-    def test_operator_overloads(self):
-        both = ColumnCompare("a", "=", 5) & ColumnCompare("b", "=", "x")
-        either = ColumnCompare("a", "=", 0) | ColumnCompare("b", "=", "x")
-        negated = ~ColumnCompare("a", "=", 0)
-        assert both.matches(ROW)
-        assert either.matches(ROW)
-        assert negated.matches(ROW)
+        assert where("NOT a = 0").matches(ROW)
 
     def test_true_predicate(self):
         assert TruePredicate().matches({})
-
-    def test_function_predicate(self):
-        pred = FunctionPredicate(lambda row: row["a"] > 3, "a>3(fn)")
-        assert pred.matches(ROW)
-        assert pred.name == "a>3(fn)"
 
 
 class TestMarkerEquals:

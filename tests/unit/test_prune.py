@@ -3,12 +3,9 @@
 import pytest
 
 from repro.data.predicates import (
-    And,
     ColumnCompare,
-    FunctionPredicate,
     MarkerEquals,
-    Not,
-    Or,
+    Predicate,
     TruePredicate,
 )
 from repro.data.tpch import LINEITEM_SCHEMA
@@ -94,20 +91,23 @@ class TestCorePredicates:
         assert not matches_all(ColumnCompare("nope", "=", 1), STATS)
 
     def test_opaque_predicate_is_maybe(self):
-        predicate = FunctionPredicate("f", lambda row: False)
-        assert may_match(predicate, STATS)
-        assert not matches_all(predicate, STATS)
+        class Opaque(Predicate):
+            def matches(self, row):
+                return False
+
+        assert may_match(Opaque(), STATS)
+        assert not matches_all(Opaque(), STATS)
 
     def test_and_or_not_composition(self):
-        empty = ColumnCompare("l_quantity", ">", 100)  # provably empty
-        full = ColumnCompare("l_quantity", "<=", 50)  # provably all rows
-        assert not may_match(And((empty, full)), STATS)
-        assert may_match(Or((empty, full)), STATS)
-        assert matches_all(Or((empty, full)), STATS)
-        assert matches_all(And((full, full)), STATS)
-        assert not may_match(Not(full), STATS)
-        assert may_match(Not(empty), STATS)
-        assert matches_all(Not(empty), STATS)
+        empty = "l_quantity > 100"  # provably empty
+        full = "l_quantity <= 50"  # provably all rows
+        assert not may_match(where(f"{empty} AND {full}"), STATS)
+        assert may_match(where(f"{empty} OR {full}"), STATS)
+        assert matches_all(where(f"{empty} OR {full}"), STATS)
+        assert matches_all(where(f"{full} AND {full}"), STATS)
+        assert not may_match(where(f"NOT {full}"), STATS)
+        assert may_match(where(f"NOT {empty}"), STATS)
+        assert matches_all(where(f"NOT {empty}"), STATS)
 
     def test_incomparable_types_never_prune(self):
         assert may_match(ColumnCompare("l_comment", "<", 5), STATS)

@@ -48,14 +48,14 @@ class TestColumnStore:
         store = ColumnStore.from_rows(ROWS)
         batches = list(store.iter_batches(4))
         assert [(b.start, b.stop) for b in batches] == [(0, 4), (4, 8), (8, 10)]
-        rows = [row for b in batches for _, row in b.iter_indexed_rows()]
+        rows = [b.row(i) for b in batches for i in range(b.start, b.stop)]
         assert rows == ROWS
 
     def test_batch_indices_are_absolute(self):
         store = ColumnStore.from_rows(ROWS)
         batch = list(store.iter_batches(4))[1]
         assert isinstance(batch, ColumnBatch)
-        assert [i for i, _ in batch.iter_indexed_rows()] == [4, 5, 6, 7]
+        assert [batch.row(i) for i in range(batch.start, batch.stop)] == ROWS[4:8]
         assert batch.row(5) == ROWS[5]
 
     def test_empty_store(self):

@@ -1,15 +1,18 @@
 """Property tests: the batch scan agrees with the interpreted loop.
 
-Random predicate trees over random row batches (NULLs included) must
+Random core predicates over random row batches (NULLs included) must
 produce the same decisions through the compiled batch scan
 (:func:`compile_batch_matcher`) as through ``Predicate.matches``, which
-map tasks never call and which is kept as the reference.
+map tasks never call and which is kept as the reference. A core
+predicate is a leaf the program builds (``ColumnCompare``,
+``MarkerEquals``, ``TruePredicate``) or a Hive WHERE tree of
+``column <op> literal`` comparisons and boolean constants under
+AND/OR/NOT, compiled as a session compiles it.
 
-The same holds for predicates compiled from Hive WHERE expressions,
-whose codegen goes through :func:`repro.hive.expressions.emit_condition`
-instead of the core-predicate emitter, and for their batch scan over the
-same rows written to an mmap partition, cold and with its string column
-decoded.
+The same holds for the rest of the WHERE grammar (BETWEEN, IN, LIKE,
+IS NULL, arithmetic) over LINEITEM columns, and for its batch scan over
+the same rows written to an mmap partition, cold and with its string
+column decoded.
 
 This module also holds the reference map tasks other suites compare
 ``run_map_task`` with: the interpreted loop over ``split.iter_rows()``.
@@ -23,15 +26,16 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from repro.core.sampling_job import DUMMY_KEY
-from repro.data.predicates import (
-    And,
-    ColumnCompare,
-    MarkerEquals,
-    Not,
-    Or,
-    TruePredicate,
-)
+from repro.data.predicates import MarkerEquals, TruePredicate
 from repro.data.tpch import LINEITEM_SCHEMA
+from repro.hive.ast import (
+    Column,
+    Comparison,
+    Literal,
+    LogicalAnd,
+    LogicalNot,
+    LogicalOr,
+)
 from repro.hive.expressions import compile_predicate
 from repro.hive.parser import parse_statement
 from repro.scan.codegen import compile_batch_matcher
@@ -49,25 +53,37 @@ rows_strategy = st.lists(
 )
 
 
-def leaves():
-    compares = st.builds(
-        ColumnCompare,
-        st.sampled_from(COLUMNS),
-        st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
-        values,
-    )
-    markers = st.builds(MarkerEquals, st.sampled_from(COLUMNS), values)
-    return st.one_of(compares, markers, st.just(TruePredicate()))
+def comparison(column, op, value, literal_first):
+    """``column <op> value``, or the same test written literal first."""
+    if literal_first:
+        flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
+        return Comparison(flipped, Literal(value), Column(column))
+    return Comparison(op, Column(column), Literal(value))
 
 
-predicates = st.recursive(
-    leaves(),
+where_trees = st.recursive(
+    st.one_of(
+        st.builds(
+            comparison,
+            st.sampled_from(COLUMNS),
+            st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
+            values,
+            st.booleans(),
+        ),
+        st.builds(Literal, st.booleans()),
+    ),
     lambda children: st.one_of(
-        st.builds(And, st.tuples(children, children)),
-        st.builds(Or, st.tuples(children, children)),
-        st.builds(Not, children),
+        st.builds(LogicalAnd, children, children),
+        st.builds(LogicalOr, children, children),
+        st.builds(LogicalNot, children),
     ),
     max_leaves=8,
+)
+
+predicates = st.one_of(
+    where_trees.map(lambda tree: compile_predicate(tree, None)),
+    st.builds(MarkerEquals, st.sampled_from(COLUMNS), values),
+    st.just(TruePredicate()),
 )
 
 
