@@ -1,9 +1,9 @@
 """Error-bounded aggregation as a MapReduce job.
 
-Map side: evaluate the predicate on each record and fold every match
-into the split's per-group ``(count, sum)`` totals, in row order; at
-``cleanup`` the task emits one ``(group_key, (count, sum))`` pair per
-group (Hadoop's in-mapper combining). A match adds its aggregated
+Map side: the shared scan finds the split's matches, and the mapper's
+``outputs`` folds them into per-group ``(count, sum)`` totals, in row
+order, emitting one ``(group_key, (count, sum))`` pair per group
+(Hadoop's in-mapper combining). A match adds its aggregated
 column's value for SUM/AVG and ``0.0`` for COUNT(*). As in SQL, SUM and
 AVG ignore NULLs: a match whose aggregated value is NULL adds nothing,
 while COUNT(*) counts every match, and a group with no counted match
@@ -23,10 +23,10 @@ observation plumbing dropped or duplicated a split.
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 from repro.approx.estimators import AggregateSpec
-from repro.core.sampling_job import _split_matches
+from repro.core.sampling_job import ScanMapper, _split_matches
 from repro.data.predicates import Predicate
 from repro.dfs.split import InputSplit
 from repro.engine.jobconf import (
@@ -40,20 +40,16 @@ from repro.engine.jobconf import (
     SAMPLING_PREDICATE,
     JobConf,
 )
-from repro.engine.mapreduce import MapContext, Mapper, ReduceContext, Reducer
+from repro.engine.mapreduce import ReduceContext, Reducer
 from repro.errors import JobConfError, JobError
-from repro.scan.codegen import compile_batch_matcher
 
 
-class ApproxAggregationMapper(Mapper):
+class ApproxAggregationMapper(ScanMapper):
     """Fold predicate matches into per-group ``(count, sum)`` totals.
 
-    Emits one ``(group_key, (count, sum))`` pair per group at
-    ``cleanup``; the group key is the GROUP BY value, or None. It has no
-    shippable scan-task spec, so the process executor runs it inline:
-    on 500-row partitions and in one-shot ``repro query`` runs, folding
-    in worker processes was slower than folding in process (DESIGN
-    §8b, "Fallback").
+    Scans as :class:`~repro.core.sampling_job.ScanMapper` does, uncapped,
+    and emits one ``(group_key, (count, sum))`` pair per group; the group
+    key is the GROUP BY value, or None.
     """
 
     def __init__(
@@ -62,35 +58,22 @@ class ApproxAggregationMapper(Mapper):
         spec: AggregateSpec,
         group_by: str | None = None,
     ) -> None:
-        self._predicate = predicate
+        super().__init__(predicate)
         self._aggregate = (spec.column, group_by)
-        self._batch_matcher = None
-        self._totals: dict = {}
 
-    def setup(self, context: MapContext) -> None:
-        self._totals = {}
+    def scan_task_spec(self):
+        # No shippable spec, so the process executor runs this mapper
+        # inline: on 500-row partitions and in one-shot ``repro query``
+        # runs, folding in worker processes was slower than folding in
+        # process (DESIGN §8b, "Fallback").
+        return None
 
-    def run_batch(self, batch, context: MapContext) -> bool:
-        if self._batch_matcher is None:
-            self._batch_matcher = compile_batch_matcher(self._predicate)
-        hits: list[int] = []
-        columns = batch.columns
-        scanned = self._batch_matcher(
-            columns, batch.start, batch.stop, None, hits.append
-        )
-        context.records_read += scanned
-        self._fold(columns, hits)
-        return False
+    def outputs(self, store, hits: list[int]) -> list[tuple[Any, Any]]:
+        """The matches at row indices ``hits`` folded into the split's
+        totals: one ``(group, (count, sum))`` pair per group, in
+        first-seen order.
 
-    def cleanup(self, context: MapContext) -> None:
-        context.outputs.extend(
-            (group, (count, total)) for group, (count, total) in self._totals.items()
-        )
-
-    def _fold(self, columns: Mapping[str, Sequence], hits: Sequence[int]) -> None:
-        """Add the matches at row indices ``hits`` of ``columns`` (a scan
-        view) to the split's totals, group -> ``[count, sum]``.
-
+        The store is read through its scan view, as the scan read it.
         Without a value column (COUNT(*)) each match adds ``0.0``;
         without a group column every match falls in group None. A NULL
         value is skipped, as SQL's SUM and AVG skip it, so a group with
@@ -100,10 +83,13 @@ class ApproxAggregationMapper(Mapper):
         from Python 3.12) or ``math.fsum``, so the totals are the floats
         that folding one ``(group, value)`` pair per match gave.
         """
+        if not hits:
+            return []  # an empty partition's store has no columns to look up
         value_column, group_column = self._aggregate
+        columns = store.scan_columns(store.num_rows)
         values = columns[value_column] if value_column is not None else None
         groups = columns[group_column] if group_column is not None else None
-        totals = self._totals
+        totals: dict = {}
         get = totals.get
         for index in hits:
             value = values[index] if values is not None else 0.0
@@ -115,6 +101,7 @@ class ApproxAggregationMapper(Mapper):
                 entry = totals[group] = [0, 0.0]
             entry[0] += 1
             entry[1] += float(value)
+        return [(group, (count, total)) for group, (count, total) in totals.items()]
 
 
 class ApproxAggregationReducer(Reducer):

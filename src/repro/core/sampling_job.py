@@ -3,7 +3,9 @@
 Algorithm 1 (map): evaluate the predicate on each record; output up to k
 matching records under a single dummy key. Each map task caps its own
 output at k because, processing its partition in isolation, it must
-assume no other task finds anything.
+assume no other task finds anything. It is :class:`ScanMapper`'s scan
+capped at k: the select-project and approx mappers run the same scan,
+uncapped, and differ only in the outputs they build from its hits.
 
 Algorithm 2 (reduce): the single dummy key funnels every candidate to one
 reduce task, which outputs the first k values (all of them if fewer).
@@ -20,6 +22,7 @@ import random
 from typing import Any
 
 from repro.data.predicates import Predicate
+from repro.data.record import row_at
 from repro.dfs.split import InputSplit
 from repro.engine.jobconf import (
     DYNAMIC_INPUT_PROVIDER,
@@ -34,21 +37,63 @@ from repro.engine.jobconf import (
 from repro.engine.mapreduce import MapContext, Mapper, ReduceContext, Reducer
 from repro.errors import JobConfError
 from repro.scan.codegen import batch_matcher_source, compile_batch_matcher
+from repro.scan.engine import scan_partition
 
 DUMMY_KEY = "k_dummy"
 """The single intermediate key shared by all sampling map output."""
 
 
-class SamplingMapper(Mapper):
+class ScanMapper(Mapper):
+    """Select-project mapper for the Non-Sampling workload class (§V-E):
+    emits every matching record, projected and keyed by its row index,
+    with no cap.
+
+    Its :meth:`scan` is every program mapper's map task: the shared scan
+    loop (:func:`repro.scan.engine.scan_partition`) up to :attr:`limit`
+    matches, then :meth:`outputs` over the hit indices. Subclasses
+    override only those two. Process workers run the same loop from
+    :meth:`scan_task_spec`, and the parent builds their outputs with
+    the same :meth:`outputs`.
+    """
+
+    limit: int | None = None
+    """The task's match cap (Algorithm 1's k), or None to scan every row."""
+
+    def __init__(
+        self, predicate: Predicate, columns: tuple[str, ...] | None = None
+    ) -> None:
+        self._predicate = predicate
+        self._columns = columns
+
+    def scan(self, store, context: MapContext) -> None:
+        hits: list[int] = []
+        matcher = compile_batch_matcher(self._predicate)
+        context.records_read = scan_partition(matcher, store, self.limit, hits)
+        context.outputs = self.outputs(store, hits)
+
+    def scan_task_spec(self):
+        from repro.scan.proc import ScanTaskSpec
+
+        source, namespace = batch_matcher_source(self._predicate)
+        return ScanTaskSpec(source=source, namespace=namespace, limit=self.limit)
+
+    def outputs(self, store, hits: list[int]) -> list[tuple[Any, Any]]:
+        """One ``(index, row)`` pair per match at row indices ``hits``,
+        the row projected; a row read, which decodes nothing."""
+        names = self._columns if self._columns is not None else store.names
+        columns = store.columns
+        return [(index, row_at(names, columns, index)) for index in hits]
+
+
+class SamplingMapper(ScanMapper):
     """Algorithm 1: emit up to ``k`` predicate-matching records.
 
-    The batch scan stops the moment the task's own ``k`` is reached —
+    The scan stops the moment the task's own ``k`` is reached —
     exactly Algorithm 1's premise that a task processing its partition
     in isolation needs at most ``k`` matches; any further rows cannot
     change its output. ``records_read`` therefore reflects only rows
     actually scanned, which the Input Provider's selectivity estimator
-    consumes. The process executor's workers scan the same way from
-    :meth:`scan_task_spec`.
+    consumes. The process executor's workers scan the same way.
     """
 
     def __init__(
@@ -59,40 +104,14 @@ class SamplingMapper(Mapper):
     ) -> None:
         if k <= 0:
             raise JobConfError(f"sample size must be positive, got {k}")
-        self._predicate = predicate
-        self._k = k
-        self._columns = columns
-        self._found_records = 0
-        self._batch_matcher = None
+        super().__init__(predicate, columns)
+        self.limit = k
 
-    def scan_task_spec(self):
-        from repro.scan.proc import ScanTaskSpec
-
-        source, namespace = batch_matcher_source(self._predicate)
-        return ScanTaskSpec(
-            source=source,
-            namespace=namespace,
-            limit=self._k,
-            columns=self._columns,
-            fixed_key=DUMMY_KEY,
-        )
-
-    def run_batch(self, batch, context: MapContext) -> bool:
-        if self._batch_matcher is None:
-            self._batch_matcher = compile_batch_matcher(self._predicate)
-        remaining = self._k - self._found_records
-        if remaining <= 0:
-            return True
-        hits: list[int] = []
-        scanned = self._batch_matcher(
-            batch.columns, batch.start, batch.stop, remaining, hits.append
-        )
-        context.records_read += scanned
-        columns = self._columns
-        for index in hits:
-            context.emit(DUMMY_KEY, batch.row(index, columns))
-        self._found_records += len(hits)
-        return self._found_records >= self._k
+    def outputs(self, store, hits: list[int]) -> list[tuple[Any, Any]]:
+        """Each match's projected row under the single dummy key."""
+        names = self._columns if self._columns is not None else store.names
+        columns = store.columns
+        return [(DUMMY_KEY, row_at(names, columns, index)) for index in hits]
 
 
 class SamplingReducer(Reducer):
@@ -136,43 +155,6 @@ class ReservoirSamplingReducer(Reducer):
                     reservoir[slot] = value
         for value in reservoir:
             context.emit(key, value)
-
-
-class ScanMapper(Mapper):
-    """Select-project mapper for the Non-Sampling workload class (§V-E):
-    emits every matching record, projected, with no cap."""
-
-    def __init__(
-        self, predicate: Predicate, columns: tuple[str, ...] | None = None
-    ) -> None:
-        self._predicate = predicate
-        self._columns = columns
-        self._batch_matcher = None
-
-    def scan_task_spec(self):
-        from repro.scan.proc import ScanTaskSpec
-
-        source, namespace = batch_matcher_source(self._predicate)
-        return ScanTaskSpec(
-            source=source,
-            namespace=namespace,
-            limit=None,
-            columns=self._columns,
-            fixed_key=None,
-        )
-
-    def run_batch(self, batch, context: MapContext) -> bool:
-        if self._batch_matcher is None:
-            self._batch_matcher = compile_batch_matcher(self._predicate)
-        hits: list[int] = []
-        scanned = self._batch_matcher(
-            batch.columns, batch.start, batch.stop, None, hits.append
-        )
-        context.records_read += scanned
-        columns = self._columns
-        for index in hits:
-            context.emit(index, batch.row(index, columns))
-        return False
 
 
 # ---------------------------------------------------------------------------

@@ -110,8 +110,8 @@ class PartitionData:
     :meth:`column_store` (``columns``, a
     :class:`~repro.scan.columnar.ColumnStore`) transposes rows (or maps
     the file region, zero-copy) on first use — so the scan engine's
-    batch path works on any materialized partition regardless of how it
-    was built.
+    chunked scan works on any materialized partition regardless of how
+    it was built.
     """
 
     index: int

@@ -4,7 +4,7 @@ A split is the unit of work of a map task. In this reproduction splits
 correspond 1:1 with DFS blocks (as they do for the paper's unindexed,
 unreplicated datasets), and they surface the block's record/byte counts,
 per-predicate match counts, and — when the dataset is materialized — the
-actual rows.
+actual rows, as dicts or column-major.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.dfs.block import Block, StorageLocation
 from repro.errors import DfsError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.scan.columnar import ColumnBatch
+    from repro.scan.columnar import ColumnStore
 
 
 @dataclass(frozen=True)
@@ -82,21 +82,19 @@ class InputSplit:
             )
         return payload.iter_rows()
 
-    def iter_batches(self) -> "Iterator[ColumnBatch]":
-        """Column-major batches of up to
-        :data:`~repro.scan.columnar.DEFAULT_BATCH_SIZE` rows (materialized only).
+    def column_store(self) -> "ColumnStore":
+        """The split's rows, column-major (materialized splits only).
 
-        Batches are views over the split's :class:`ColumnStore` — built
-        natively for columnar datasets, transposed once and cached for
-        row-major ones — so the scan engine's batch loop touches tuples
-        of arrays instead of per-row dicts.
+        What the scan engine's chunked scan reads and builds output rows
+        from (:func:`repro.scan.engine.run_map_task`): native for mmap
+        datasets, transposed once and cached for the row layout.
         """
         payload = self.block.payload
         if not payload.materialized:
             raise DfsError(
                 f"split {self.split_id} is profile-only; rows are not materialized"
             )
-        return payload.column_store().iter_batches()
+        return payload.column_store()
 
     def is_local_to(self, node_id: str) -> bool:
         return self.block.is_local_to(node_id)

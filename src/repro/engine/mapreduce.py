@@ -51,9 +51,9 @@ class Mapper:
     bracket the record loop as in Hadoop.
 
     The scan engine adds a columnar fast path: for a mapper that
-    overrides :meth:`run_batch`, it calls :meth:`run_batches` with the
-    split's :class:`~repro.scan.columnar.ColumnBatch` views instead of
-    driving :meth:`run` row by row (:func:`repro.scan.engine.run_map_task`).
+    overrides :meth:`scan`, it hands that the split's
+    :class:`~repro.scan.columnar.ColumnStore` instead of driving
+    :meth:`run` row by row (:func:`repro.scan.engine.run_map_task`).
     Any other mapper runs :meth:`run`.
     """
 
@@ -69,10 +69,11 @@ class Mapper:
     def scan_task_spec(self):
         """Process-executor hook: this mapper's work as a shippable spec.
 
-        Mappers whose whole map phase is "match a predicate, emit (key,
-        row) pairs, optionally capped" return a
-        :class:`repro.scan.proc.ScanTaskSpec` so the runtime can run the
-        scan in a worker process over an mmap dataset. The default
+        A mapper that implements :meth:`scan` may return a
+        :class:`repro.scan.proc.ScanTaskSpec` so the runtime can run
+        that scan in a worker process over an mmap dataset; the parent
+        then builds the outputs from the worker's hit indices
+        (:func:`repro.scan.proc.materialize_outputs`). The default
         (None) keeps the mapper on the in-process path — always correct,
         never parallel across processes.
         """
@@ -86,26 +87,12 @@ class Mapper:
             self.map(key, value, context)
         self.cleanup(context)
 
-    def run_batches(self, batches: Iterable, context: MapContext) -> None:
-        """The batch-mode task main loop.
+    def scan(self, store, context: MapContext) -> None:
+        """The columnar task main loop: scan the split's whole column
+        store and fill ``context`` (``records_read`` and ``outputs``).
 
-        ``batches`` yields :class:`~repro.scan.columnar.ColumnBatch`
-        views in split order. A :meth:`run_batch` returning True stops
-        the scan mid-split (the LIMIT short-circuit) — remaining batches
-        are never materialized, so ``records_read`` counts only rows
-        actually scanned.
-        """
-        self.setup(context)
-        for batch in batches:
-            if self.run_batch(batch, context):
-                break
-        self.cleanup(context)
-
-    def run_batch(self, batch, context: MapContext) -> bool:
-        """Process one columnar batch; return True to stop scanning.
-
-        Only mappers that override it are driven batch by batch: the
-        scan engine checks for an override, so the base method is never
+        Only mappers that override it are driven this way: the scan
+        engine checks for an override, so the base method is never
         called.
         """
         raise NotImplementedError

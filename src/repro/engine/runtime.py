@@ -374,8 +374,9 @@ class LocalRunner:
 
         Preconditions checked here, not assumed: the mapper must expose
         a scan-task spec, every split must reference an mmap dataset
-        file, and every packed task must pickle (an arithmetic WHERE
-        does not: its checked-arithmetic closure is in the namespace).
+        file, and every packed task must pickle (the program's own
+        predicates all do, but a constant pool holding, say, a closure
+        would not).
 
         The batch is dealt round-robin into ``min(map_workers, len(splits))``
         packed tasks (split *i* goes to task *i mod n*), so each worker
@@ -384,10 +385,11 @@ class LocalRunner:
         across workers. The parent pickles each task once and sends it
         down worker *i*'s pipe (:class:`~repro.scan.proc.ScanWorkers`),
         forking the workers on the first process batch. Per-split results
-        are put back in submission order. Workers return only match
-        indices and counters; output rows are materialized parent-side
-        from its own mapping of the same file, so bytes match serial
-        execution exactly. Each split's worker-measured scan time becomes
+        are put back in submission order. Workers run the in-process
+        scan loop and return only match indices and counters; the
+        mapper's own ``outputs`` builds the rows parent-side from its
+        own mapping of the same file, so bytes match serial execution
+        exactly. Each split's worker-measured scan time becomes
         its trace ``scan_span.elapsed_s``, as an in-process scan's does.
 
         A failed send or receive on any worker's pipe (a worker died,
@@ -403,7 +405,8 @@ class LocalRunner:
         never logged. All of it is read-side: counters, indices, and
         output bytes are identical with or without a listener.
         """
-        spec = conf.mapper_factory().scan_task_spec()
+        mapper = conf.mapper_factory()
+        spec = mapper.scan_task_spec()
         if spec is None:
             return None
         refs = [split.mmap_ref for split in splits]
@@ -432,13 +435,11 @@ class LocalRunner:
         outcomes = [packed[i % count][i // count] for i in range(len(splits))]
         results: list[LocalMapResult] = []
         for split, outcome in zip(splits, outcomes):
-            outputs = materialize_outputs(
-                split.block.payload.column_store(), outcome, spec
-            )
+            outputs = materialize_outputs(split.column_store(), outcome, mapper)
             span = None
             if self.trace is not None:
-                # Workers run the generated batch matcher, as run_map_task
-                # does for this mapper in process.
+                # Workers run the scan loop run_map_task runs for this
+                # mapper in process.
                 span = ScanSpan(
                     split_id=split.split_id,
                     mode="batch",

@@ -7,7 +7,8 @@ here. Two outputs matter:
   literal`` compiles to :class:`~repro.data.predicates.ColumnCompare`;
   anything else to an :class:`ExpressionPredicate`, which carries the
   AST that :func:`emit_condition` renders into the generated scan loop,
-  and an interpreted closure that the tests keep as its reference; and
+  and an interpreted closure that the tests keep as its reference (both
+  evaluate arithmetic through :func:`checked_arithmetic`); and
 * a canonical predicate *name*. A ``column = literal`` equality's
   name (``l_quantity=51``) coincides with the marker-predicate names the
   data generator controls — which is what lets profile-mode simulation
@@ -49,6 +50,19 @@ _ARITHMETIC: dict[str, Callable[[float, float], float]] = {
     "/": lambda a, b: a / b,
     "%": lambda a, b: a % b,
 }
+
+
+def checked_arithmetic(op: str, a, b, text: str):
+    """``a <op> b`` as SQL evaluates it: NULL if either operand is, and
+    :class:`~repro.errors.HiveAnalysisError` naming the expression
+    ``text`` on a ``/`` or ``%`` by zero. The interpreted closures call
+    it, and the generated scan names it (by module reference, so the
+    namespace pickles) with ``op`` and ``text`` in its constant pool."""
+    if a is None or b is None:
+        return None  # SQL: NULL propagates through arithmetic
+    if op in ("/", "%") and b == 0:
+        raise HiveAnalysisError(f"division by zero evaluating {text}")
+    return _ARITHMETIC[op](a, b)
 
 
 def resolve_column(name: str, schema: Schema | None) -> str:
@@ -98,17 +112,8 @@ def _compile_value(expr: Expression, schema: Schema | None):
     if isinstance(expr, Arithmetic):
         left = _compile_value(expr.left, schema)
         right = _compile_value(expr.right, schema)
-        op = _ARITHMETIC[expr.op]
-
-        def arithmetic(row: Mapping):
-            a, b = left(row), right(row)
-            if a is None or b is None:
-                return None  # SQL: NULL propagates through arithmetic
-            if expr.op in ("/", "%") and b == 0:
-                raise HiveAnalysisError(f"division by zero evaluating {expr}")
-            return op(a, b)
-
-        return arithmetic
+        op, text = expr.op, str(expr)
+        return lambda row: checked_arithmetic(op, left(row), right(row), text)
     # Boolean sub-expressions used as values (rare but legal: WHERE (a AND b)).
     boolean = _compile_bool(expr, schema)
     return boolean
@@ -189,23 +194,6 @@ def _compile_bool(expr: Expression, schema: Schema | None):
 # ---------------------------------------------------------------------------
 # Source codegen (the scan engine's batch matcher)
 # ---------------------------------------------------------------------------
-def _checked_arithmetic(expr: Arithmetic) -> Callable[[float, float], float]:
-    """The arithmetic kernel: NULL-propagating, with the ``/`` and ``%``
-    division-by-zero check. Shared by the codegen path (as an embedded
-    constant) so it matches :func:`_compile_value` exactly."""
-    op = _ARITHMETIC[expr.op]
-    checked = expr.op in ("/", "%")
-
-    def apply(a: float, b: float) -> float:
-        if a is None or b is None:
-            return None  # SQL: NULL propagates through arithmetic
-        if checked and b == 0:
-            raise HiveAnalysisError(f"division by zero evaluating {expr}")
-        return op(a, b)
-
-    return apply
-
-
 def _emit_value(expr: Expression, em, schema: Schema | None) -> str:
     """Render an expression as Python source for its per-row value.
 
@@ -219,7 +207,8 @@ def _emit_value(expr: Expression, em, schema: Schema | None) -> str:
     if isinstance(expr, Arithmetic):
         left = _emit_value(expr.left, em, schema)
         right = _emit_value(expr.right, em, schema)
-        return f"{em.const(_checked_arithmetic(expr))}({left}, {right})"
+        kernel, op, text = map(em.const, (checked_arithmetic, expr.op, str(expr)))
+        return f"{kernel}({op}, {left}, {right}, {text})"
     return emit_condition(expr, em, schema)
 
 

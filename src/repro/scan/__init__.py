@@ -7,12 +7,11 @@ shared by the LocalRunner and the simulated TaskTrackers
 (:mod:`repro.scan.engine`).
 """
 
-from repro.scan.columnar import DEFAULT_BATCH_SIZE, ColumnBatch, ColumnStore
+from repro.scan.columnar import ColumnStore
 from repro.scan.codegen import compile_batch_matcher
-from repro.scan.engine import run_map_task
+from repro.scan.engine import DEFAULT_BATCH_SIZE, run_map_task
 
 __all__ = [
-    "ColumnBatch",
     "ColumnStore",
     "DEFAULT_BATCH_SIZE",
     "compile_batch_matcher",

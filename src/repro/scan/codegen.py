@@ -152,8 +152,7 @@ def compile_batch_matcher(pred: Predicate) -> BatchMatcher:
         cached = None
     if cached is not None:
         return cached
-    source, namespace = batch_matcher_source(pred)
-    matcher = _compile(source, "_scan", namespace, pred)
+    matcher = compile_batch_matcher_from_source(*batch_matcher_source(pred))
     _cache_put(_batch_cache, pred, matcher)
     return matcher
 
@@ -171,9 +170,9 @@ def batch_matcher_source(pred: Predicate) -> tuple[str, dict]:
     ``(column, op, literal)`` leaves), so ``(source, namespace)`` pickles
     and a map worker **process** can re-``compile()`` the matcher locally
     instead of receiving code objects (which don't pickle) or row data.
-    A LIKE puts a compiled regex in the namespace, which pickles too; an
-    arithmetic WHERE puts its checked-arithmetic closure there, which
-    does not, and the runtime runs such a job in-process.
+    A LIKE puts a compiled regex in the namespace, and an arithmetic
+    WHERE :func:`repro.hive.expressions.checked_arithmetic` (by module
+    reference) with its operator and expression text; both pickle too.
 
     Without kernel leaves the source is one loop over ``[start, stop)``
     testing the whole predicate. With them, the function first asks
@@ -389,23 +388,22 @@ def _exact(fmt: str, literal: object) -> bool:
 
 
 def compile_batch_matcher_from_source(source: str, namespace: dict) -> BatchMatcher:
-    """Rebuild a batch matcher from :func:`batch_matcher_source` output.
+    """Build a batch matcher from :func:`batch_matcher_source` output.
 
-    Used by process map workers: the parent ships the source string and
-    constant pool, and a worker compiles them the first time it meets
-    that pair (``repro.scan.proc`` keeps the compiled matchers). The
-    namespace dict is mutated by ``exec`` (it gains the function object),
-    so callers should pass a copy if they intend to reuse it.
+    Every matcher compiles here: :func:`compile_batch_matcher` in
+    process, and a process map worker from the source string and
+    constant pool the parent ships, the first time it meets that pair
+    (``repro.scan.proc`` keeps the compiled matchers). The namespace
+    dict is mutated by ``exec`` (it gains the function object), so
+    callers should pass a copy if they intend to reuse it.
     """
     try:
-        code = compile(source, "<scan:worker>", "exec")
+        code = compile(source, "<scan>", "exec")
     except SyntaxError as exc:  # pragma: no cover - emitter bug guard
-        raise ScanCompileError(
-            f"received invalid scan source: {exc}\n{source}"
-        ) from exc
+        raise ScanCompileError(f"invalid scan source: {exc}\n{source}") from exc
     exec(code, namespace)
     fn = namespace["_scan"]
-    fn.__scan_source__ = source
+    fn.__scan_source__ = source  # introspection hook for tests/debugging
     return fn
 
 
@@ -413,19 +411,6 @@ def _name_const(em: SourceEmitter, name: str) -> str:
     # Column names are interned via the constant pool rather than quoted
     # inline so odd names (quotes, backslashes) cannot break the source.
     return em.const(name)
-
-
-def _compile(source: str, entry: str, namespace: dict, pred: Predicate):
-    try:
-        code = compile(source, f"<scan:{pred!s}>", "exec")
-    except SyntaxError as exc:  # pragma: no cover - emitter bug guard
-        raise ScanCompileError(
-            f"generated invalid scan source for {pred!s}: {exc}\n{source}"
-        ) from exc
-    exec(code, namespace)
-    fn = namespace[entry]
-    fn.__scan_source__ = source  # introspection hook for tests/debugging
-    return fn
 
 
 def _cache_put(cache: dict, pred: Predicate, fn) -> None:

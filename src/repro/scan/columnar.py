@@ -4,12 +4,13 @@ A :class:`ColumnStore` holds one partition's rows as parallel per-column
 lists instead of per-row dicts: the scan loop then touches a handful of
 flat lists rather than hashing a column name per row, and the codegen
 layer (:mod:`repro.scan.codegen`) can bind each referenced column to a
-local once per batch. Row dicts remain the logical model — a store can
-synthesize them on demand (:meth:`ColumnStore.row_at`), preserving the
-original column order so row-mode and batch-mode execution produce
-byte-identical output.
+local once per matcher call. Row dicts remain the logical model — a
+store can synthesize them on demand (:meth:`ColumnStore.row_at`),
+preserving the original column order so row-mode and batch-mode
+execution produce byte-identical output.
 
-Scans read a store through :meth:`ColumnStore.scan_columns`, which
+Scans read a store through :meth:`ColumnStore.scan_columns`, once per
+chunk of the scan loop (:func:`repro.scan.engine.scan_partition`). It
 differs from ``columns`` only for mmap-backed stores: there a string
 column hands a scan the rows that earlier scans already read as one
 decoded list, and later scans index that list.
@@ -21,9 +22,6 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from repro.data.record import Row, row_at
 from repro.errors import DataGenerationError
-
-DEFAULT_BATCH_SIZE = 4096
-"""Rows per :class:`ColumnBatch` when no size is given."""
 
 
 class ColumnStore:
@@ -87,47 +85,8 @@ class ColumnStore:
         for values in zip(*cols):
             yield dict(zip(names, values))
 
-    def batch(self, start: int, stop: int) -> "ColumnBatch":
-        return ColumnBatch(self, start, stop)
-
-    def iter_batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator["ColumnBatch"]:
-        """Consecutive batches of up to ``size`` rows covering the store."""
-        if size < 1:
-            raise DataGenerationError(f"batch size must be >= 1, got {size}")
-        for start in range(0, self.num_rows, size):
-            yield ColumnBatch(self, start, min(start + size, self.num_rows))
-
     def __len__(self) -> int:
         return self.num_rows
-
-
-class ColumnBatch:
-    """A ``[start, stop)`` window over a :class:`ColumnStore`.
-
-    Batches are views — no column data is copied; ``columns`` is what
-    :meth:`ColumnStore.scan_columns` gives a scan of the batch. Indices
-    handed to matchers and :meth:`row` are absolute store indices, which
-    double as the record keys the row-mode map loop produces via
-    ``enumerate``.
-    """
-
-    __slots__ = ("store", "start", "stop")
-
-    def __init__(self, store: ColumnStore, start: int, stop: int) -> None:
-        self.store = store
-        self.start = start
-        self.stop = stop
-
-    @property
-    def columns(self) -> Mapping[str, Sequence]:
-        return self.store.scan_columns(self.stop)
-
-    def row(self, index: int, columns: tuple[str, ...] | None = None) -> Row:
-        """The row dict at absolute ``index`` (optionally projected)."""
-        return self.store.row_at(index, columns)
-
-    def __len__(self) -> int:
-        return self.stop - self.start
 
 
 class _ScanView(Mapping):

@@ -20,26 +20,24 @@ A task's deltas therefore always arrive before its results. The worker
 re-``mmap``s the file (the OS shares the page-cache pages with every
 other worker and the parent), takes the batch matcher from its own
 matcher cache, compiling it only the first time it meets that source and
-constant pool, scans each partition in batches, as the serial loop does
-(so a string column that a worker's later tasks scan again is decoded
-once per worker and partition), and returns only match indices and
-counters. The matcher's numeric conjuncts run in the worker too: the
+constant pool, scans each partition in chunks, as the in-process scan
+does (so a string column that a worker's later tasks scan again is
+decoded once per worker and partition), and returns only match indices
+and counters. The matcher's numeric conjuncts run in the worker too: the
 shipped namespace names :func:`repro.scan.codegen.scan_kernel` by module
 reference, so the worker evaluates them with numpy over its own mapping.
-The parent materializes output rows at the hit indices from its own
-mapping, so job output is byte-identical to serial execution:
+The scan is the in-process one (:func:`repro.scan.engine.scan_partition`),
+and the parent builds each split's outputs from the hits with the
+mapper's own ``outputs`` (:func:`materialize_outputs`), so job output is
+byte-identical to serial execution:
 
 * **Rows & order** — hits come back in ascending row order, exactly the
-  order the serial batch loop appends matches.
+  order the in-process scan appends matches.
 * **LIMIT-k accounting** — the generated matcher returns ``index of the
-  k-th match + 1`` on early exit, a quantity independent of batch
-  chunking (the chunking tests pin this), so the worker's
-  chunks yield the same ``records_read`` as the serial batch loop,
-  whatever their size. The limit applies per partition, never
-  across the partitions of a packed task.
-* **Keys** — :class:`ScanTaskSpec.fixed_key` reproduces the sampling
-  job's dummy-key emission; ``None`` keys each output by its absolute
-  row index, the scan job's convention.
+  k-th match + 1`` on early exit, a quantity independent of chunking
+  (the chunking tests pin this), so telemetry-sized chunks yield the
+  same ``records_read`` as the in-process scan's. The limit applies per
+  partition, never across the partitions of a packed task.
 
 Every message is a plain pickle, so a task must pickle to ship; the
 runtime runs a batch whose task does not pickle inline instead.
@@ -52,13 +50,13 @@ import os
 import pickle
 import weakref
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing.connection import wait
 from time import perf_counter as wall_clock
 from typing import Any, Callable
 
-from repro.data.record import row_at
 from repro.scan.codegen import BatchMatcher, compile_batch_matcher_from_source
-from repro.scan.columnar import DEFAULT_BATCH_SIZE
+from repro.scan.engine import scan_partition
 from repro.scan.mmapstore import MmapDataset, MmapSplitRef, open_mmap_dataset
 
 #: Default telemetry chunk: large enough that the per-chunk matcher
@@ -69,11 +67,12 @@ TELEMETRY_CHUNK_ROWS = 65_536
 
 @dataclass(frozen=True)
 class ScanTaskSpec:
-    """The job-level half of a process scan task: what to match and emit.
+    """The job-level half of a process scan task: what a worker matches.
 
     Built once per map batch by ``Mapper.scan_task_spec()``; everything
     here must pickle (the runtime falls back to in-process execution
-    when a predicate's constant pool doesn't).
+    when a predicate's constant pool doesn't). What a match emits is
+    the parent's business (:func:`materialize_outputs`).
     """
 
     source: str
@@ -84,13 +83,6 @@ class ScanTaskSpec:
 
     limit: int | None
     """Per-task match cap (Algorithm 1's k), or None for full scans."""
-
-    columns: tuple[str, ...] | None
-    """Output projection, or None to emit whole rows."""
-
-    fixed_key: Any = None
-    """Emit every output under this key (the sampling job's dummy key);
-    None keys outputs by absolute row index instead (scan jobs)."""
 
 
 @dataclass(frozen=True)
@@ -107,8 +99,7 @@ class ScanTask:
     chunks and sends a :class:`WorkerDelta` stamped with it after each,
     so listeners such as the telemetry hub can multiplex live progress
     across concurrent jobs. ``None`` (the default) keeps the worker on
-    the serial loop's batch-sized chunks, sending nothing but its
-    results."""
+    the in-process scan's chunks, sending nothing but its results."""
 
     chunk_rows: int = TELEMETRY_CHUNK_ROWS
     """Rows per telemetry chunk; the runtime always sends
@@ -195,14 +186,16 @@ def run_scan_task(
     Takes the matcher from this process's cache and opens each dataset
     file once for the whole task (through the per-process mmap cache, so
     a worker maps a file once no matter how many tasks it runs), then
-    scans each partition's row range with the spec's own ``limit``,
-    chunk by chunk (:func:`_scan_partition`). When the task carries a
-    job id, ``flush`` receives a cumulative :class:`WorkerDelta` after
-    every chunk. Returns one result per ref, in ``task.refs`` order."""
+    scans each partition with the spec's own ``limit`` in the shared
+    scan loop (:func:`~repro.scan.engine.scan_partition`). When the task
+    carries a job id, the loop runs in the task's ``chunk_rows`` chunks
+    and ``flush`` receives a cumulative :class:`WorkerDelta` after every
+    chunk. Returns one result per ref, in ``task.refs`` order."""
     wall0 = wall_clock()
     matcher = _matcher_for(task.spec)
     if task.job_id is None:
         flush = None
+    chunk = max(1, task.chunk_rows) if flush is not None else None
     datasets: dict[str, MmapDataset] = {}
     scans = []
     scan_total = 0.0
@@ -212,8 +205,13 @@ def run_scan_task(
             dataset = datasets[ref.path] = open_mmap_dataset(ref.path)
         store = dataset.partition_store(ref.partition)
         hits: list[int] = []
+        on_chunk = None
+        if flush is not None:
+            on_chunk = partial(_send_delta, flush, task.job_id, ref.partition, hits)
         scan0 = wall_clock()
-        scanned = _scan_partition(matcher, store, task, ref.partition, hits, flush)
+        scanned = scan_partition(
+            matcher, store, task.spec.limit, hits, chunk=chunk, on_chunk=on_chunk
+        )
         scan_wall = wall_clock() - scan0
         scan_total += scan_wall
         scans.append((ref.partition, scanned, hits, scan_wall))
@@ -236,51 +234,10 @@ def run_scan_task(
     return results
 
 
-def _scan_partition(
-    matcher, store, task: ScanTask, partition: int, hits: list[int],
-    flush: Callable[[WorkerDelta], None] | None,
-) -> int:
-    """Scan one partition in chunks, flushing progress if telemetry is on.
-
-    Chunks hold :data:`~repro.scan.columnar.DEFAULT_BATCH_SIZE` rows, as
-    the serial batch loop does, so a string column decodes no more rows
-    than the scan reaches; with telemetry (``flush`` given) they hold the
-    task's ``chunk_rows`` and each is followed by a cumulative
-    :class:`WorkerDelta`. Any chunking gives the same result as one call
-    over the whole range: each chunk call appends the same ascending
-    absolute indices, and the per-chunk scanned counts (full chunk size,
-    or ``k-th-match-offset + 1`` on early exit) sum to exactly that
-    call's return value.
-    """
-    limit = task.spec.limit
-    num_rows = store.num_rows
-    chunk = max(1, task.chunk_rows) if flush is not None else DEFAULT_BATCH_SIZE
-    scanned = 0
-    position = 0
-    while position < num_rows:
-        end = min(position + chunk, num_rows)
-        remaining = None if limit is None else limit - len(hits)
-        chunk0 = wall_clock()
-        sub = matcher(store.scan_columns(end), position, end, remaining, hits.append)
-        scanned += sub
-        if flush is not None:
-            flush(
-                WorkerDelta(
-                    job_id=task.job_id,
-                    partition=partition,
-                    rows_scanned=scanned,
-                    hits=len(hits),
-                    chunk_rows=sub,
-                    wall_s=wall_clock() - chunk0,
-                )
-            )
-        # limit=0 deliberately never breaks: the generated matcher's
-        # early-exit check (``_n == _limit``) cannot fire for 0, so one
-        # call over the whole range scans everything and chunks must too.
-        if limit is not None and limit > 0 and len(hits) >= limit:
-            break
-        position = end
-    return scanned
+def _send_delta(flush, job_id, partition, hits, scanned, rows, wall_s) -> None:
+    """The scan loop's ``on_chunk`` under telemetry: flush a cumulative
+    :class:`WorkerDelta` after each chunk."""
+    flush(WorkerDelta(job_id, partition, scanned, len(hits), rows, wall_s))
 
 
 def serve(conn, inherited=()) -> None:
@@ -389,18 +346,8 @@ def _stop(conns: list, procs: list, owner: int) -> None:
         proc.join()
 
 
-def materialize_outputs(
-    store, result: ScanTaskResult, spec: ScanTaskSpec
-) -> list[tuple[Any, Any]]:
-    """Turn a worker's hit indices into the mapper's output pairs.
-
-    Runs in the parent over its own mmap view of the same file; row
-    synthesis here is exactly what the serial batch loop does via
-    ``ColumnBatch.row``, so output bytes match.
-    """
-    names = spec.columns if spec.columns is not None else store.names
-    columns = store.columns
-    if spec.fixed_key is not None:
-        key = spec.fixed_key
-        return [(key, row_at(names, columns, index)) for index in result.hits]
-    return [(index, row_at(names, columns, index)) for index in result.hits]
+def materialize_outputs(store, result: ScanTaskResult, mapper) -> list[tuple[Any, Any]]:
+    """A shipped split's map outputs: ``mapper.outputs`` over the
+    worker's hit indices, in the parent's own view of the same file, as
+    the mapper's in-process scan builds them, so output bytes match."""
+    return mapper.outputs(store, result.hits)

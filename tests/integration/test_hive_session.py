@@ -117,13 +117,13 @@ class TestMatcherReuse:
 
         monkeypatch.setattr(codegen, "_batch_cache", {})
         compiled = []
-        compile_source = codegen._compile
+        compile_source = codegen.compile_batch_matcher_from_source
 
-        def spy(source, entry, namespace, pred):
-            compiled.append(pred)
-            return compile_source(source, entry, namespace, pred)
+        def spy(source, namespace):
+            compiled.append(source)
+            return compile_source(source, namespace)
 
-        monkeypatch.setattr(codegen, "_compile", spy)
+        monkeypatch.setattr(codegen, "compile_batch_matcher_from_source", spy)
         query = (
             "SELECT l_orderkey FROM lineitem "
             "WHERE l_quantity >= 51 AND l_shipmode <> 'FOB' LIMIT 20"

@@ -15,9 +15,9 @@ from repro.errors import JobConfError, JobError
 from repro.obs.trace import TraceRecorder
 from repro.scan.engine import run_map_task
 from tests.unit.test_scan_equivalence import (
-    StoreSplit,
     reference_sample,
     reference_sampling_job,
+    scan_chunks,
 )
 
 
@@ -187,10 +187,9 @@ class TestScanModeParity:
             policy_name=None,
         )
         for split in splits:
-            store = split.block.payload.column_store()
-            small, large = (
-                run_map_task(conf, StoreSplit(store, size)) for size in (7, 4096)
-            )
+            with scan_chunks(7):
+                small = run_map_task(conf, split)
+            large = run_map_task(conf, split)
             assert (small.outputs, small.records_read) == (
                 large.outputs, large.records_read
             )

@@ -4,8 +4,8 @@ The contract under test: ``LocalRunner(map_executor="process")`` is an
 execution detail, never a semantic one — byte-identical job output,
 identical ``records_read`` accounting (LIMIT-k short-circuit included),
 one trace scan span per split; and graceful inline fallback
-whenever a job cannot be shipped to worker processes, as error-bounded
-aggregates and arithmetic WHERE clauses never are.
+whenever a job cannot be shipped to worker processes (error-bounded
+aggregates never are) or a worker dies.
 """
 
 import multiprocessing
@@ -32,7 +32,8 @@ from repro.engine.runtime import (
     MAP_EXECUTORS,
     MAP_WORKERS_ENV,
 )
-from repro.errors import JobConfError
+from repro.errors import HiveAnalysisError, JobConfError
+from repro.hive import expressions
 from repro.hive.expressions import compile_predicate
 from repro.hive.parser import parse_statement
 from repro.obs.trace import TraceRecorder
@@ -316,14 +317,67 @@ class TestProcessPathRuns:
 
 
 class TestArithmeticFallback:
-    """An arithmetic WHERE is the one predicate whose scan-task spec does
-    not pickle: its namespace holds the checked-arithmetic closure. The
-    process executor runs such a job inline, with the serial answer."""
+    """An arithmetic WHERE ships like any other predicate: its namespace
+    names ``checked_arithmetic`` by module reference, with the operator
+    and expression text as constants. What falls back is error handling:
+    a worker that raises dies and the inline rerun raises the serial
+    error, and a task that does not pickle runs inline."""
 
-    def test_arithmetic_where_runs_inline_and_matches_serial(
-        self, mmap_splits, monkeypatch
-    ):
+    def test_arithmetic_where_ships_and_matches_serial(self, mmap_splits, monkeypatch):
         _predicate, _dataset, splits = mmap_splits
+        predicate = where("l_quantity * 2 > 60")
+        _source, namespace = codegen.batch_matcher_source(predicate)
+        assert pickle.loads(pickle.dumps(namespace)) == namespace
+        conf = make_sampling_conf(
+            name="q", input_path="/t", predicate=predicate, sample_size=40,
+            policy_name="LA",
+        )
+        serial = LocalRunner(seed=7, map_executor="thread").run(conf, splits)
+        batches = spy_on_process_path(monkeypatch)
+        with LocalRunner(seed=7, map_executor="process", map_workers=2) as runner:
+            parallel = runner.run(conf, splits)
+        assert batches, "no batch reached the process path"
+        for size, submitted in batches:
+            assert submitted == min(2, size)
+        assert fingerprint(parallel) == fingerprint(serial)
+        assert len(parallel.output_data) == 40
+
+    def test_division_by_zero_raises_the_serial_error(self, mmap_splits, monkeypatch):
+        _predicate, _dataset, splits = mmap_splits
+        conf = make_scan_conf(
+            name="q", input_path="/t", predicate=where("l_quantity / 0 > 1")
+        )
+        with pytest.raises(HiveAnalysisError, match="division by zero") as serial:
+            LocalRunner(map_executor="thread").run(conf, splits)
+        replies = []
+        run = ScanWorkers.run
+
+        def recording_run(workers, payloads, on_delta):
+            replies.append(run(workers, payloads, on_delta))
+            return replies[-1]
+
+        monkeypatch.setattr(ScanWorkers, "run", recording_run)
+        with LocalRunner(map_executor="process", map_workers=2) as runner:
+            with pytest.raises(HiveAnalysisError) as shipped:
+                runner.run(conf, splits)
+        # The batch shipped, a worker died raising, and the inline rerun
+        # raised the serial error.
+        assert replies == [None]
+        assert str(shipped.value) == str(serial.value)
+
+    def test_task_that_does_not_pickle_runs_inline(self, mmap_splits, monkeypatch):
+        """The pickle guard in ``_run_map_batch_process``, reached
+        through a constant the program never builds: the arithmetic
+        kernel wrapped in a local function."""
+        _predicate, _dataset, splits = mmap_splits
+        monkeypatch.setattr(codegen, "_source_cache", {})
+        monkeypatch.setattr(codegen, "_batch_cache", {})
+        kernel = expressions.checked_arithmetic
+
+        def local_kernel(*args):
+            return kernel(*args)
+
+        monkeypatch.setattr(expressions, "checked_arithmetic", local_kernel)
         predicate = where("l_quantity * 2 > 60")
         _source, namespace = codegen.batch_matcher_source(predicate)
         with pytest.raises((pickle.PicklingError, AttributeError)):
@@ -341,7 +395,6 @@ class TestArithmeticFallback:
         assert batches, "no batch reached the process path"
         assert all(submitted == 0 for _size, submitted in batches)
         assert fingerprint(parallel) == fingerprint(serial)
-        assert len(parallel.output_data) == 40
 
 
 def answer(result):

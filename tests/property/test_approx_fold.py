@@ -5,7 +5,7 @@ row, and the accuracy demand folded those back into per-group
 ``(count, sum)`` totals. It now folds on the map side. For any rows —
 NULL values, NULL, empty and non-ASCII group keys, ``-0.0`` and floats
 of mixed magnitude — its map task over an in-memory and an mmap
-partition, in batches of any size, must return exactly (by ``==``, and
+partition, scanned in chunks of any size, must return exactly (by ``==``, and
 bit for bit) the reference fold: those pairs folded in row order from
 ``(0, 0.0)``, for COUNT, SUM and AVG, with and without GROUP BY.
 """
@@ -22,7 +22,7 @@ from repro.data.predicates import ColumnCompare
 from repro.scan.columnar import ColumnStore
 from repro.scan.engine import run_map_task
 from repro.scan.mmapstore import MmapDataset, MmapDatasetWriter
-from tests.unit.test_scan_equivalence import StoreSplit, reference_fold
+from tests.unit.test_scan_equivalence import StoreSplit, reference_fold, scan_chunks
 
 _TMPDIR = Path(tempfile.mkdtemp(prefix="repro_approx_fold_"))
 _file_seq = itertools.count()
@@ -92,7 +92,8 @@ def test_folded_totals_equal_the_per_row_pairs(rows, cutoff, batch_size):
             aggregate=aggregate, error_pct=5.0, group_by=group_by,
         )
         for layout, store in stores.items():
-            context = run_map_task(conf, StoreSplit(store, batch_size))
+            with scan_chunks(batch_size):
+                context = run_map_task(conf, StoreSplit(store))
             assert context.outputs == expected, (layout, aggregate, group_by)
             assert bits(context.outputs) == bits(expected)
             assert context.records_read == len(rows)

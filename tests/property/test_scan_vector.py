@@ -7,8 +7,8 @@ rows the kernel returns. Over random mmap partitions — int columns with
 values at the edges of int64 and of float64 exactness, float columns
 with NaN, signed zeros and infinities, NULLs, a string column and a bool
 column — the matcher must give the interpreted loop's hits and scanned
-counts for every limit, in one call or in the chunks the process worker
-scans. The kernel must run where numpy compares exactly as Python does
+counts for every limit, in one call or in chunks of the shared scan loop
+(``scan_partition``), as the process worker's telemetry path scans. The kernel must run where numpy compares exactly as Python does
 and decline everywhere else, and each column is looked up once per call.
 """
 
@@ -37,7 +37,7 @@ from repro.hive.ast import (
     LogicalOr,
 )
 from repro.hive.expressions import compile_predicate
-from repro.scan import codegen, mmapstore, proc
+from repro.scan import codegen, mmapstore
 from repro.scan.codegen import (
     batch_matcher_source,
     compile_batch_matcher_from_source,
@@ -45,7 +45,7 @@ from repro.scan.codegen import (
 )
 from repro.scan.columnar import ColumnStore
 from repro.scan.mmapstore import MmapDataset, MmapDatasetWriter, NullableColumn
-from repro.scan.proc import ScanTask, ScanTaskSpec
+from repro.scan.engine import scan_partition
 from tests.unit.test_scan_equivalence import interpreted
 from tests.unit.test_scan_equivalence import predicates as small_core_trees
 
@@ -243,12 +243,13 @@ def call(matcher, store, start, stop, limit):
 
 
 def chunked(matcher, store, limit, chunk_rows):
-    """The whole partition in ``chunk_rows`` chunks, exactly as a process
-    worker's telemetry path scans it (negative remainders included)."""
-    spec = ScanTaskSpec(source="", namespace={}, limit=limit, columns=None)
-    task = ScanTask(refs=(), spec=spec, job_id="job", chunk_rows=chunk_rows)
+    """The whole partition in ``chunk_rows`` chunks of the shared scan
+    loop, as a process worker's telemetry path scans it (negative
+    remainders included)."""
     hits = []
-    scanned = proc._scan_partition(matcher, store, task, 0, hits, lambda delta: None)
+    scanned = scan_partition(
+        matcher, store, limit, hits, chunk=chunk_rows, on_chunk=lambda *_chunk: None
+    )
     return hits, scanned
 
 

@@ -11,6 +11,7 @@ from repro.data.schema import Field, Schema
 from repro.data.tpch import LINEITEM_SCHEMA
 from repro.errors import MmapStoreError
 from repro.scan.codegen import compile_batch_matcher
+from repro.scan.engine import scan_partition
 from repro.scan.mmapstore import (
     COLUMN_TYPES,
     MAGIC,
@@ -310,8 +311,8 @@ class TestBoundedMemory:
 
     @staticmethod
     def _retained_per_row(tmp_path, code, values, literal):
-        """Bytes per row that three full batch scans of a one-column
-        partition leave allocated."""
+        """Bytes per row that three full scans of a one-column partition
+        leave allocated."""
         rows = len(values)
         path = tmp_path / "c.rcs"
         with MmapDatasetWriter(path, ("c",), (code,)) as writer:
@@ -321,8 +322,7 @@ class TestBoundedMemory:
         tracemalloc.start()
         before, _ = tracemalloc.get_traced_memory()
         for _ in range(3):
-            for batch in store.iter_batches():
-                matcher(batch.columns, batch.start, batch.stop, None, [].append)
+            scan_partition(matcher, store, None, [])
         retained, _ = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         return (retained - before) / rows

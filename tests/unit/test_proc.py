@@ -28,7 +28,7 @@ from repro.data import (
 from repro.data.predicates import ColumnCompare
 from repro.dfs import DistributedFileSystem
 from repro.scan import proc
-from repro.scan.columnar import DEFAULT_BATCH_SIZE
+from repro.scan.engine import DEFAULT_BATCH_SIZE
 from repro.scan.mmapstore import open_mmap_dataset
 from repro.scan.proc import (
     MATCHER_CACHE_SIZE,

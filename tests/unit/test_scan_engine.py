@@ -7,21 +7,22 @@ import pytest
 from repro.core.sampling_job import SamplingMapper, ScanMapper
 from repro.data.predicates import ColumnCompare
 from repro.engine.jobconf import JobConf
-from repro.engine.mapreduce import IdentityMapper, MapContext
+from repro.engine.mapreduce import IdentityMapper
 from repro.errors import DataGenerationError
-from repro.scan.columnar import ColumnBatch, ColumnStore
-from repro.scan.engine import run_map_task
+from repro.scan.columnar import ColumnStore
+from repro.scan.engine import run_map_task, scan_partition
 from tests.unit.test_scan_equivalence import (
     StoreSplit,
     reference_sample,
     reference_scan,
+    scan_chunks,
 )
 
 ROWS = [{"x": i, "y": i * 10} for i in range(10)]
 
 
-def split_of(rows, batch_size=4096):
-    return StoreSplit(ColumnStore.from_rows(rows), batch_size)
+def split_of(rows):
+    return StoreSplit(ColumnStore.from_rows(rows))
 
 
 def make_conf(mapper_factory):
@@ -44,24 +45,58 @@ class TestColumnStore:
         with pytest.raises(DataGenerationError):
             ColumnStore(("x", "y"), {"x": [1, 2], "y": [1]})
 
-    def test_iter_batches_covers_all_rows_once(self):
-        store = ColumnStore.from_rows(ROWS)
-        batches = list(store.iter_batches(4))
-        assert [(b.start, b.stop) for b in batches] == [(0, 4), (4, 8), (8, 10)]
-        rows = [b.row(i) for b in batches for i in range(b.start, b.stop)]
-        assert rows == ROWS
-
-    def test_batch_indices_are_absolute(self):
-        store = ColumnStore.from_rows(ROWS)
-        batch = list(store.iter_batches(4))[1]
-        assert isinstance(batch, ColumnBatch)
-        assert [batch.row(i) for i in range(batch.start, batch.stop)] == ROWS[4:8]
-        assert batch.row(5) == ROWS[5]
-
     def test_empty_store(self):
         store = ColumnStore.from_rows([])
         assert store.num_rows == 0
-        assert list(store.iter_batches(4)) == []
+        assert list(store.iter_rows()) == []
+
+
+class TestScanPartition:
+    """The one chunked scan loop, with a matcher that records its calls."""
+
+    @staticmethod
+    def recording_matcher(calls):
+        """A batch matcher for ``x % 3 = 2`` that records each call."""
+
+        def matcher(columns, start, stop, limit, append):
+            calls.append((start, stop, limit))
+            found = 0
+            for index in range(start, stop):
+                if columns["x"][index] % 3 == 2:
+                    append(index)
+                    found += 1
+                    if found == limit:
+                        return index - start + 1
+            return stop - start
+
+        return matcher
+
+    def test_chunks_cover_all_rows_once(self):
+        store = ColumnStore.from_rows(ROWS)
+        calls, hits = [], []
+        with scan_chunks(4):
+            scanned = scan_partition(self.recording_matcher(calls), store, None, hits)
+        assert scanned == len(ROWS)
+        assert [(start, stop) for start, stop, _limit in calls] == [(0, 4), (4, 8), (8, 10)]
+        assert hits == [2, 5, 8]
+
+    def test_limit_stops_mid_chunk_and_chunks_report_cumulative_rows(self):
+        store = ColumnStore.from_rows(ROWS)
+        calls, hits, chunks = [], [], []
+        scanned = scan_partition(
+            self.recording_matcher(calls), store, 2, hits,
+            chunk=4, on_chunk=lambda total, rows, wall_s: chunks.append((total, rows)),
+        )
+        # Each call is asked for the matches still missing: 2, then 1.
+        assert [limit for _start, _stop, limit in calls] == [2, 1]
+        assert (scanned, hits) == (6, [2, 5])
+        assert chunks == [(4, 4), (6, 2)]
+
+    def test_empty_store_calls_no_matcher(self):
+        calls, hits = [], []
+        matcher = self.recording_matcher(calls)
+        assert scan_partition(matcher, ColumnStore.from_rows([]), 1, hits) == 0
+        assert calls == hits == []
 
 
 class TestRunMapTask:
@@ -77,11 +112,12 @@ class TestRunMapTask:
     @pytest.mark.parametrize("batch_size", [1, 3, 4096])
     def test_scan_mapper_matches_the_reference(self, batch_size):
         predicate = ColumnCompare("x", ">=", 5)
-        split = split_of(ROWS, batch_size)
+        split = split_of(ROWS)
         spans = []
-        context = run_map_task(
-            make_conf(lambda: ScanMapper(predicate)), split, span_sink=spans.append
-        )
+        with scan_chunks(batch_size):
+            context = run_map_task(
+                make_conf(lambda: ScanMapper(predicate)), split, span_sink=spans.append
+            )
         assert (context.outputs, context.records_read) == reference_scan(
             split, predicate
         )
@@ -91,7 +127,7 @@ class TestRunMapTask:
 
 class TestLimitShortCircuit:
     """records_read must reflect only rows actually scanned, whatever
-    the batch size."""
+    the scan loop's chunk size."""
 
     @pytest.mark.parametrize("batch_size", [1, 3, 4096])
     def test_stops_at_kth_match(self, batch_size):
@@ -99,7 +135,8 @@ class TestLimitShortCircuit:
         rows = [{"x": 1 if i in (2, 5, 8) else 0} for i in range(10)]
         predicate = ColumnCompare("x", "=", 1)
         conf = make_conf(lambda: SamplingMapper(predicate, k=2))
-        context = run_map_task(conf, split_of(rows, batch_size))
+        with scan_chunks(batch_size):
+            context = run_map_task(conf, split_of(rows))
         assert context.outputs_produced == 2
         assert context.records_read == 6
 
@@ -114,9 +151,10 @@ class TestLimitShortCircuit:
     def test_agrees_with_the_reference(self):
         rows = [{"x": i % 3} for i in range(50)]
         predicate = ColumnCompare("x", "=", 2)
-        split = split_of(rows, batch_size=8)
+        split = split_of(rows)
         conf = make_conf(lambda: SamplingMapper(predicate, k=7))
-        context = run_map_task(conf, split)
+        with scan_chunks(8):
+            context = run_map_task(conf, split)
         assert (context.outputs, context.records_read) == reference_sample(
             split, predicate, 7
         )

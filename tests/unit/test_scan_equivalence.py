@@ -15,10 +15,12 @@ the same rows written to an mmap partition, cold and with its string
 column decoded.
 
 This module also holds the reference map tasks other suites compare
-``run_map_task`` with: the interpreted loop over ``split.iter_rows()``.
+``run_map_task`` with: the interpreted loop over ``split.iter_rows()``,
+and ``scan_chunks``, which sets the scan loop's chunk size.
 """
 
 import itertools
+from contextlib import contextmanager
 
 import pytest
 
@@ -39,6 +41,7 @@ from repro.hive.ast import (
 from repro.hive.expressions import compile_predicate
 from repro.hive.parser import parse_statement
 from repro.scan.codegen import compile_batch_matcher
+from repro.scan import engine
 from repro.scan.columnar import ColumnStore
 from repro.scan.mmapstore import MmapDataset, MmapDatasetWriter
 
@@ -157,20 +160,28 @@ def reference_sampling_job(splits, split_ids, predicate, k, columns=None):
 
 
 class StoreSplit:
-    """A materialized split over a column store, scanned in batches of
-    ``batch_size`` rows."""
+    """A materialized split over a column store."""
 
     split_id = "s0"
 
-    def __init__(self, store, batch_size=4096):
+    def __init__(self, store):
         self.store = store
-        self.batch_size = batch_size
 
     def iter_rows(self):
         return self.store.iter_rows()
 
-    def iter_batches(self):
-        return self.store.iter_batches(self.batch_size)
+    def column_store(self):
+        return self.store
+
+
+@contextmanager
+def scan_chunks(rows):
+    """Within the block, the shared scan loop (``scan_partition``) calls
+    its matcher on chunks of ``rows`` rows: it reads
+    ``DEFAULT_BATCH_SIZE`` at call time."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "DEFAULT_BATCH_SIZE", rows)
+        yield
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from repro.data.datasets import build_materialized_dataset, dataset_spec_for_sca
 from repro.data.predicates import ColumnCompare, predicate_for_skew
 from repro.scan import mmapstore
 from repro.scan.codegen import compile_batch_matcher
-from repro.scan.columnar import DEFAULT_BATCH_SIZE, ColumnStore
+from repro.scan.columnar import ColumnStore
+from repro.scan.engine import DEFAULT_BATCH_SIZE, scan_partition
 from repro.scan.mmapstore import (
     MmapDataset,
     MmapDatasetWriter,
@@ -70,16 +71,23 @@ def is_cold(column):
 
 
 def scan(store, predicate, limit=None):
-    """The batch loop of the sampling mapper: batch by batch, up to
-    ``limit`` hits. Returns the hit indices."""
-    matcher = compile_batch_matcher(predicate)
+    """The mappers' scan: the shared chunked loop, up to ``limit`` hits.
+    Returns the hit indices."""
     hits = []
-    for batch in store.iter_batches():
-        remaining = None if limit is None else limit - len(hits)
-        matcher(batch.columns, batch.start, batch.stop, remaining, hits.append)
-        if limit is not None and len(hits) >= limit:
-            break
+    scan_partition(compile_batch_matcher(predicate), store, limit, hits)
     return hits
+
+
+def scan_views(store):
+    """The column views the scan loop hands a matcher, one per chunk."""
+    views = []
+
+    def matcher(columns, start, stop, limit, append):
+        views.append(columns)
+        return stop - start
+
+    scan_partition(matcher, store, None, [])
+    return views
 
 
 class TestDecoded:
@@ -273,14 +281,14 @@ class TestScanDecodes:
 
     def test_batches_expose_the_scan_view(self, dataset):
         store = dataset.partition_store(0)
-        [batch] = list(store.iter_batches(ROWS))
-        assert batch.columns["id"] is store.columns["id"]
-        assert batch.columns["mode"] is store.columns["mode"]
-        assert batch.columns["mode"] == make_columns()["mode"]
-        assert batch.row(3) == store.row_at(3)
+        [columns] = scan_views(store)
+        assert columns["id"] is store.columns["id"]
+        assert columns["mode"] is store.columns["mode"]
+        assert columns["mode"] == make_columns()["mode"]
+        assert is_cold(store.columns["kind"])
 
     def test_in_memory_store_scans_its_columns_dict(self):
         store = ColumnStore.from_rows([{"a": 1, "b": "x"}, {"a": None, "b": "y"}])
         assert store.scan_columns(2) is store.columns
-        [batch] = list(store.iter_batches())
-        assert batch.columns is store.columns
+        assert scan_views(store) == [store.columns]
+        assert scan_views(store)[0] is store.columns
