@@ -8,8 +8,9 @@ values at the edges of int64 and of float64 exactness, float columns
 with NaN, signed zeros and infinities, NULLs, a string column and a bool
 column — the matcher must give the interpreted loop's hits and scanned
 counts for every limit, in one call or in chunks of the shared scan loop
-(``scan_partition``), as the process worker's telemetry path scans. The kernel must run where numpy compares exactly as Python does
-and decline everywhere else, and each column is looked up once per call.
+(``scan_partition``), as the process worker's telemetry path scans. The
+kernel must run where numpy compares exactly as Python does and decline
+everywhere else, and each column is looked up once per call.
 """
 
 import itertools

@@ -40,8 +40,8 @@ from repro.hive.ast import (
 )
 from repro.hive.expressions import compile_predicate
 from repro.hive.parser import parse_statement
-from repro.scan.codegen import compile_batch_matcher
 from repro.scan import engine
+from repro.scan.codegen import compile_batch_matcher
 from repro.scan.columnar import ColumnStore
 from repro.scan.mmapstore import MmapDataset, MmapDatasetWriter
 
