@@ -9,6 +9,8 @@ uncapped, and differ only in the outputs they build from its hits.
 
 Algorithm 2 (reduce): the single dummy key funnels every candidate to one
 reduce task, which outputs the first k values (all of them if fewer).
+Candidates travel as row references; both reducers choose by position
+alone and build (:func:`row_at`) only the rows they output.
 
 The JobConf builders attach the dynamic-job parameters of §IV and the
 profile-output functions that let the same job run on metadata-only
@@ -108,14 +110,15 @@ class SamplingMapper(ScanMapper):
         self.limit = k
 
     def outputs(self, store, hits: list[int]) -> list[tuple[Any, Any]]:
-        """Each match's projected row under the single dummy key."""
+        """Each match under the single dummy key, as a row reference
+        ``(names, columns, index)`` that the reducer builds if it keeps it."""
         names = self._columns if self._columns is not None else store.names
         columns = store.columns
-        return [(DUMMY_KEY, row_at(names, columns, index)) for index in hits]
+        return [(DUMMY_KEY, (names, columns, index)) for index in hits]
 
 
 class SamplingReducer(Reducer):
-    """Algorithm 2: pass through the first ``k`` candidate values."""
+    """Algorithm 2: build and pass through the first ``k`` candidate rows."""
 
     def __init__(self, k: int) -> None:
         if k <= 0:
@@ -123,8 +126,8 @@ class SamplingReducer(Reducer):
         self._k = k
 
     def reduce(self, key: Any, values: list, context: ReduceContext) -> None:
-        for value in values[: self._k]:
-            context.emit(key, value)
+        for ref in values[: self._k]:
+            context.emit(key, row_at(*ref))
 
 
 class ReservoirSamplingReducer(Reducer):
@@ -135,7 +138,8 @@ class ReservoirSamplingReducer(Reducer):
     Uses Vitter's Algorithm R over the candidate list, so every candidate
     the map phase surfaced has equal probability of entering the final
     sample — removing the head bias of taking the *first* k (candidates
-    from earlier-finishing map tasks win under Algorithm 2).
+    from earlier-finishing map tasks win under Algorithm 2). The draws
+    read positions only; the ``k`` survivors' rows are built at the end.
     """
 
     def __init__(self, k: int, rng: random.Random | None = None) -> None:
@@ -146,15 +150,15 @@ class ReservoirSamplingReducer(Reducer):
 
     def reduce(self, key: Any, values: list, context: ReduceContext) -> None:
         reservoir: list = []
-        for index, value in enumerate(values):
+        for index, ref in enumerate(values):
             if index < self._k:
-                reservoir.append(value)
+                reservoir.append(ref)
             else:
                 slot = self._rng.randint(0, index)
                 if slot < self._k:
-                    reservoir[slot] = value
-        for value in reservoir:
-            context.emit(key, value)
+                    reservoir[slot] = ref
+        for ref in reservoir:
+            context.emit(key, row_at(*ref))
 
 
 # ---------------------------------------------------------------------------

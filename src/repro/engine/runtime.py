@@ -387,14 +387,18 @@ class LocalRunner:
         forking the workers on the first process batch. Per-split results
         are put back in submission order. Workers run the in-process
         scan loop and return only match indices and counters; the
-        mapper's own ``outputs`` builds the rows parent-side from its
-        own mapping of the same file, so bytes match serial execution
-        exactly. Each split's worker-measured scan time becomes
-        its trace ``scan_span.elapsed_s``, as an in-process scan's does.
+        mapper's own ``outputs`` builds each split's map outputs
+        parent-side over its own mapping of the same file (row
+        references for a sampling job, whose reducer builds the rows it
+        returns), so bytes match serial execution exactly. Each split's
+        worker-measured scan time becomes its trace
+        ``scan_span.elapsed_s``, as an in-process scan's does.
 
         A failed send or receive on any worker's pipe (a worker died,
         idle or mid-task) stops every worker and runs this batch inline;
-        the next process batch forks fresh workers.
+        the next process batch forks fresh workers. A task that raises
+        in its worker runs the batch inline too, where the error
+        surfaces as in serial execution; the workers stay up.
 
         When the runner's trace recorder has a listener (the telemetry
         hub, ``--progress``), tasks carry the job id and
@@ -430,7 +434,8 @@ class LocalRunner:
             self._workers = ScanWorkers(self._map_workers)
         packed = self._workers.run(payloads, self._publish_delta)
         if packed is None:
-            self._workers = None  # already stopped; the next batch forks anew
+            if not self._workers.alive:
+                self._workers = None  # stopped; the next batch forks anew
             return None
         outcomes = [packed[i % count][i // count] for i in range(len(splits))]
         results: list[LocalMapResult] = []

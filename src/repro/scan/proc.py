@@ -14,7 +14,7 @@ in this order:
    every scan chunk, which the parent publishes to the listeners, so
    they see progress while the task runs;
 3. the worker sends its results, one :class:`ScanTaskResult` per
-   partition.
+   partition, or None if the task raised.
 
 A task's deltas therefore always arrive before its results. The worker
 re-``mmap``s the file (the OS shares the page-cache pages with every
@@ -244,10 +244,12 @@ def serve(conn, inherited=()) -> None:
     """A map worker's loop: answer each task on ``conn`` until it closes.
 
     Per task it sends the task's deltas (if it carries a job id), then
-    its results. ``inherited`` holds the parent's ends of the workers'
-    pipes, which a forked worker holds copies of; closing them lets each
-    worker see end-of-file once the parent closes or dies. Any other
-    failure ends the process, which the parent sees as a broken pipe."""
+    its results, or None if the task raised: the worker stays up, and the
+    parent reruns the batch in process, where the error surfaces.
+    ``inherited`` holds the parent's ends of the workers' pipes, which a
+    forked worker holds copies of; closing them lets each worker see
+    end-of-file once the parent closes or dies. A failure outside a task
+    ends the process, which the parent sees as a broken pipe."""
     for parent_end in inherited:
         parent_end.close()
 
@@ -259,7 +261,11 @@ def serve(conn, inherited=()) -> None:
             payload = conn.recv_bytes()
         except EOFError:
             return
-        send(run_scan_task(pickle.loads(payload), send))
+        try:
+            results = run_scan_task(pickle.loads(payload), send)
+        except Exception:
+            results = None
+        send(results)
 
 
 class ScanWorkers:
@@ -301,7 +307,9 @@ class ScanWorkers:
         every :class:`WorkerDelta` that arrives first to ``on_delta``
         (None only for tasks without a job id, which send none).
 
-        Returns None, with every worker stopped, when a pipe fails: a
+        Returns None when a task raised in its worker, after draining
+        every reply, with the workers still up; and None, with every
+        worker stopped (:attr:`alive` false), when a pipe fails: a
         worker died, idle or mid-task. Any other exception stops the
         workers too, since their pipes may still hold this batch's
         messages, and propagates."""
@@ -319,13 +327,18 @@ class ScanWorkers:
                         on_delta(message)
                     else:
                         replies[pending.pop(conn)] = message
-            return replies
+            return None if None in replies else replies
         except (OSError, EOFError):
             self.close()
             return None
         except BaseException:
             self.close()
             raise
+
+    @property
+    def alive(self) -> bool:
+        """True until the workers are stopped."""
+        return self._close.alive
 
     def close(self) -> None:
         """Stop every worker; a second call does nothing."""
@@ -349,5 +362,6 @@ def _stop(conns: list, procs: list, owner: int) -> None:
 def materialize_outputs(store, result: ScanTaskResult, mapper) -> list[tuple[Any, Any]]:
     """A shipped split's map outputs: ``mapper.outputs`` over the
     worker's hit indices, in the parent's own view of the same file, as
-    the mapper's in-process scan builds them, so output bytes match."""
+    the mapper's in-process scan builds them, so output bytes match. A
+    sampling mapper's are row references: its reducer builds the rows."""
     return mapper.outputs(store, result.hits)

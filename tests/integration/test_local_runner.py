@@ -15,6 +15,7 @@ from repro.errors import JobConfError, JobError
 from repro.obs.trace import TraceRecorder
 from repro.scan.engine import run_map_task
 from tests.unit.test_scan_equivalence import (
+    built_rows,
     reference_sample,
     reference_sampling_job,
     scan_chunks,
@@ -190,10 +191,10 @@ class TestScanModeParity:
             with scan_chunks(7):
                 small = run_map_task(conf, split)
             large = run_map_task(conf, split)
-            assert (small.outputs, small.records_read) == (
-                large.outputs, large.records_read
+            assert (built_rows(small.outputs), small.records_read) == (
+                built_rows(large.outputs), large.records_read
             )
-            assert (large.outputs, large.records_read) == reference_sample(
+            assert (built_rows(large.outputs), large.records_read) == reference_sample(
                 split, pred, 40
             )
 

@@ -320,8 +320,9 @@ class TestArithmeticFallback:
     """An arithmetic WHERE ships like any other predicate: its namespace
     names ``checked_arithmetic`` by module reference, with the operator
     and expression text as constants. What falls back is error handling:
-    a worker that raises dies and the inline rerun raises the serial
-    error, and a task that does not pickle runs inline."""
+    a task that raises in a worker is rerun inline, which raises the
+    serial error while the workers stay up, and a task that does not
+    pickle runs inline."""
 
     def test_arithmetic_where_ships_and_matches_serial(self, mmap_splits, monkeypatch):
         _predicate, _dataset, splits = mmap_splits
@@ -342,8 +343,10 @@ class TestArithmeticFallback:
         assert fingerprint(parallel) == fingerprint(serial)
         assert len(parallel.output_data) == 40
 
-    def test_division_by_zero_raises_the_serial_error(self, mmap_splits, monkeypatch):
-        _predicate, _dataset, splits = mmap_splits
+    def test_division_by_zero_raises_the_serial_error(
+        self, mmap_splits, monkeypatch, capfd
+    ):
+        predicate, _dataset, splits = mmap_splits
         conf = make_scan_conf(
             name="q", input_path="/t", predicate=where("l_quantity / 0 > 1")
         )
@@ -357,13 +360,34 @@ class TestArithmeticFallback:
             return replies[-1]
 
         monkeypatch.setattr(ScanWorkers, "run", recording_run)
+        started = []
+        init = ScanWorkers.__init__
+
+        def recording_init(workers, count):
+            started.append(workers)
+            init(workers, count)
+
+        monkeypatch.setattr(ScanWorkers, "__init__", recording_init)
+        before = worker_processes()
         with LocalRunner(map_executor="process", map_workers=2) as runner:
             with pytest.raises(HiveAnalysisError) as shipped:
                 runner.run(conf, splits)
-        # The batch shipped, a worker died raising, and the inline rerun
-        # raised the serial error.
-        assert replies == [None]
+            # The batch shipped, each worker replied that its task raised,
+            # and the inline rerun raised the serial error. The workers
+            # stay up, and the next job ships to the same ones.
+            assert started == [runner._workers]
+            workers = worker_processes() - before
+            assert len(workers) == 2
+            assert all(worker.is_alive() for worker in workers)
+            good = make_scan_conf(name="q", input_path="/t", predicate=predicate)
+            batches = spy_on_process_path(monkeypatch)
+            runner.run(good, splits)
+            assert started == [runner._workers]
+            assert worker_processes() - before == workers
+        assert replies[0] is None and replies[1] is not None
+        assert batches == [(len(splits), 2)]
         assert str(shipped.value) == str(serial.value)
+        assert "Traceback" not in capfd.readouterr().err
 
     def test_task_that_does_not_pickle_runs_inline(self, mmap_splits, monkeypatch):
         """The pickle guard in ``_run_map_batch_process``, reached

@@ -14,12 +14,20 @@ from repro.engine.mapreduce import ReduceContext
 from repro.errors import JobConfError
 
 
+def refs_to(values):
+    """Row references into an in-memory column ``v`` holding ``values``,
+    as the sampling mapper emits them."""
+    columns = {"v": values}
+    return [(("v",), columns, index) for index in range(len(values))]
+
+
 def run_reducer(values, k, seed=0):
+    """The emitted rows' ``v`` when the reservoir reduces ``values``."""
     context = ReduceContext()
     ReservoirSamplingReducer(k, random.Random(seed)).run(
-        [(DUMMY_KEY, values)], context
+        [(DUMMY_KEY, refs_to(values))], context
     )
-    return [value for _key, value in context.outputs]
+    return [row["v"] for _key, row in context.outputs]
 
 
 class TestReservoirReducer:
@@ -62,8 +70,8 @@ class TestReservoirReducer:
         from repro.core.sampling_job import SamplingReducer
 
         context = ReduceContext()
-        SamplingReducer(5).run([(DUMMY_KEY, list(range(100)))], context)
-        assert [v for _k, v in context.outputs] == [0, 1, 2, 3, 4]
+        SamplingReducer(5).run([(DUMMY_KEY, refs_to(list(range(100))))], context)
+        assert [row["v"] for _k, row in context.outputs] == [0, 1, 2, 3, 4]
 
 
 class TestReservoirEndToEnd:

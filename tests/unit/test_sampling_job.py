@@ -16,7 +16,8 @@ from repro.engine.mapreduce import ReduceContext
 from repro.errors import JobConfError
 from repro.scan.columnar import ColumnStore
 from repro.scan.engine import run_map_task
-from tests.unit.test_scan_equivalence import StoreSplit
+from tests.unit.test_reservoir_sampling import refs_to
+from tests.unit.test_scan_equivalence import StoreSplit, built_rows
 
 
 PRED = ColumnCompare("x", ">", 10)
@@ -35,7 +36,7 @@ class TestSamplingMapper:
     def test_emits_only_matches_under_dummy_key(self):
         context = run_mapper(SamplingMapper(PRED, k=10), [5, 15, 20, 3])
         assert [key for key, _ in context.outputs] == [DUMMY_KEY, DUMMY_KEY]
-        assert [v["x"] for _, v in context.outputs] == [15, 20]
+        assert [row["x"] for _, row in built_rows(context.outputs)] == [15, 20]
 
     def test_caps_output_at_k(self):
         context = run_mapper(SamplingMapper(PRED, k=3), [20] * 10)
@@ -52,7 +53,7 @@ class TestSamplingMapper:
 
     def test_projection(self):
         context = run_mapper(SamplingMapper(PRED, k=5, columns=("y",)), [20])
-        assert context.outputs == [(DUMMY_KEY, {"y": 0})]
+        assert built_rows(context.outputs) == [(DUMMY_KEY, {"y": 0})]
 
     def test_invalid_k_rejected(self):
         with pytest.raises(JobConfError):
@@ -69,13 +70,13 @@ class TestSamplingMapper:
 class TestSamplingReducer:
     def test_passes_through_when_under_k(self):
         context = ReduceContext()
-        SamplingReducer(k=10).run([(DUMMY_KEY, [1, 2, 3])], context)
-        assert [v for _, v in context.outputs] == [1, 2, 3]
+        SamplingReducer(k=10).run([(DUMMY_KEY, refs_to([1, 2, 3]))], context)
+        assert [row["v"] for _, row in context.outputs] == [1, 2, 3]
 
     def test_truncates_to_first_k(self):
         context = ReduceContext()
-        SamplingReducer(k=2).run([(DUMMY_KEY, [1, 2, 3, 4])], context)
-        assert [v for _, v in context.outputs] == [1, 2]
+        SamplingReducer(k=2).run([(DUMMY_KEY, refs_to([1, 2, 3, 4]))], context)
+        assert [row["v"] for _, row in context.outputs] == [1, 2]
 
     def test_invalid_k_rejected(self):
         with pytest.raises(JobConfError):

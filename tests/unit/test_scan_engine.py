@@ -13,6 +13,7 @@ from repro.scan.columnar import ColumnStore
 from repro.scan.engine import run_map_task, scan_partition
 from tests.unit.test_scan_equivalence import (
     StoreSplit,
+    built_rows,
     reference_sample,
     reference_scan,
     scan_chunks,
@@ -155,6 +156,6 @@ class TestLimitShortCircuit:
         conf = make_conf(lambda: SamplingMapper(predicate, k=7))
         with scan_chunks(8):
             context = run_map_task(conf, split)
-        assert (context.outputs, context.records_read) == reference_sample(
-            split, predicate, 7
-        )
+        assert (
+            built_rows(context.outputs), context.records_read
+        ) == reference_sample(split, predicate, 7)

@@ -16,7 +16,8 @@ column decoded.
 
 This module also holds the reference map tasks other suites compare
 ``run_map_task`` with: the interpreted loop over ``split.iter_rows()``,
-and ``scan_chunks``, which sets the scan loop's chunk size.
+``built_rows``, which builds a sampling task's row references, and
+``scan_chunks``, which sets the scan loop's chunk size.
 """
 
 import itertools
@@ -29,6 +30,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.sampling_job import DUMMY_KEY
 from repro.data.predicates import MarkerEquals, TruePredicate
+from repro.data.record import row_at
 from repro.data.tpch import LINEITEM_SCHEMA
 from repro.hive.ast import (
     Column,
@@ -115,6 +117,12 @@ def reference_sample(split, predicate, k, columns=None):
     rows = list(split.iter_rows())
     hits, scanned = interpreted(predicate, rows, 0, len(rows), k)
     return [(DUMMY_KEY, _project(rows[i], columns)) for i in hits], scanned
+
+
+def built_rows(outputs):
+    """Sampling map outputs with each row reference built, as a sampling
+    reducer builds the rows it keeps."""
+    return [(key, row_at(*ref)) for key, ref in outputs]
 
 
 def reference_scan(split, predicate, columns=None):
