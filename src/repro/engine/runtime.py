@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -397,8 +398,10 @@ class LocalRunner:
         A failed send or receive on any worker's pipe (a worker died,
         idle or mid-task) stops every worker and runs this batch inline;
         the next process batch forks fresh workers. A task that raises
-        in its worker runs the batch inline too, where the error
-        surfaces as in serial execution; the workers stay up.
+        in its worker, which stays up, reruns the batch inline here: an
+        error of the scan itself raises as in serial execution, and one
+        that only the worker met is reported, with the workers'
+        tracebacks, as a ``RuntimeWarning`` once the inline run succeeds.
 
         When the runner's trace recorder has a listener (the telemetry
         hub, ``--progress``), tasks carry the job id and
@@ -434,9 +437,18 @@ class LocalRunner:
             self._workers = ScanWorkers(self._map_workers)
         packed = self._workers.run(payloads, self._publish_delta)
         if packed is None:
-            if not self._workers.alive:
-                self._workers = None  # stopped; the next batch forks anew
+            self._workers = None  # already stopped; the next batch forks anew
             return None
+        failures = [reply for reply in packed if isinstance(reply, str)]
+        if failures:
+            inline = self._run_map_batch_inline(conf, splits)
+            warnings.warn(
+                "a map worker's task failed, and the batch ran in process:\n"
+                + "".join(failures),
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            return inline
         outcomes = [packed[i % count][i // count] for i in range(len(splits))]
         results: list[LocalMapResult] = []
         for split, outcome in zip(splits, outcomes):

@@ -14,7 +14,7 @@ in this order:
    every scan chunk, which the parent publishes to the listeners, so
    they see progress while the task runs;
 3. the worker sends its results, one :class:`ScanTaskResult` per
-   partition, or None if the task raised.
+   partition, or the formatted traceback (a ``str``) if the task raised.
 
 A task's deltas therefore always arrive before its results. The worker
 re-``mmap``s the file (the OS shares the page-cache pages with every
@@ -48,6 +48,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import traceback
 import weakref
 from dataclasses import dataclass
 from functools import partial
@@ -244,8 +245,8 @@ def serve(conn, inherited=()) -> None:
     """A map worker's loop: answer each task on ``conn`` until it closes.
 
     Per task it sends the task's deltas (if it carries a job id), then
-    its results, or None if the task raised: the worker stays up, and the
-    parent reruns the batch in process, where the error surfaces.
+    its results, or the formatted traceback if the task raised: the
+    worker stays up, and the parent reruns the batch in process.
     ``inherited`` holds the parent's ends of the workers' pipes, which a
     forked worker holds copies of; closing them lets each worker see
     end-of-file once the parent closes or dies. A failure outside a task
@@ -264,7 +265,7 @@ def serve(conn, inherited=()) -> None:
         try:
             results = run_scan_task(pickle.loads(payload), send)
         except Exception:
-            results = None
+            results = traceback.format_exc()
         send(results)
 
 
@@ -301,15 +302,15 @@ class ScanWorkers:
 
     def run(
         self, payloads: list[bytes], on_delta: Callable[[WorkerDelta], None] | None
-    ) -> list[list[ScanTaskResult]] | None:
+    ) -> list[list[ScanTaskResult] | str] | None:
         """Send payload *i* (a pickled :class:`ScanTask`) to worker *i*
-        and return each worker's results, in payload order, passing
-        every :class:`WorkerDelta` that arrives first to ``on_delta``
-        (None only for tasks without a job id, which send none).
+        and return each worker's reply, in payload order, passing every
+        :class:`WorkerDelta` that arrives first to ``on_delta`` (None
+        only for tasks without a job id, which send none). A reply is
+        the task's results, or the formatted traceback (a ``str``) of
+        the exception its task raised; the workers stay up either way.
 
-        Returns None when a task raised in its worker, after draining
-        every reply, with the workers still up; and None, with every
-        worker stopped (:attr:`alive` false), when a pipe fails: a
+        Returns None, with every worker stopped, when a pipe fails: a
         worker died, idle or mid-task. Any other exception stops the
         workers too, since their pipes may still hold this batch's
         messages, and propagates."""
@@ -327,18 +328,13 @@ class ScanWorkers:
                         on_delta(message)
                     else:
                         replies[pending.pop(conn)] = message
-            return None if None in replies else replies
+            return replies
         except (OSError, EOFError):
             self.close()
             return None
         except BaseException:
             self.close()
             raise
-
-    @property
-    def alive(self) -> bool:
-        """True until the workers are stopped."""
-        return self._close.alive
 
     def close(self) -> None:
         """Stop every worker; a second call does nothing."""

@@ -15,6 +15,7 @@ import signal
 
 import pytest
 
+import repro.core.sampling_job as sampling_job
 import repro.engine.runtime as runtime
 from repro import LocalRunner, make_sampling_conf, make_scan_conf
 from repro.approx.job import finalize_rows, make_approx_conf
@@ -121,6 +122,56 @@ class TestParity:
             first = runner.run(conf, splits)
             second = runner.run(conf, splits)
         assert first.output_data == second.output_data
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so each call appends its arguments to the
+    returned list."""
+    calls = []
+    function = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestRowsBuilt:
+    """The sampling mapper emits each match as a row reference, and
+    Algorithm 2's reducers choose by position alone, so the only rows
+    built (``repro.core.sampling_job.row_at``) are the ones the job
+    returns: ``outputs_produced`` of them, not ``map_outputs_produced``,
+    on every map executor, for static and dynamic jobs and for the
+    reservoir variant, with the inline run's answers."""
+
+    @pytest.mark.parametrize("reservoir", [False, True], ids=["first_k", "reservoir"])
+    @pytest.mark.parametrize("policy_name", [None, "LA"], ids=["static", "LA"])
+    @pytest.mark.parametrize(
+        "executor,workers",
+        [("thread", 1), ("thread", 2), ("process", 2)],
+        ids=["inline", "thread2", "process2"],
+    )
+    def test_one_row_built_per_returned_row(
+        self, mmap_splits, monkeypatch, executor, workers, policy_name, reservoir
+    ):
+        predicate, _dataset, splits = mmap_splits
+        k = 40  # of about 120 matches over the 16 splits
+        conf = make_sampling_conf(
+            name="q", input_path="/t", predicate=predicate, sample_size=k,
+            policy_name=policy_name, reservoir=reservoir,
+        )
+        inline = LocalRunner(seed=3, map_executor="thread").run(conf, splits)
+        built = count_calls(monkeypatch, sampling_job, "row_at")
+        shipped = count_calls(monkeypatch, runtime, "materialize_outputs")
+        with LocalRunner(seed=3, map_executor=executor, map_workers=workers) as runner:
+            result = runner.run(conf, splits)
+        # Every split of a process run shipped; the others ran in process.
+        assert len(shipped) == (result.splits_processed if executor == "process" else 0)
+        assert len(built) == len(result.output_data) == result.outputs_produced == k
+        assert result.outputs_produced < result.map_outputs_produced
+        assert result.output_data == inline.output_data
 
 
 class TestShortCircuitAccounting:
@@ -321,8 +372,9 @@ class TestArithmeticFallback:
     names ``checked_arithmetic`` by module reference, with the operator
     and expression text as constants. What falls back is error handling:
     a task that raises in a worker is rerun inline, which raises the
-    serial error while the workers stay up, and a task that does not
-    pickle runs inline."""
+    serial error while the workers stay up (an error only the worker
+    meets is reported as a warning), and a task that does not pickle
+    runs inline."""
 
     def test_arithmetic_where_ships_and_matches_serial(self, mmap_splits, monkeypatch):
         _predicate, _dataset, splits = mmap_splits
@@ -344,7 +396,7 @@ class TestArithmeticFallback:
         assert len(parallel.output_data) == 40
 
     def test_division_by_zero_raises_the_serial_error(
-        self, mmap_splits, monkeypatch, capfd
+        self, mmap_splits, monkeypatch, capfd, recwarn
     ):
         predicate, _dataset, splits = mmap_splits
         conf = make_scan_conf(
@@ -384,10 +436,35 @@ class TestArithmeticFallback:
             runner.run(good, splits)
             assert started == [runner._workers]
             assert worker_processes() - before == workers
-        assert replies[0] is None and replies[1] is not None
+        # Each worker replied with its task's traceback, not results.
+        assert len(replies[0]) == 2
+        assert all("division by zero" in reply for reply in replies[0])
+        assert not any(isinstance(reply, str) for reply in replies[1])
         assert batches == [(len(splits), 2)]
         assert str(shipped.value) == str(serial.value)
         assert "Traceback" not in capfd.readouterr().err
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
+
+    def test_an_error_only_a_worker_meets_is_reported(self, mmap_splits, monkeypatch):
+        """A task that raises in the worker but not in process (here the
+        workers' scan entry point, swapped before they fork) reruns
+        inline, succeeds, and warns with the workers' tracebacks."""
+        predicate, _dataset, splits = mmap_splits
+        conf = make_scan_conf(name="q", input_path="/t", predicate=predicate)
+        serial = LocalRunner(map_executor="thread").run(conf, splits)
+
+        def failing_task(task, send):
+            raise OSError("dataset file replaced")
+
+        monkeypatch.setattr(proc, "run_scan_task", failing_task)
+        before = worker_processes()
+        with LocalRunner(map_executor="process", map_workers=2) as runner:
+            with pytest.warns(RuntimeWarning, match="dataset file replaced"):
+                parallel = runner.run(conf, splits)
+            workers = worker_processes() - before
+            assert len(workers) == 2
+            assert all(worker.is_alive() for worker in workers)
+        assert fingerprint(parallel) == fingerprint(serial)
 
     def test_task_that_does_not_pickle_runs_inline(self, mmap_splits, monkeypatch):
         """The pickle guard in ``_run_map_batch_process``, reached

@@ -10,11 +10,11 @@ from repro.data import (
     dataset_spec_for_scale,
     predicate_for_skew,
 )
-from repro.data.record import row_at
 from repro.dfs import DistributedFileSystem
 from repro.engine.jobtracker import JobTracker
 from repro.errors import JobError
 from repro.sim import Simulator
+from tests.unit.test_scan_equivalence import built_rows
 
 
 def build_world(
@@ -139,8 +139,8 @@ class TestRealExecution:
         # Real output rows exist and match the predicate.
         for task in job.completed_maps:
             assert task.output_data is not None
-            for _key, ref in task.output_data:
-                assert pred.matches(row_at(*ref))
+            for _key, row in built_rows(task.output_data):
+                assert pred.matches(row)
         assert job.reduce_task.output_data is not None
 
     def test_profile_split_without_profile_fn_fails_loudly(self):
