@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.cluster.node import Node, NodeSpec
-from repro.dfs.block import StorageLocation
+from repro.dfs.split import StorageLocation
 from repro.errors import ClusterConfigError
 
 

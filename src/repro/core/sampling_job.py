@@ -269,7 +269,7 @@ def _scan_profile(predicate: Predicate, fallback_selectivity: float | None):
 def _split_matches(
     split: InputSplit, predicate: Predicate, *, fallback_selectivity: float | None
 ) -> int:
-    counts = split.block.payload.match_counts
+    counts = split.payload.match_counts
     if predicate.name in counts:
         return counts[predicate.name]
     if fallback_selectivity is not None:

@@ -1,25 +1,37 @@
-"""The DistributedFileSystem facade.
+"""The DistributedFileSystem: namespace, placement and splits.
 
-Ties together the namenode, a placement policy, and the storage
+Ties together the file namespace, a placement policy, and the storage
 locations exported by the cluster topology. Datasets built by
-:mod:`repro.data.datasets` are written in as one block per partition;
-jobs read them back as :class:`~repro.dfs.split.InputSplit` lists.
+:mod:`repro.data.datasets` are written in as one split per partition,
+placed and built once; jobs read them back as
+:class:`~repro.dfs.split.InputSplit` lists.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from repro.data.datasets import PartitionedDataset
-from repro.dfs.block import Block, StorageLocation
-from repro.dfs.namenode import DfsFile, NameNode
 from repro.dfs.placement import PlacementPolicy, RoundRobinPlacement
-from repro.dfs.split import InputSplit
-from repro.errors import DfsError
+from repro.dfs.split import InputSplit, StorageLocation
+from repro.errors import DfsError, FileAlreadyExistsError, FileNotFoundInDfsError
+
+
+def normalize_path(path: str) -> str:
+    """Canonical form: leading slash, no trailing slash, collapsed separators."""
+    if not path or path.isspace():
+        raise DfsError("empty DFS path")
+    parts = [part for part in path.split("/") if part]
+    if not parts:
+        raise DfsError(f"invalid DFS path {path!r}")
+    return "/" + "/".join(parts)
 
 
 class DistributedFileSystem:
-    """Namespace + placement over a fixed set of storage locations."""
+    """Namespace + placement over a fixed set of storage locations.
+
+    A file is write-once until it is deleted, so each file's splits are
+    built when it is written and every read hands out the same frozen
+    split objects.
+    """
 
     def __init__(
         self,
@@ -34,65 +46,44 @@ class DistributedFileSystem:
         self._locations = list(storage_locations)
         self._placement = placement or RoundRobinPlacement()
         self.replication = replication
-        self._namenode = NameNode()
-        self._block_counter = itertools.count()
+        self._files: dict[str, tuple[InputSplit, ...]] = {}
 
-    @property
-    def namenode(self) -> NameNode:
-        return self._namenode
-
-    @property
-    def storage_locations(self) -> list[StorageLocation]:
-        return list(self._locations)
-
-    # ------------------------------------------------------------------
-    # Writing
-    # ------------------------------------------------------------------
     def write_dataset(
         self,
         path: str,
         dataset: PartitionedDataset,
         *,
         replication: int | None = None,
-    ) -> DfsFile:
-        """Store a partitioned dataset as one file, one block per partition.
+    ) -> None:
+        """Store a partitioned dataset as one file, one split per partition.
 
         ``replication`` overrides the filesystem default for this file.
         """
+        canonical = normalize_path(path)
+        if canonical in self._files:
+            raise FileAlreadyExistsError(f"DFS path already exists: {canonical}")
         factor = self.replication if replication is None else replication
         placements = self._placement.place_replicas(
             len(dataset.partitions), self._locations, factor
         )
-        blocks = [
-            Block(
-                block_id=f"blk_{next(self._block_counter):08d}",
-                file_path=path,
-                index=partition.index,
-                num_bytes=partition.num_bytes,
-                location=replicas[0],
-                payload=partition,
-                replicas=replicas,
-            )
+        self._files[canonical] = tuple(
+            InputSplit(file_path=canonical, payload=partition, replicas=replicas)
             for partition, replicas in zip(dataset.partitions, placements)
-        ]
-        return self._namenode.create_file(path, blocks)
+        )
 
-    # ------------------------------------------------------------------
-    # Reading
-    # ------------------------------------------------------------------
     def open_splits(self, path: str) -> list[InputSplit]:
-        """The input splits of a file, one per block, in file order."""
-        dfs_file = self._namenode.get_file(path)
-        return [
-            InputSplit(split_id=f"{dfs_file.path}:{block.index}", block=block)
-            for block in dfs_file.blocks
-        ]
-
-    def file_info(self, path: str) -> DfsFile:
-        return self._namenode.get_file(path)
+        """The input splits of a file, one per partition, in file order."""
+        canonical = normalize_path(path)
+        try:
+            return list(self._files[canonical])
+        except KeyError:
+            raise FileNotFoundInDfsError(f"no such DFS file: {canonical}") from None
 
     def exists(self, path: str) -> bool:
-        return self._namenode.exists(path)
+        return normalize_path(path) in self._files
 
     def delete(self, path: str) -> None:
-        self._namenode.delete(path)
+        canonical = normalize_path(path)
+        if canonical not in self._files:
+            raise FileNotFoundInDfsError(f"no such DFS file: {canonical}")
+        del self._files[canonical]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from repro.dfs.block import StorageLocation
+from repro.dfs.split import StorageLocation
 from repro.errors import DfsError
 
 

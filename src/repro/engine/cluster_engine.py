@@ -15,6 +15,8 @@ Hadoop/Hive installation. Typical use::
 
 from __future__ import annotations
 
+import weakref
+
 from repro.cluster.costmodel import CostModel
 from repro.cluster.metrics import ClusterMetrics, MetricsMonitor
 from repro.cluster.topology import ClusterTopology, paper_topology
@@ -47,6 +49,12 @@ def _make_scheduler(scheduler: str | TaskScheduler | None) -> TaskScheduler:
     raise ClusterConfigError(
         f"unknown scheduler {scheduler!r}; use 'fifo', 'fair', or an instance"
     )
+
+
+def _cancel_pending(sim_ref: weakref.ref) -> None:
+    sim = sim_ref()
+    if sim is not None:
+        sim.cancel_pending()
 
 
 class SimulatedCluster:
@@ -98,6 +106,14 @@ class SimulatedCluster:
             random_source=self.random_source,
         )
         self._results: list[JobResult] = []
+        # Queued events (the dispatch ``run_job`` stops short of, any
+        # poller) call back into the JobTracker and JobClient, which hold
+        # the simulator; dropping them with the cluster frees it all
+        # without the cyclic garbage collector. The finalizer holds the
+        # simulator weakly: a job still in flight has closures over the
+        # cluster in that queue, and a strong reference would keep the
+        # cluster alive for good.
+        weakref.finalize(self, _cancel_pending, weakref.ref(self.sim))
 
     # ------------------------------------------------------------------
     # Construction helpers

@@ -156,15 +156,13 @@ class LocalRunner:
         output_data = self._run_reduce(conf, map_results)
         records = sum(r.records_processed for r in map_results)
         map_outputs = sum(len(r.outputs) for r in map_results)
-        registry = self._job_registry(
+        metrics = self._job_registry(
             job_id, map_results,
             evaluations=evaluations, increments=increments, pruned=pruned,
-        )
+        ).snapshot()
         if self.trace is not None:
             self.trace.record(0.0, "job_succeeded", job_id)
-            self.trace.metrics_snapshot(
-                0.0, scope="job", job_id=job_id, metrics=registry.snapshot()
-            )
+            self.trace.metrics_snapshot(0.0, scope="job", job_id=job_id, metrics=metrics)
         return JobResult(
             job_id=job_id,
             name=conf.name,
@@ -179,7 +177,7 @@ class LocalRunner:
             output_data=output_data,
             evaluations=evaluations,
             input_increments=increments,
-            metrics_snapshot=registry.snapshot(),
+            metrics_snapshot=metrics,
             splits_pruned=pruned,
             approx=approx,
         )

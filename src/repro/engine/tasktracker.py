@@ -10,6 +10,7 @@ data); otherwise the split's profile supplies the output count.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.cluster.costmodel import CostModel
@@ -44,7 +45,9 @@ class TaskTracker:
         self.node = node
         self._topology = topology
         self._cost = cost_model
-        self._jobtracker = jobtracker
+        # Weak: the JobTracker owns its TaskTrackers, so a strong
+        # back-reference would leave every cluster in a reference cycle.
+        self._jobtracker = weakref.proxy(jobtracker)
         self._failures = failure_injector
         self._stragglers = straggler_model
 

@@ -291,7 +291,9 @@ class ExpressionPredicate(Predicate):
     ``fn``, which map tasks never run but the property suites keep as
     the reference for the generated scan. ``fn`` is a fresh closure per
     compile, so it stays out of equality and the hash: two compiles of
-    one WHERE clause share the scan matcher caches.
+    one WHERE clause share the scan matcher caches. Every map task looks
+    its matcher up in those caches, so the hash, which walks the whole
+    AST, is computed once per predicate.
     """
 
     expression: Expression
@@ -301,6 +303,13 @@ class ExpressionPredicate(Predicate):
     @cached_property
     def name(self) -> str:
         return str(self.expression)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.expression, self.schema))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def matches(self, row: Mapping) -> bool:
         return bool(self.fn(row))

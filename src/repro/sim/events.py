@@ -57,7 +57,9 @@ class EventHandle:
 
     Returned by :meth:`repro.sim.simulator.Simulator.schedule`. Cancelling
     is idempotent-safe via :meth:`cancel`; a cancelled event stays in the
-    heap but is skipped when popped.
+    heap but is skipped when popped, and lets go of its callback and
+    arguments at once, so an object that keeps a handle to an event
+    calling back into itself is not left in a reference cycle.
     """
 
     __slots__ = ("_event", "_sim")
@@ -85,6 +87,7 @@ class EventHandle:
         if event.cancelled:
             return False
         event.cancelled = True
+        event.callback = event.args = None
         if event.live:
             event.live = False
             if self._sim is not None:

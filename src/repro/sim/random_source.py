@@ -18,37 +18,20 @@ class RandomSource:
 
     def __init__(self, master_seed: int = 0) -> None:
         self._master_seed = int(master_seed)
-        self._streams: dict[str, random.Random] = {}
-
-    @property
-    def master_seed(self) -> int:
-        return self._master_seed
 
     def stream(self, name: str) -> random.Random:
-        """Return the stream for ``name``, creating it on first use.
+        """A fresh stream for ``name``.
 
         The stream's seed is a stable hash of ``(master_seed, name)`` so the
         same (seed, name) pair always yields the same sequence regardless of
-        creation order.
+        creation order. Streams are not kept: callers name one per job.
         """
-        existing = self._streams.get(name)
-        if existing is not None:
-            return existing
-        stream = random.Random(self.derive_seed(name))
-        self._streams[name] = stream
-        return stream
+        return random.Random(self.derive_seed(name))
 
     def derive_seed(self, name: str) -> int:
         """Stable 64-bit seed for ``name`` under this master seed."""
         digest = hashlib.sha256(f"{self._master_seed}:{name}".encode()).digest()
         return int.from_bytes(digest[:8], "big")
-
-    def fork(self, name: str) -> "RandomSource":
-        """A child source whose master seed is derived from ``name``.
-
-        Used to give each job in a workload its own namespace of streams.
-        """
-        return RandomSource(self.derive_seed(name))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RandomSource(master_seed={self._master_seed})"

@@ -217,6 +217,21 @@ class Simulator:
         """Request the current :meth:`run` call to return after the active event."""
         self._stopped = True
 
+    def cancel_pending(self) -> None:
+        """Cancel every queued event, releasing its callback and arguments.
+
+        For a simulator being discarded: its queued events (a coalesced
+        dispatch, a periodic poller) call back into the components that
+        hold the simulator, and would otherwise keep them in reference
+        cycles.
+        """
+        for _time, _seq, event in self._heap:
+            event.cancelled = True
+            event.live = False
+            event.callback = event.args = None
+        self._heap.clear()
+        self._live = 0
+
     def peek_time(self) -> float | None:
         """Time of the next live event, or None if the queue is empty."""
         heap = self._heap
@@ -242,7 +257,9 @@ class PeriodicTask:
 
     The task owns a single :class:`ScheduledEvent` that is recycled
     through :meth:`Simulator._reschedule` on every fire, so a poller that
-    ticks thousands of times allocates its event machinery once.
+    ticks thousands of times allocates its event machinery once. The
+    callback rides in the event's arguments, which cancelling releases,
+    so a cancelled task holds nothing of its owner's.
     """
 
     def __init__(
@@ -258,11 +275,10 @@ class PeriodicTask:
             raise SimulationError(f"periodic task period must be positive, got {period}")
         self._sim = sim
         self._period = period
-        self._callback = callback
         self._label = label
         self._cancelled = False
         first = period if start_delay is None else start_delay
-        self._handle = sim.schedule(first, self._fire, label=label)
+        self._handle = sim.schedule(first, self._fire, callback, label=label)
         self._event = self._handle._event
 
     @property
@@ -273,9 +289,9 @@ class PeriodicTask:
         self._cancelled = True
         self._handle.cancel()
 
-    def _fire(self) -> None:
+    def _fire(self, callback: Callable[[], Any]) -> None:
         if self._cancelled:
             return
-        self._callback()
+        callback()
         if not self._cancelled:
             self._sim._reschedule(self._event, self._period)

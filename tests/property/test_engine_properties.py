@@ -7,24 +7,15 @@ from hypothesis import strategies as st
 
 from repro.core import SelectivityEstimator
 from repro.data.datasets import PartitionData
-from repro.dfs.block import Block, StorageLocation
-from repro.dfs.namenode import normalize_path
-from repro.dfs.split import InputSplit
+from repro.dfs.dfs import normalize_path
+from repro.dfs.split import InputSplit, StorageLocation
 from repro.engine.shuffle import group_outputs
 from repro.engine.task import MapTask, PendingTaskQueue
 
 
 def make_split(index: int, node: str) -> InputSplit:
     payload = PartitionData(index=index, num_records=10, num_bytes=1000)
-    block = Block(
-        block_id=f"b{index}",
-        file_path="/f",
-        index=index,
-        num_bytes=1000,
-        location=StorageLocation(node, 0),
-        payload=payload,
-    )
-    return InputSplit(split_id=f"/f:{index}", block=block)
+    return InputSplit(file_path="/f", payload=payload, replicas=(StorageLocation(node, 0),))
 
 
 class TestPendingQueueModel:

@@ -1,5 +1,8 @@
 """Unit tests for the SimulatedCluster facade."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import CostModel, SimulatedCluster, make_sampling_conf
@@ -105,3 +108,44 @@ class TestExecution:
         cluster.run(until=1000.0)
         assert len(seen) == 1
         assert seen[0].outputs_produced == 10_000
+
+
+class TestRelease:
+    def test_cluster_that_ran_jobs_is_freed_without_the_cycle_collector(self):
+        """A dropped cluster frees its simulator, JobTracker and JobClient
+        by reference counting alone: the queued events call back into
+        them, and TaskTrackers point back at their JobTracker."""
+        pred = predicate_for_skew(0)
+        data = build_profiled_dataset(dataset_spec_for_scale(5), {pred: 0.0}, seed=0)
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            cluster = SimulatedCluster.paper_cluster()
+            cluster.load_dataset("/d", data)
+            cluster.start_metrics()
+            cluster.run_job(sampling(pred, name="a", policy="LA"))
+            cluster.run_job(sampling(pred, name="b", policy="Hadoop"))
+            assert cluster.sim.pending_events > 0  # the next dispatch, the poller
+            parts = [cluster.sim, cluster.jobtracker, cluster.jobclient, cluster.dfs]
+            refs = [weakref.ref(part) for part in parts]
+            del cluster, parts
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_cluster_dropped_mid_job_is_still_collectable(self):
+        """A job still in flight leaves closures over the cluster in the
+        simulator's queue; dropping the cluster must not make it immortal."""
+        pred = predicate_for_skew(0)
+        cluster = SimulatedCluster.paper_cluster()
+        cluster.load_dataset(
+            "/d", build_profiled_dataset(dataset_spec_for_scale(5), {pred: 0.0}, seed=0)
+        )
+        with pytest.raises(JobError):
+            cluster.run_job(sampling(pred), timeout=1.0)
+        ref = weakref.ref(cluster)
+        del cluster
+        gc.collect()
+        assert ref() is None

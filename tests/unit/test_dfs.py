@@ -10,7 +10,7 @@ from repro.dfs import (
     RoundRobinPlacement,
     StorageLocation,
 )
-from repro.dfs.namenode import NameNode, normalize_path
+from repro.dfs.dfs import normalize_path
 from repro.errors import (
     DfsError,
     FileAlreadyExistsError,
@@ -44,41 +44,28 @@ class TestNormalizePath:
 
 
 class TestNameNode:
-    def test_create_and_get(self):
-        node = NameNode()
-        node.create_file("/x", [])
-        assert node.get_file("x").path == "/x"
+    """The DFS namespace (HDFS's namenode role)."""
 
-    def test_duplicate_create_rejected(self):
-        node = NameNode()
-        node.create_file("/x", [])
+    def test_create_and_get(self, dfs):
+        dfs.write_dataset("/x", small_dataset())
+        assert dfs.exists("x")
+        assert dfs.open_splits("x")[0].file_path == "/x"
+
+    def test_duplicate_create_rejected(self, dfs):
+        dfs.write_dataset("/x", small_dataset())
         with pytest.raises(FileAlreadyExistsError):
-            node.create_file("x", [])
+            dfs.write_dataset("x", small_dataset())
 
-    def test_get_missing_rejected(self):
+    def test_get_missing_rejected(self, dfs):
         with pytest.raises(FileNotFoundInDfsError):
-            NameNode().get_file("/missing")
+            dfs.open_splits("/missing")
 
-    def test_delete(self):
-        node = NameNode()
-        node.create_file("/x", [])
-        node.delete("/x")
-        assert not node.exists("/x")
+    def test_delete(self, dfs):
+        dfs.write_dataset("/x", small_dataset())
+        dfs.delete("/x")
+        assert not dfs.exists("/x")
         with pytest.raises(FileNotFoundInDfsError):
-            node.delete("/x")
-
-    def test_list_files_prefix(self):
-        node = NameNode()
-        node.create_file("/data/a", [])
-        node.create_file("/data/b", [])
-        node.create_file("/other", [])
-        assert node.list_files("/data") == ["/data/a", "/data/b"]
-        assert node.list_files() == ["/data/a", "/data/b", "/other"]
-
-    def test_prefix_does_not_match_partial_component(self):
-        node = NameNode()
-        node.create_file("/data2/a", [])
-        assert node.list_files("/data") == []
+            dfs.delete("/x")
 
 
 class TestPlacementPolicies:
@@ -113,6 +100,23 @@ class TestDistributedFileSystem:
         assert len(splits) == 8
         assert [s.index for s in splits] == list(range(8))
 
+    def test_open_splits_hands_out_the_written_splits(self, dfs):
+        """A file's splits are built once, at write time: every read
+        returns a new list of the same split objects."""
+        dfs.write_dataset("/data/t", small_dataset())
+        first = dfs.open_splits("/data/t")
+        second = dfs.open_splits("data//t/")
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second, strict=True))
+        assert [s.split_id for s in first] == [f"/data/t:{i}" for i in range(8)]
+        first.pop()
+        assert len(dfs.open_splits("/data/t")) == 8
+        dfs.delete("/data/t")
+        dfs.write_dataset("/data/t", small_dataset())
+        rewritten = dfs.open_splits("/data/t")
+        assert [s.split_id for s in rewritten] == [s.split_id for s in second]
+        assert not any(a is b for a, b in zip(rewritten, second))
+
     def test_even_spread_across_nodes(self, dfs):
         """40 partitions over the paper topology must land one per disk."""
         data = small_dataset(num_partitions=40)
@@ -135,13 +139,6 @@ class TestDistributedFileSystem:
         split = dfs.open_splits("/data/t")[0]
         assert split.is_local_to(split.location.node_id)
         assert not split.is_local_to("node99")
-
-    def test_file_info(self, dfs):
-        data = small_dataset()
-        dfs.write_dataset("/data/t", data)
-        info = dfs.file_info("/data/t")
-        assert info.num_blocks == 8
-        assert info.num_records == data.total_records
 
     def test_delete_and_exists(self, dfs):
         dfs.write_dataset("/data/t", small_dataset())

@@ -120,16 +120,11 @@ class TestScanCompilation:
         )
         # Profile-mode output estimate uses the configured selectivity.
         from repro.data.datasets import PartitionData
-        from repro.dfs.block import Block, StorageLocation
-        from repro.dfs.split import InputSplit
+        from repro.dfs.split import InputSplit, StorageLocation
 
         payload = PartitionData(index=0, num_records=1000, num_bytes=100_000)
         split = InputSplit(
-            split_id="/w:0",
-            block=Block(
-                block_id="b", file_path="/w", index=0, num_bytes=100_000,
-                location=StorageLocation("n0", 0), payload=payload,
-            ),
+            file_path="/w", payload=payload, replicas=(StorageLocation("n0", 0),)
         )
         assert conf.profile_outputs(split) == 10
 

@@ -137,6 +137,25 @@ class TestPredicateIdentity:
         other = compile_predicate(where("l_shipmode = 'AIR' AND l_tax = 0.0"), LINEITEM_SCHEMA)
         assert first != other
 
+    def test_hash_walks_the_ast_once(self, monkeypatch):
+        """Each map task's matcher-cache lookup hashes the predicate, so
+        only the first hash may walk the AST."""
+        pred = compile_predicate(where("l_returnflag = 'R' AND l_tax <= 0.04"), LINEITEM_SCHEMA)
+        root = type(pred.expression)
+        original = root.__hash__
+        calls = []
+
+        def counting(node):
+            calls.append(node)
+            return original(node)
+
+        monkeypatch.setattr(root, "__hash__", counting)
+        first = hash(pred)
+        walked = len(calls)
+        assert walked >= 1
+        assert hash(pred) == first
+        assert len(calls) == walked
+
 
 class TestLikeToRegex:
     @pytest.mark.parametrize(

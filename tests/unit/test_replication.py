@@ -11,7 +11,7 @@ from repro.data import (
     predicate_for_skew,
 )
 from repro.dfs import DistributedFileSystem, RoundRobinPlacement
-from repro.dfs.block import Block, StorageLocation
+from repro.dfs import InputSplit, StorageLocation
 from repro.data.datasets import PartitionData
 from repro.errors import DfsError
 
@@ -29,38 +29,29 @@ class TestBlockReplicas:
         return PartitionData(index=0, num_records=10, num_bytes=100)
 
     def test_default_single_replica(self):
-        block = Block(
-            block_id="b", file_path="/f", index=0, num_bytes=100,
-            location=StorageLocation("n0", 0), payload=self.payload(),
+        split = InputSplit(
+            file_path="/f", payload=self.payload(),
+            replicas=(StorageLocation("n0", 0),),
         )
-        assert block.replicas == (StorageLocation("n0", 0),)
-        assert block.replication == 1
+        assert split.location == StorageLocation("n0", 0)
+        assert len(split.replicas) == 1
 
     def test_multi_replica_locality(self):
-        block = Block(
-            block_id="b", file_path="/f", index=0, num_bytes=100,
-            location=StorageLocation("n0", 0), payload=self.payload(),
+        split = InputSplit(
+            file_path="/f", payload=self.payload(),
             replicas=(StorageLocation("n0", 0), StorageLocation("n1", 2)),
         )
-        assert block.is_local_to("n0")
-        assert block.is_local_to("n1")
-        assert not block.is_local_to("n2")
-        assert block.replica_on("n1") == StorageLocation("n1", 2)
-        assert block.replica_on("n2") is None
-
-    def test_primary_must_be_first_replica(self):
-        with pytest.raises(DfsError):
-            Block(
-                block_id="b", file_path="/f", index=0, num_bytes=100,
-                location=StorageLocation("n0", 0), payload=self.payload(),
-                replicas=(StorageLocation("n1", 0), StorageLocation("n0", 0)),
-            )
+        assert split.location == StorageLocation("n0", 0)
+        assert split.is_local_to("n0")
+        assert split.is_local_to("n1")
+        assert not split.is_local_to("n2")
+        assert split.replica_on("n1") == StorageLocation("n1", 2)
+        assert split.replica_on("n2") is None
 
     def test_replicas_on_distinct_nodes(self):
         with pytest.raises(DfsError):
-            Block(
-                block_id="b", file_path="/f", index=0, num_bytes=100,
-                location=StorageLocation("n0", 0), payload=self.payload(),
+            InputSplit(
+                file_path="/f", payload=self.payload(),
                 replicas=(StorageLocation("n0", 0), StorageLocation("n0", 1)),
             )
 
@@ -97,15 +88,15 @@ class TestDfsReplication:
         )
         dfs.write_dataset("/d", data)
         for split in dfs.open_splits("/d"):
-            assert split.block.replication == 3
+            assert len(split.replicas) == 3
 
     def test_per_file_override(self):
         _pred, data = small_dataset()
         dfs = DistributedFileSystem(paper_topology().storage_locations())
         dfs.write_dataset("/single", data)
         dfs.write_dataset("/triple", small_dataset()[1], replication=3)
-        assert dfs.open_splits("/single")[0].block.replication == 1
-        assert dfs.open_splits("/triple")[0].block.replication == 3
+        assert len(dfs.open_splits("/single")[0].replicas) == 1
+        assert len(dfs.open_splits("/triple")[0].replicas) == 3
 
     def test_invalid_replication_rejected(self):
         with pytest.raises(DfsError):

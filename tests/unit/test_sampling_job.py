@@ -124,18 +124,15 @@ class TestMakeSamplingConf:
 class TestProfileOutputs:
     def make_split(self, matches, records=1000):
         from repro.data.datasets import PartitionData
-        from repro.dfs.block import Block, StorageLocation
-        from repro.dfs.split import InputSplit
+        from repro.dfs.split import InputSplit, StorageLocation
 
         payload = PartitionData(
             index=0, num_records=records, num_bytes=records * 100,
             match_counts={"mark": matches},
         )
-        block = Block(
-            block_id="b0", file_path="/in", index=0, num_bytes=payload.num_bytes,
-            location=StorageLocation("n0", 0), payload=payload,
+        return InputSplit(
+            file_path="/in", payload=payload, replicas=(StorageLocation("n0", 0),)
         )
-        return InputSplit(split_id="/in:0", block=block)
 
     def test_sampling_profile_caps_at_k(self):
         pred = MarkerEquals("x", "mark")
@@ -144,7 +141,7 @@ class TestProfileOutputs:
             name="q", input_path="/in", predicate=pred, sample_size=5,
         )
         split = self.make_split(matches=50)
-        split.block.payload.match_counts[pred.name] = 50
+        split.payload.match_counts[pred.name] = 50
         assert conf.profile_outputs(split) == 5
 
     def test_sampling_profile_below_k(self):
@@ -153,7 +150,7 @@ class TestProfileOutputs:
             name="q", input_path="/in", predicate=pred, sample_size=500,
         )
         split = self.make_split(matches=0)
-        split.block.payload.match_counts[pred.name] = 3
+        split.payload.match_counts[pred.name] = 3
         assert conf.profile_outputs(split) == 3
 
     def test_missing_profile_rejected(self):

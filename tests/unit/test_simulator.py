@@ -281,6 +281,16 @@ class TestLiveEventCounter:
         task.cancel()
         assert sim.pending_events == 0
 
+    def test_cancel_pending_empties_the_queue(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "once")
+        PeriodicTask(sim, 1.0, lambda: fired.append("tick"))
+        sim.cancel_pending()
+        assert sim.pending_events == 0
+        sim.run()
+        assert fired == []
+
     def test_counter_matches_heap_scan(self):
         sim = Simulator()
         handles = [sim.schedule(float(i % 7), lambda: None) for i in range(50)]
