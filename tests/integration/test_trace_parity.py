@@ -4,7 +4,7 @@ These tests pin the acceptance criteria of the observability layer:
 results are byte-identical with tracing on and off (both substrates and
 through the sweep engine), every Input Provider
 invocation produces exactly one provider_evaluation event, and the
-checked-in golden trace stays schema-valid.
+checked-in golden traces stay schema-valid and regenerate byte for byte.
 """
 
 import os
@@ -30,6 +30,7 @@ from repro.obs import TraceRecorder, load_trace
 from repro.obs.trace import validate_trace
 
 GOLDEN_TRACE = Path(__file__).parent.parent / "data" / "golden_trace.jsonl"
+DISPATCH_TRACE = GOLDEN_TRACE.parent / "dispatch_trace.jsonl"
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 
@@ -229,3 +230,24 @@ class TestGoldenTrace:
             env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         assert out.read_bytes() == GOLDEN_TRACE.read_bytes()
+
+
+class TestGoldenDispatchTrace:
+    """The multi-job dispatch pin: FIFO priorities and Fair delay scheduling."""
+
+    def test_dispatch_trace_is_schema_valid(self):
+        events = load_trace(DISPATCH_TRACE)
+        assert validate_trace(events) == len(events)
+        submitted = [e["detail"]["name"] for e in events if e["type"] == "job_submitted"]
+        assert len(submitted) == 9
+        local = [e["detail"]["local"] for e in events if e["type"] == "map_started"]
+        assert True in local and False in local
+
+    def test_dispatch_trace_regenerates_byte_identically(self, tmp_path):
+        out = tmp_path / "dispatch.jsonl"
+        subprocess.run(
+            [sys.executable, str(DISPATCH_TRACE.parent / "make_dispatch_trace.py"), str(out)],
+            check=True, capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert out.read_bytes() == DISPATCH_TRACE.read_bytes()
