@@ -25,7 +25,7 @@ class SequentialPool(SplitPool):
 
     def _choose(self, count):
         self.remaining.sort(key=lambda split: split.index)
-        return self.remaining[:count]
+        return list(range(count))
 
     def take_all(self):
         taken, self.remaining = self.remaining, []

@@ -43,12 +43,19 @@ class RunningTask:
 
 
 class Node:
-    """Dynamic state of one node: occupied slots, per-disk readers."""
+    """Dynamic state of one node: occupied slots, per-disk readers.
+
+    The running map and reduce counts are kept as integers beside
+    ``_running`` and move only in :meth:`start_task` and
+    :meth:`finish_task`, so slot questions cost O(1), not a scan.
+    """
 
     def __init__(self, spec: NodeSpec) -> None:
         self.spec = spec
         self._running: dict[str, RunningTask] = {}
         self._disk_readers: list[int] = [0] * spec.disks
+        self.running_map_tasks = 0
+        self.running_reduce_tasks = 0
         self.local_map_tasks = 0
         self.remote_map_tasks = 0
 
@@ -58,14 +65,6 @@ class Node:
     @property
     def node_id(self) -> str:
         return self.spec.node_id
-
-    @property
-    def running_map_tasks(self) -> int:
-        return sum(1 for t in self._running.values() if t.kind == "map")
-
-    @property
-    def running_reduce_tasks(self) -> int:
-        return sum(1 for t in self._running.values() if t.kind == "reduce")
 
     @property
     def free_map_slots(self) -> int:
@@ -104,19 +103,28 @@ class Node:
             raise ClusterConfigError(
                 f"attempt {task.attempt_id} already running on {self.node_id}"
             )
-        if task.kind == "map" and self.free_map_slots <= 0:
-            raise ClusterConfigError(f"{self.node_id}: no free map slot")
-        if task.kind == "reduce" and self.free_reduce_slots <= 0:
-            raise ClusterConfigError(f"{self.node_id}: no free reduce slot")
+        if task.kind == "map":
+            if self.running_map_tasks >= self.spec.map_slots:
+                raise ClusterConfigError(f"{self.node_id}: no free map slot")
+            self.running_map_tasks += 1
+        elif task.kind == "reduce":
+            if self.running_reduce_tasks >= self.spec.reduce_slots:
+                raise ClusterConfigError(f"{self.node_id}: no free reduce slot")
+            self.running_reduce_tasks += 1
         self._running[task.attempt_id] = task
 
     def finish_task(self, attempt_id: str) -> RunningTask:
         try:
-            return self._running.pop(attempt_id)
+            task = self._running.pop(attempt_id)
         except KeyError:
             raise ClusterConfigError(
                 f"attempt {attempt_id} is not running on {self.node_id}"
             ) from None
+        if task.kind == "map":
+            self.running_map_tasks -= 1
+        elif task.kind == "reduce":
+            self.running_reduce_tasks -= 1
+        return task
 
     # ------------------------------------------------------------------
     # Disk reader accounting (a remote map task registers as a reader on

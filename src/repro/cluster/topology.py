@@ -18,6 +18,8 @@ class ClusterTopology:
             raise ClusterConfigError("duplicate node ids in topology")
         self._nodes = {spec.node_id: Node(spec) for spec in specs}
         self._order = ids
+        self.total_map_slots = sum(spec.map_slots for spec in specs)
+        """Map slots over every node: fixed, since the node set is."""
 
     # ------------------------------------------------------------------
     @property
@@ -35,12 +37,8 @@ class ClusterTopology:
             raise ClusterConfigError(f"no such node: {node_id}") from None
 
     @property
-    def total_map_slots(self) -> int:
-        return sum(n.spec.map_slots for n in self._nodes.values())
-
-    @property
     def available_map_slots(self) -> int:
-        return sum(n.free_map_slots for n in self._nodes.values())
+        return self.total_map_slots - self.running_map_tasks
 
     @property
     def running_map_tasks(self) -> int:

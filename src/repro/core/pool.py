@@ -67,13 +67,15 @@ class SplitPool:
             raise InputProviderError("grab count must not be NaN")
         if count <= 0 or not self.remaining:
             return []
-        if count >= len(self.remaining):
+        remaining = self.remaining
+        if count >= len(remaining):
             return self.take_all()
-        taken = self._choose(int(count))
-        taken_ids = {split.split_id for split in taken}
-        self.remaining = [
-            split for split in self.remaining if split.split_id not in taken_ids
-        ]
+        positions = self._choose(int(count))
+        taken = [remaining[i] for i in positions]
+        # Deleting by position, last first, keeps the survivors' order
+        # and scans nothing in Python.
+        for i in sorted(positions, reverse=True):
+            del remaining[i]
         return taken
 
     def take_all(self) -> list[InputSplit]:
@@ -82,9 +84,15 @@ class SplitPool:
         self.rng.shuffle(taken)
         return taken
 
-    def _choose(self, count: int) -> list[InputSplit]:
-        """``count`` splits (fewer than remain) for :meth:`take` to remove."""
-        return self.rng.sample(self.remaining, count)
+    def _choose(self, count: int) -> list[int]:
+        """Positions in ``remaining`` of the ``count`` splits (fewer than
+        remain) :meth:`take` removes, in grab order.
+
+        ``random.sample`` draws from ``len()`` and ``count`` alone and
+        reads its population only by index, so sampling positions makes
+        the same draws as sampling the splits.
+        """
+        return self.rng.sample(range(len(self.remaining)), count)
 
 
 class RankedPool(SplitPool):
@@ -114,10 +122,15 @@ class RankedPool(SplitPool):
         taken.sort(key=self._estimate, reverse=True)
         return taken
 
-    def _choose(self, count: int) -> list[InputSplit]:
+    def _choose(self, count: int) -> list[int]:
         # Stable sort on the (insertion-ordered) pool: deterministic
         # ranking, best expected yield first.
-        return sorted(self.remaining, key=self._estimate, reverse=True)[:count]
+        remaining = self.remaining
+        return sorted(
+            range(len(remaining)),
+            key=lambda i: self._estimate(remaining[i]),
+            reverse=True,
+        )[:count]
 
 
 class StratifiedPool(SplitPool):

@@ -51,10 +51,13 @@ def _make_scheduler(scheduler: str | TaskScheduler | None) -> TaskScheduler:
     )
 
 
-def _cancel_pending(sim_ref: weakref.ref) -> None:
+def _release(sim_ref: weakref.ref, jobtracker_ref: weakref.ref) -> None:
     sim = sim_ref()
     if sim is not None:
         sim.cancel_pending()
+    jobtracker = jobtracker_ref()
+    if jobtracker is not None:
+        jobtracker.drop_listeners()
 
 
 class SimulatedCluster:
@@ -108,12 +111,14 @@ class SimulatedCluster:
         self._results: list[JobResult] = []
         # Queued events (the dispatch ``run_job`` stops short of, any
         # poller) call back into the JobTracker and JobClient, which hold
-        # the simulator; dropping them with the cluster frees it all
-        # without the cyclic garbage collector. The finalizer holds the
-        # simulator weakly: a job still in flight has closures over the
-        # cluster in that queue, and a strong reference would keep the
-        # cluster alive for good.
-        weakref.finalize(self, _cancel_pending, weakref.ref(self.sim))
+        # the simulator, and a job still in flight keeps its completion
+        # listeners, which hold the JobClient; dropping both with the
+        # cluster frees it all without the cyclic garbage collector. The
+        # finalizer holds its targets weakly: a strong reference would
+        # keep the cluster's parts alive for good.
+        weakref.finalize(
+            self, _release, weakref.ref(self.sim), weakref.ref(self.jobtracker)
+        )
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -174,9 +179,12 @@ class SimulatedCluster:
     # ------------------------------------------------------------------
     def submit(self, conf: JobConf, on_complete: CompletionCallback | None = None) -> Job:
         """Submit a job; the simulation must then be advanced with run()."""
+        # The JobTracker keeps this closure until the job ends, so it
+        # holds the results list, never the cluster (nor does run_job's).
+        results = self._results
 
         def record_and_forward(result: JobResult) -> None:
-            self._results.append(result)
+            results.append(result)
             if on_complete is not None:
                 on_complete(result)
 
@@ -190,10 +198,11 @@ class SimulatedCluster:
         the job's own callback rather than queue drain.
         """
         done: list[JobResult] = []
+        sim = self.sim
 
         def on_done(result: JobResult) -> None:
             done.append(result)
-            self.sim.stop()
+            sim.stop()
 
         self.submit(conf, on_done)
         self.sim.run(until=self.sim.now + timeout, advance_clock=False)

@@ -158,6 +158,10 @@ class JobTracker:
     def add_listener(self, job_id: str, listener: JobListener) -> None:
         self._listeners.setdefault(job_id, []).append(listener)
 
+    def drop_listeners(self) -> None:
+        """Forget every unfinished job's listeners (the cluster is dropped)."""
+        self._listeners.clear()
+
     def cluster_status(self) -> ClusterStatus:
         queued = sum(len(job.pending_maps) for job in self._active_jobs)
         return ClusterStatus(
@@ -237,33 +241,47 @@ class JobTracker:
         polled first — breadth-first assignment preserves that locality
         behaviour. Returns True if the scheduler declined offerable slots
         while work remained (delay scheduling).
+
+        The scheduler orders the jobs once per call. An assignment can
+        only empty the queue of the job it served, so that job alone
+        leaves the live list, and no offer rescans the jobs.
         """
         declined = False
-        node_ids = [next(self._node_rotation) for _ in range(self._topology.num_nodes)]
+        topology = self._topology
+        nodes = [
+            topology.node(next(self._node_rotation))
+            for _ in range(topology.num_nodes)
+        ]
+        live = self.scheduler.order_jobs(schedulable)
+        now = self._sim.now
+        trace = self.trace
         assigned_any = True
         while assigned_any:
             assigned_any = False
-            for node_id in node_ids:
-                node = self._topology.node(node_id)
+            for node in nodes:
                 if node.free_map_slots <= 0:
                     continue
-                live_jobs = [j for j in schedulable if not j.pending_maps.empty]
-                if not live_jobs:
-                    return declined
-                task = self.scheduler.choose_map_task(node, live_jobs, self._sim.now)
+                task = self.scheduler.choose_map_task(node, live, now)
                 if task is None:
                     declined = True
                     continue
                 job = self.get_job(task.job_id)
-                self._trackers[node_id].launch_map(job, task)
+                self._trackers[node.node_id].launch_map(job, task)
                 job.map_started(task)
-                self._record(
-                    "map_started", job.job_id, task_id=task.task_id,
-                    node=node_id, local=bool(task.local), attempt=task.attempt,
-                )
+                if trace is not None:
+                    trace.record(
+                        now, "map_started", job.job_id, task_id=task.task_id,
+                        node=node.node_id, local=bool(task.local),
+                        attempt=task.attempt,
+                    )
                 assigned_any = True
-        still_pending = any(not j.pending_maps.empty for j in schedulable)
-        return declined and still_pending
+                if job.pending_maps.empty:
+                    live.remove(job)
+                    if not live:
+                        # No work left: a decline still counts while a
+                        # slot it held stays free.
+                        return declined and topology.available_map_slots > 0
+        return declined and bool(live)
 
     def _assign_reduce_slots(self) -> None:
         for job in self._active_jobs:
@@ -299,10 +317,11 @@ class JobTracker:
     # ------------------------------------------------------------------
     def on_map_complete(self, job: Job, task: MapTask, *, local: bool) -> None:
         job.map_finished(task)
-        self._record(
-            "map_finished", job.job_id, task_id=task.task_id,
-            outputs=task.outputs_produced, records=task.records_processed,
-        )
+        if self.trace is not None:
+            self.trace.record(
+                self._sim.now, "map_finished", job.job_id, task_id=task.task_id,
+                outputs=task.outputs_produced, records=task.records_processed,
+            )
         if self.metrics is not None:
             self.metrics.record_map_task(local=local)
         self._maybe_finish_maps(job)

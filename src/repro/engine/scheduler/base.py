@@ -19,14 +19,26 @@ class TaskScheduler:
 
     name = "base"
 
+    def order_jobs(self, jobs: list[Job]) -> list[Job]:
+        """A new list of one dispatch pass's jobs, in offer order.
+
+        ``jobs`` are the schedulable jobs in submission order. The
+        JobTracker calls this once per pass and hands the result to
+        every :meth:`choose_map_task` of that pass, dropping a job once
+        its queue empties, so an order that holds for the whole pass is
+        computed here rather than per slot offer. Default: as given.
+        """
+        return list(jobs)
+
     def choose_map_task(
         self, node: Node, jobs: list[Job], now: float
     ) -> MapTask | None:
         """Claim and return a pending map task to run on ``node``.
 
-        ``jobs`` are the schedulable jobs in submission order. Returning
-        None leaves the slot empty for now (the JobTracker will re-offer
-        it after a task completes or a retry timer fires).
+        ``jobs`` are the pass's jobs with pending maps, in the order
+        :meth:`order_jobs` returned. Claim at most the returned task.
+        Returning None leaves the slot empty for now (the JobTracker
+        will re-offer it after a task completes or a retry timer fires).
         """
         raise NotImplementedError
 

@@ -36,14 +36,14 @@ class FairScheduler(TaskScheduler):
     def choose_map_task(
         self, node: Node, jobs: list[Job], now: float
     ) -> MapTask | None:
-        candidates = [job for job in jobs if not job.pending_maps.empty]
-        if not candidates:
+        if not jobs:
             return None
         # Most-starved job first: fewest running maps relative to equal
         # shares (equal weights make the share constant, so the running
-        # count alone orders jobs); submission order breaks ties.
-        candidates.sort(key=lambda job: (len(job.running_maps), job.submit_time))
-        job = candidates[0]
+        # count alone orders jobs); submission order breaks ties. The
+        # running counts move with every assignment, so this is chosen
+        # per offer, not in order_jobs.
+        job = min(jobs, key=lambda job: (len(job.running_maps), job.submit_time))
         task = job.pending_maps.pop_local(node.node_id)
         if task is not None:
             job.locality_wait_start = None

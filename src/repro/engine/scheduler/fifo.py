@@ -19,15 +19,15 @@ from repro.engine.task import MapTask
 class FifoScheduler(TaskScheduler):
     name = "fifo"
 
+    def order_jobs(self, jobs: list[Job]) -> list[Job]:
+        return sorted(
+            jobs, key=lambda job: (-job.conf.priority_rank, job.submit_time)
+        )
+
     def choose_map_task(
         self, node: Node, jobs: list[Job], now: float
     ) -> MapTask | None:
-        ordered = sorted(
-            jobs, key=lambda job: (-job.conf.priority_rank, job.submit_time)
-        )
-        for job in ordered:
-            if job.pending_maps.empty:
-                continue
+        for job in jobs:
             task = job.pending_maps.pop_local(node.node_id)
             if task is None:
                 task = job.pending_maps.pop_any()

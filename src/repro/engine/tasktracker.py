@@ -61,12 +61,13 @@ class TaskTracker:
     # Map tasks
     # ------------------------------------------------------------------
     def launch_map(self, job: Job, task: MapTask) -> None:
+        node = self.node
         split = task.split
         # Read from the replica on this node when one exists; remote
         # reads go to the primary replica.
-        replica = split.replica_on(self.node.node_id)
+        replica = split.replica_on(node.node_id)
         local = replica is not None
-        source = replica if replica is not None else split.location
+        source = replica if local else split.location
         storage_node = self._topology.node(source.node_id)
         disk_id = source.disk_id
 
@@ -74,12 +75,11 @@ class TaskTracker:
         # disk that stores the split (possibly on another node).
         storage_node.add_disk_reader(disk_id)
         readers = storage_node.disk_readers(disk_id)
-        cpu_contention = max(
-            1.0, (self.node.running_map_tasks + 1) / self.node.spec.cores
-        )
+        cpu_contention = max(1.0, (node.running_map_tasks + 1) / node.spec.cores)
+        split_bytes = split.num_bytes
         duration = self._jitter(
             self._cost.map_task_duration(
-                split_bytes=split.num_bytes,
+                split_bytes=split_bytes,
                 split_records=split.num_records,
                 local=local,
                 disk_readers=readers,
@@ -87,23 +87,24 @@ class TaskTracker:
             ),
             self._cost.map_task_overhead,
         )
-        read_rate = split.num_bytes / duration if duration > 0 else 0.0
+        read_rate = split_bytes / duration if duration > 0 else 0.0
 
-        task.mark_running(self.node.node_id, local, self._sim.now)
-        self.node.start_task(
+        now = self._sim.now
+        task.mark_running(node.node_id, local, now)
+        node.start_task(
             RunningTask(
                 attempt_id=task.task_id,
                 kind="map",
                 disk_id=disk_id if local else None,
                 read_rate_bps=read_rate,
                 cpu_fraction=1.0,
-                start_time=self._sim.now,
+                start_time=now,
             )
         )
         if local:
-            self.node.local_map_tasks += 1
+            node.local_map_tasks += 1
         else:
-            self.node.remote_map_tasks += 1
+            node.remote_map_tasks += 1
         self._sim.schedule(
             duration,
             self._finish_map,

@@ -20,7 +20,12 @@ loop):
   :attr:`Simulator.pending_events` O(1) instead of an O(n) heap scan;
 * :class:`PeriodicTask` re-arms by recycling its one event object through
   :meth:`Simulator._reschedule` instead of allocating a fresh
-  ``ScheduledEvent`` + ``EventHandle`` per fire.
+  ``ScheduledEvent`` + ``EventHandle`` per fire;
+* the cluster components the loop calls back into do O(1) work per map
+  task: nodes and pending-task queues keep integer counts instead of
+  recounting, a dispatch pass orders its jobs once and drops a job only
+  when its queue empties, and per-task trace fields are built only when
+  a recorder is attached (DESIGN.md §7).
 """
 
 from __future__ import annotations

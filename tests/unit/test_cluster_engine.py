@@ -135,6 +135,30 @@ class TestRelease:
             if was_enabled:
                 gc.enable()
 
+    def test_cluster_dropped_mid_job_is_freed_without_the_cycle_collector(self):
+        """The JobTracker keeps an unfinished job's completion listeners,
+        which close over the JobClient and the caller's callbacks: none
+        may hold the cluster, and dropping it must release them."""
+        pred = predicate_for_skew(0)
+        data = build_profiled_dataset(dataset_spec_for_scale(5), {pred: 0.0}, seed=0)
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            cluster = SimulatedCluster.paper_cluster()
+            cluster.load_dataset("/d", data)
+            try:
+                cluster.run_job(sampling(pred), timeout=1.0)
+            except JobError:
+                pass
+            parts = [cluster, cluster.sim, cluster.jobtracker, cluster.jobclient]
+            refs = [weakref.ref(part) for part in parts]
+            del cluster, parts
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
     def test_cluster_dropped_mid_job_is_still_collectable(self):
         """A job still in flight leaves closures over the cluster in the
         simulator's queue; dropping the cluster must not make it immortal."""

@@ -354,7 +354,8 @@ class FileOrderPool(SplitPool):
     """Takes splits in file order instead of at random."""
 
     def _choose(self, count):
-        return sorted(self.remaining, key=lambda split: split.index)[:count]
+        remaining = self.remaining
+        return sorted(range(len(remaining)), key=lambda i: remaining[i].index)[:count]
 
 
 class TestComposition:

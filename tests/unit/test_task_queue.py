@@ -75,14 +75,6 @@ class TestPendingTaskQueue:
         queue.pop_any()
         assert queue.empty
 
-    def test_has_local(self, splits):
-        queue = PendingTaskQueue()
-        queue.add(make_task(splits[0], 0))
-        node = splits[0].location.node_id
-        assert queue.has_local(node)
-        queue.pop_any()
-        assert not queue.has_local(node)
-
 
 class TestMapTaskLifecycle:
     def test_happy_path(self, splits):
