@@ -9,10 +9,19 @@ Commands mirror the deliverables:
 * ``sample`` — run a single sampling job on the simulated cluster.
 * ``query`` — execute a SQL statement against a small demo warehouse
   with real (LocalRunner) execution.
+* ``dataset`` — build and inspect on-disk mmap columnar datasets.
 * ``trace`` / ``metrics`` — render a structured trace file written by
-  ``--trace-out`` as a per-job timeline or as metric tables.
+  ``--trace-out`` as a per-job timeline or as metric tables (or
+  Prometheus text).
+* ``top`` — live terminal dashboard over a run started with
+  ``--metrics-port``.
 * ``audit`` — replay a trace against the paper's policy contract and
   the task-accounting invariants; exits non-zero on any violation.
+* ``doctor`` — diagnose a recorded run: its critical path and anomaly
+  findings (stragglers, stalls, skew, drift) with suggested knob
+  changes; ``--diff`` compares two traces.
+* ``slo check`` — evaluate a JSON spec of run-quality objectives
+  against traces, for CI gating.
 * ``report`` — render one or more traces as a deterministic
   markdown/HTML comparative report (``--diff`` for two-trace A/B).
 * ``policies`` — write the default policy catalogue as policy.xml.
@@ -423,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", default="table", choices=("table", "prometheus"), dest="fmt",
         help=(
             "output format: human tables (default) or Prometheus text "
-            "exposition (works on any existing trace, one block per "
-            "metrics_snapshot scope)"
+            "exposition (works on any existing trace: one exposition of "
+            "every metrics_snapshot, labelled by scope and job)"
         ),
     )
     metrics.add_argument(
@@ -877,19 +886,9 @@ def cmd_trace(args, out) -> int:
 def cmd_metrics(args, out) -> int:
     events = load_trace(args.path, validate=not args.no_validate)
     if getattr(args, "fmt", "table") == "prometheus":
-        from repro.obs.export import render_registry_prometheus
+        from repro.obs.export import render_trace_prometheus
 
-        blocks = []
-        for event in events:
-            if event["type"] != "metrics_snapshot":
-                continue
-            labels = {"scope": event["scope"]}
-            if event.get("job_id"):
-                labels["job"] = event["job_id"]
-            blocks.append(
-                render_registry_prometheus(event["metrics"], labels=labels)
-            )
-        print("".join(blocks), file=out, end="")
+        print(render_trace_prometheus(events), file=out, end="")
         return 0
     print(render_metrics(events), file=out)
     return 0

@@ -11,40 +11,27 @@ from __future__ import annotations
 
 from repro.cluster.topology import ClusterTopology
 from repro.errors import ClusterConfigError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, metric
 from repro.sim.simulator import PeriodicTask, Simulator
 
 
 class ClusterMetrics:
     """Accumulated samples and counters for one measurement window.
 
-    Backed by a :class:`repro.obs.metrics.MetricsRegistry` (the locality
-    counters and per-sample distributions live there, exportable via
-    ``snapshot()``); the raw sample lists are kept alongside because the
-    paper's figures average them in specific units.
+    The locality counters are plain integers and the samples raw lists,
+    which the paper's figures average in specific units; ``snapshot()``
+    builds the exportable view from them.
     """
 
     def __init__(self) -> None:
-        self.registry = MetricsRegistry(scope="cluster")
-        self._local = self.registry.counter("local_map_tasks")
-        self._remote = self.registry.counter("remote_map_tasks")
-        self._cpu = self.registry.histogram("cpu_utilization")
-        self._disk = self.registry.histogram("disk_read_bps")
-        self._occupancy = self.registry.histogram("slot_occupancy")
+        self.local_map_tasks = 0
+        self.remote_map_tasks = 0
         self.sample_times: list[float] = []
         self.cpu_utilization_samples: list[float] = []
         self.disk_read_bps_samples: list[float] = []
         self.slot_occupancy_samples: list[float] = []
 
     # ------------------------------------------------------------------
-    @property
-    def local_map_tasks(self) -> int:
-        return self._local.value
-
-    @property
-    def remote_map_tasks(self) -> int:
-        return self._remote.value
-
     @property
     def num_samples(self) -> int:
         return len(self.sample_times)
@@ -72,7 +59,10 @@ class ClusterMetrics:
         return 100.0 * self.local_map_tasks / total
 
     def record_map_task(self, *, local: bool) -> None:
-        (self._local if local else self._remote).inc()
+        if local:
+            self.local_map_tasks += 1
+        else:
+            self.remote_map_tasks += 1
 
     def record_sample(
         self, time: float, *, cpu: float, disk_bps: float, occupancy: float
@@ -81,13 +71,21 @@ class ClusterMetrics:
         self.cpu_utilization_samples.append(cpu)
         self.disk_read_bps_samples.append(disk_bps)
         self.slot_occupancy_samples.append(occupancy)
-        self._cpu.observe(cpu)
-        self._disk.observe(disk_bps)
-        self._occupancy.observe(occupancy)
 
     def snapshot(self) -> dict:
-        """Registry snapshot (for trace export / ``repro metrics``)."""
-        return self.registry.snapshot()
+        """The cluster-scope snapshot (for trace export / ``repro
+        metrics``), sorted by name; each sample list is a histogram."""
+        snapshot = {
+            name: metric("histogram", Histogram(name, samples).snapshot())
+            for name, samples in (
+                ("cpu_utilization", self.cpu_utilization_samples),
+                ("disk_read_bps", self.disk_read_bps_samples),
+                ("slot_occupancy", self.slot_occupancy_samples),
+            )
+        }
+        snapshot["local_map_tasks"] = metric("counter", self.local_map_tasks)
+        snapshot["remote_map_tasks"] = metric("counter", self.remote_map_tasks)
+        return dict(sorted(snapshot.items()))
 
 
 def _mean(values: list[float]) -> float:

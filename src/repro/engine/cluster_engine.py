@@ -168,7 +168,7 @@ class SimulatedCluster:
         return self.jobtracker.trace
 
     def snapshot_cluster_metrics(self) -> None:
-        """Export the cluster registry into the trace (end of a run)."""
+        """Export the cluster metrics snapshot into the trace (end of a run)."""
         if self.trace is not None:
             self.trace.metrics_snapshot(
                 self.sim.now, scope="cluster", metrics=self.metrics.snapshot()

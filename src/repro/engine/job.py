@@ -13,14 +13,14 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 from repro.core.protocol import ClusterStatus, JobProgress
 from repro.dfs.split import InputSplit
 from repro.engine.jobconf import JobConf
 from repro.engine.task import MapTask, PendingTaskQueue, ReduceTask
 from repro.errors import JobError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, metric
 
 __all__ = [
     "ClusterStatus",
@@ -28,6 +28,7 @@ __all__ = [
     "JobProgress",
     "JobResult",
     "JobState",
+    "job_metrics_snapshot",
 ]
 
 
@@ -61,8 +62,9 @@ class JobResult:
     input_increments: int
     failed_map_attempts: int = 0
     metrics_snapshot: dict | None = None
-    """``MetricsRegistry.snapshot()`` of the job's registry, when one
-    was kept. Deterministic: counts and simulated-time values only."""
+    """The job-scope snapshot (:func:`job_metrics_snapshot`), the same
+    dict as the job's ``metrics_snapshot`` trace event. Deterministic:
+    counts only."""
     splits_pruned: int = 0
     """Splits the provider retired via split statistics without
     dispatching a map task (provably zero matches)."""
@@ -82,6 +84,40 @@ class JobResult:
         if self.output_data is None:
             return []
         return [value for _key, value in self.output_data]
+
+
+def job_metrics_snapshot(
+    records_per_task: Iterable[int],
+    *,
+    records_processed: int,
+    outputs_produced: int,
+    records_pending: int,
+    evaluations: int,
+    input_increments: int,
+    failed_map_attempts: int,
+    splits_pruned: int | None = None,
+) -> dict:
+    """The job-scope snapshot, on both substrates: ``{name: {"kind",
+    "value"}}`` sorted by name, with ``map_records_per_task`` a
+    histogram over the finished map tasks in finishing order.
+
+    ``splits_pruned`` is included only when given: the LocalRunner
+    reports it, the simulated job's snapshot never has.
+    """
+    snapshot = {
+        "failed_map_attempts": metric("counter", failed_map_attempts),
+        "input_increments": metric("counter", input_increments),
+        "map_records_per_task": metric(
+            "histogram", Histogram("map_records_per_task", records_per_task).snapshot()
+        ),
+        "outputs_produced": metric("counter", outputs_produced),
+        "provider_evaluations": metric("counter", evaluations),
+        "records_pending": metric("gauge", records_pending),
+        "records_processed": metric("counter", records_processed),
+    }
+    if splits_pruned is not None:
+        snapshot["splits_pruned"] = metric("counter", splits_pruned)
+    return snapshot
 
 
 class Job:
@@ -111,25 +147,28 @@ class Job:
         self.all_map_tasks: dict[str, MapTask] = {}
         self.reduce_task: ReduceTask | None = None
 
-        # All job accounting lives in one registry (obs layer); the
-        # legacy counter names remain readable as properties below.
-        self.metrics = MetricsRegistry(scope=f"job:{job_id}")
-        self._records_processed = self.metrics.counter("records_processed")
-        self._outputs_produced = self.metrics.counter("outputs_produced")
-        self._records_pending = self.metrics.gauge("records_pending")
-        self._evaluations = self.metrics.counter("provider_evaluations")
-        self._input_increments = self.metrics.counter("input_increments")
-        self._failed_map_attempts = self.metrics.counter("failed_map_attempts")
-        self._map_records = self.metrics.histogram("map_records_per_task")
+        # Progress counters (paper §III-A): what Input Providers decide
+        # from, and what the job's metrics snapshot reports.
+        self.records_processed = 0
+        self.outputs_produced = 0
+        self.records_pending = 0
+        self.evaluations = 0
+        self.input_increments = 0
+        self.failed_map_attempts = 0
         self._added_split_ids: set[str] = set()
 
         # Fair-scheduler bookkeeping: when this job last received a local
         # assignment opportunity (delay scheduling).
         self.locality_wait_start: float | None = None
 
-        # Error-bounded aggregation summary, set by the JobClient's
-        # completion listener when the job ran an accuracy provider.
+        # Set by the JobClient's completion listener from the job's
+        # Input Provider: the error-bounded aggregation summary (accuracy
+        # providers only) and the splits it retired via statistics.
         self.approx: dict | None = None
+        self.splits_pruned = 0
+
+        self.metrics_snapshot: dict | None = None
+        """Built once, by :meth:`finish`."""
 
     # ------------------------------------------------------------------
     # Input growth
@@ -154,10 +193,10 @@ class Job:
             )
             self.all_map_tasks[task.task_id] = task
             self.pending_maps.add(task)
-            self._records_pending.inc(split.num_records)
+            self.records_pending += split.num_records
             tasks.append(task)
         if splits:
-            self._input_increments.inc()
+            self.input_increments += 1
         return tasks
 
     def mark_input_complete(self) -> None:
@@ -174,10 +213,9 @@ class Job:
         if removed is None:
             raise JobError(f"job {self.job_id}: unknown running map {task.task_id}")
         self.completed_maps.append(task)
-        self._records_processed.inc(task.records_processed)
-        self._outputs_produced.inc(task.outputs_produced)
-        self._records_pending.dec(task.split.num_records)
-        self._map_records.observe(task.records_processed)
+        self.records_processed += task.records_processed
+        self.outputs_produced += task.outputs_produced
+        self.records_pending -= task.split.num_records
 
     def map_failed(self, task: MapTask) -> MapTask | None:
         """Record a failed attempt; returns the retry attempt, or None
@@ -189,7 +227,7 @@ class Job:
         removed = self.running_maps.pop(task.task_id, None)
         if removed is None:
             raise JobError(f"job {self.job_id}: unknown running map {task.task_id}")
-        self._failed_map_attempts.inc()
+        self.failed_map_attempts += 1
         max_attempts = self.conf.get_int(MAX_ATTEMPTS_PARAM, 4)
         if task.attempt >= max_attempts:
             return None
@@ -200,36 +238,26 @@ class Job:
 
     def record_evaluation(self) -> None:
         """Count one Input Provider evaluation (called by the client side)."""
-        self._evaluations.inc()
+        self.evaluations += 1
+
+    def finish(self, state: JobState, time: float) -> None:
+        """End the job (succeeded or killed) and build its metrics
+        snapshot, which its trace event and its result share."""
+        self.state = state
+        self.finish_time = time
+        self.metrics_snapshot = job_metrics_snapshot(
+            [task.records_processed for task in self.completed_maps],
+            records_processed=self.records_processed,
+            outputs_produced=self.outputs_produced,
+            records_pending=self.records_pending,
+            evaluations=self.evaluations,
+            input_increments=self.input_increments,
+            failed_map_attempts=self.failed_map_attempts,
+        )
 
     # ------------------------------------------------------------------
-    # Introspection — counters are registry-backed; the names predate
-    # the obs layer and stay readable for callers and tests.
+    # Introspection
     # ------------------------------------------------------------------
-    @property
-    def records_processed(self) -> int:
-        return self._records_processed.value
-
-    @property
-    def outputs_produced(self) -> int:
-        return self._outputs_produced.value
-
-    @property
-    def records_pending(self) -> int:
-        return self._records_pending.value
-
-    @property
-    def evaluations(self) -> int:
-        return self._evaluations.value
-
-    @property
-    def input_increments(self) -> int:
-        return self._input_increments.value
-
-    @property
-    def failed_map_attempts(self) -> int:
-        return self._failed_map_attempts.value
-
     @property
     def splits_added(self) -> int:
         return len(self._added_split_ids)
@@ -297,7 +325,8 @@ class Job:
             evaluations=self.evaluations,
             input_increments=self.input_increments,
             failed_map_attempts=self.failed_map_attempts,
-            metrics_snapshot=self.metrics.snapshot(),
+            metrics_snapshot=self.metrics_snapshot,
+            splits_pruned=self.splits_pruned,
             approx=self.approx,
         )
 

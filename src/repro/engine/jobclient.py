@@ -159,6 +159,7 @@ class JobClient:
                 # work at END_OF_INPUT) still belong in the estimate.
                 self._feed_completed(handle)
                 job.approx = handle.provider.approx_summary()
+                job.splits_pruned = handle.provider.splits_pruned
             if on_complete is not None:
                 on_complete(job.to_result())
 

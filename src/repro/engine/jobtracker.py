@@ -345,8 +345,7 @@ class JobTracker:
         self._request_dispatch()
 
     def _kill_job(self, job: Job) -> None:
-        job.state = JobState.KILLED
-        job.finish_time = self._sim.now
+        job.finish(JobState.KILLED, self._sim.now)
         self._record("job_killed", job.job_id)
         self._snapshot_job_metrics(job)
         if job in self._active_jobs:
@@ -404,18 +403,17 @@ class JobTracker:
         return best
 
     def _snapshot_job_metrics(self, job: Job) -> None:
-        """Export the job's registry into the trace at end of life."""
+        """Export the finished job's metrics snapshot into the trace."""
         if self.trace is not None:
             self.trace.metrics_snapshot(
                 self._sim.now, scope="job", job_id=job.job_id,
-                metrics=job.metrics.snapshot(),
+                metrics=job.metrics_snapshot,
             )
 
     def _finish_job(self, job: Job) -> None:
         if job.finished:
             return
-        job.state = JobState.SUCCEEDED
-        job.finish_time = self._sim.now
+        job.finish(JobState.SUCCEEDED, self._sim.now)
         self._record("job_succeeded", job.job_id)
         self._snapshot_job_metrics(job)
         self._active_jobs.remove(job)

@@ -29,12 +29,17 @@ from repro.core.input_provider import (
 )
 from repro.core.policy import PolicyRegistry, paper_policies
 from repro.dfs.split import InputSplit
-from repro.engine.job import ClusterStatus, JobProgress, JobResult, JobState
+from repro.engine.job import (
+    ClusterStatus,
+    JobProgress,
+    JobResult,
+    JobState,
+    job_metrics_snapshot,
+)
 from repro.engine.jobconf import JobConf
 from repro.engine.mapreduce import ReduceContext
 from repro.engine.shuffle import group_outputs
 from repro.errors import JobConfError, JobError
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import record_provider_evaluation
 from repro.scan.engine import ScanSpan, run_map_task
 from repro.scan.proc import (
@@ -156,10 +161,16 @@ class LocalRunner:
         output_data = self._run_reduce(conf, map_results)
         records = sum(r.records_processed for r in map_results)
         map_outputs = sum(len(r.outputs) for r in map_results)
-        metrics = self._job_registry(
-            job_id, map_results,
-            evaluations=evaluations, increments=increments, pruned=pruned,
-        ).snapshot()
+        metrics = job_metrics_snapshot(
+            [r.records_processed for r in map_results],
+            records_processed=records,
+            outputs_produced=map_outputs,
+            records_pending=0,
+            evaluations=evaluations,
+            input_increments=increments,
+            failed_map_attempts=0,
+            splits_pruned=pruned,
+        )
         if self.trace is not None:
             self.trace.record(0.0, "job_succeeded", job_id)
             self.trace.metrics_snapshot(0.0, scope="job", job_id=job_id, metrics=metrics)
@@ -181,31 +192,6 @@ class LocalRunner:
             splits_pruned=pruned,
             approx=approx,
         )
-
-    def _job_registry(
-        self,
-        job_id: str,
-        map_results: list[LocalMapResult],
-        *,
-        evaluations: int,
-        increments: int,
-        pruned: int = 0,
-    ) -> MetricsRegistry:
-        """Per-run registry mirroring the simulated Job's metric names."""
-        registry = MetricsRegistry(scope=f"job:{job_id}")
-        records = registry.counter("records_processed")
-        outputs = registry.counter("outputs_produced")
-        per_task = registry.histogram("map_records_per_task")
-        for result in map_results:
-            records.inc(result.records_processed)
-            outputs.inc(len(result.outputs))
-            per_task.observe(result.records_processed)
-        registry.gauge("records_pending").set(0)
-        registry.counter("provider_evaluations").inc(evaluations)
-        registry.counter("input_increments").inc(increments)
-        registry.counter("failed_map_attempts")
-        registry.counter("splits_pruned").inc(pruned)
-        return registry
 
     # ------------------------------------------------------------------
     # Dynamic protocol, synchronous

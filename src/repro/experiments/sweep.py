@@ -5,9 +5,9 @@ Figure 5 alone is 5 scales × 3 skews × 5 policies — so regenerating
 results serially wastes every core but one. This module expresses a grid
 as self-contained, picklable :class:`SweepPoint` configs, fans them out
 over a :class:`concurrent.futures.ProcessPoolExecutor`, and memoizes each
-cell's result on disk keyed by the config *and* the code-relevant
-constants (cost model, paper parameters), so a re-run only recomputes
-cells whose inputs actually changed.
+cell's result on disk keyed by the config, the code-relevant constants
+(cost model, paper parameters) *and* the package's source bytes, so a
+re-run only recomputes cells whose inputs or code actually changed.
 
 Determinism: each point builds its own cluster(s) from its own seeds and
 (since the tie-break sequence counter is per-``Simulator``) its result is
@@ -35,14 +35,9 @@ from typing import Any, Callable, Iterable, Sequence
 from repro.cluster.costmodel import CostModel
 from repro.errors import SweepError
 
-#: Bump when the meaning of cached results changes (result dataclass
-#: layout, simulation semantics) without any constant changing.
-#: v2: JobResult grew metrics_snapshot; failure config became part of
-#: every point's identity (it previously was not representable at all,
-#: so any pre-v2 cell is implicitly "no failures" under stale keys).
-#: v3: histogram snapshots (inside JobResult.metrics_snapshot) gained
-#: log-bucket p50/p95/p99 quantiles; pre-v3 cached cells lack the keys.
-CACHE_SCHEMA_VERSION = 3
+#: The ``repro`` package directory, whose ``.py`` sources every cache
+#: key hashes.
+PACKAGE_ROOT = Path(__file__).resolve().parents[1]
 
 DEFAULT_CACHE_DIR = ".repro_cache"
 
@@ -232,21 +227,35 @@ def heterogeneous_points(
 # ---------------------------------------------------------------------------
 # Result cache
 # ---------------------------------------------------------------------------
-def code_fingerprint(cost_model: CostModel | None = None) -> str:
-    """Hash of the code-relevant constants a cached cell depends on.
+def source_digest() -> str:
+    """SHA-256 of the package's ``.py`` sources: each file's path
+    relative to :data:`PACKAGE_ROOT`, then its bytes, in path order."""
+    digest = hashlib.sha256()
+    paths = {
+        path.relative_to(PACKAGE_ROOT).as_posix(): path
+        for path in PACKAGE_ROOT.rglob("*.py")
+    }
+    for relative in sorted(paths):
+        digest.update(relative.encode() + b"\0")
+        digest.update(paths[relative].read_bytes() + b"\0")
+    return digest.hexdigest()
 
-    A cell's simulated result is a pure function of its :class:`SweepPoint`
-    plus the cost model and paper constants; hashing those alongside the
-    point means editing any of them invalidates every stale cache entry
-    without a manual version bump (``CACHE_SCHEMA_VERSION`` covers the
-    rest: result-dataclass layout and simulation semantics).
+
+def code_fingerprint(cost_model: CostModel | None = None) -> str:
+    """Hash of the code a cached cell depends on.
+
+    A cell's simulated result is a pure function of its :class:`SweepPoint`,
+    the cost model and paper constants, and the package's code. Hashing
+    the constants and every source file alongside the point means any
+    edit to them (a default, the result layout, the simulation itself)
+    invalidates every stale cache entry, with no version to bump.
     """
     from repro.engine.failures import DEFAULT_MAX_ATTEMPTS, FailureConfig
     from repro.experiments import setup
 
     model = cost_model if cost_model is not None else CostModel()
     parts = (
-        f"schema={CACHE_SCHEMA_VERSION}",
+        f"source={source_digest()}",
         repr(model),
         repr(
             (

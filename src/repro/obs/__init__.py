@@ -1,4 +1,4 @@
-"""Observability layer: metrics registry + structured trace export.
+"""Observability layer: metric snapshots + structured trace export.
 
 The paper's Input Provider (§III-A) decides END_OF_INPUT /
 INPUT_AVAILABLE / NO_INPUT_AVAILABLE purely from job progress and
@@ -7,10 +7,10 @@ task lifecycle around them — inspectable after the fact.
 
 Two halves:
 
-* :mod:`repro.obs.metrics` — a picklable :class:`MetricsRegistry` of
-  named counters, gauges, and histograms. Jobs, the cluster, and the
-  benchmarks all hang their accounting off one of these instead of
-  ad-hoc integer fields.
+* :mod:`repro.obs.metrics` — the log-bucket :class:`Histogram` and the
+  snapshot entry shape. Jobs and the cluster keep their counts as plain
+  integer attributes, and one function per scope builds the snapshot
+  (``engine.job.job_metrics_snapshot``, ``ClusterMetrics.snapshot``).
 * :mod:`repro.obs.trace` — a :class:`TraceRecorder`, the run's one
   event log, emitting typed JSONL events (job lifecycle, task attempts,
   provider evaluations with their full inputs, scan-engine spans) and
@@ -27,9 +27,9 @@ On top of the stream sit pure read-side consumers:
 * :mod:`repro.obs.progress` — an opt-in live stderr reporter attached
   as a recorder listener;
 * :mod:`repro.obs.hub` + :mod:`repro.obs.timeseries` — the live
-  telemetry hub: windowed ring-buffer series and streaming quantile
-  sketches maintained *while* jobs run, multiplexed across concurrent
-  jobs, fed only by the event streams of the recorders it attaches to;
+  telemetry hub: windowed ring-buffer series and latency histograms
+  maintained *while* jobs run, multiplexed across concurrent jobs, fed
+  only by the event streams of the recorders it attaches to;
 * :mod:`repro.obs.export` — Prometheus text exposition plus the
   background HTTP exporter (``--metrics-port``);
 * :mod:`repro.obs.top` — the ``repro top`` live terminal dashboard;
@@ -45,13 +45,13 @@ On top of the stream sit pure read-side consumers:
 * :mod:`repro.obs.slo` — ``repro slo check``: JSON run-quality
   objectives evaluated against traces for CI gating.
 
-Everything here is pure read-side: attaching a registry or recorder
-consumes no randomness and changes no job output bytes.
+Everything here is pure read-side: attaching a recorder consumes no
+randomness and changes no job output bytes.
 """
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram
 
-# Everything but the metrics registry loads lazily (PEP 562): low layers
+# Everything but the histogram loads lazily (PEP 562): low layers
 # (cluster, engine) import obs.metrics, which runs this file first, and
 # eager imports would cycle back into them (obs.audit imports
 # repro.core, whose package imports the engine).
@@ -91,7 +91,6 @@ _LAZY = {
     "ProgressReporter": "repro.obs.progress",
     "TelemetryHub": "repro.obs.hub",
     "TimeSeries": "repro.obs.timeseries",
-    "QuantileSketch": "repro.obs.timeseries",
     "TelemetryExporter": "repro.obs.export",
     "render_hub_prometheus": "repro.obs.export",
     "render_registry_prometheus": "repro.obs.export",
@@ -110,10 +109,7 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
     "TRACE_SCHEMA_VERSION",
     "TraceRecorder",
     "TraceSchemaError",
@@ -149,7 +145,6 @@ __all__ = [
     "ProgressReporter",
     "TelemetryHub",
     "TimeSeries",
-    "QuantileSketch",
     "TelemetryExporter",
     "render_hub_prometheus",
     "render_registry_prometheus",

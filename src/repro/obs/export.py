@@ -4,13 +4,14 @@ Two consumers need the hub's live state outside this process: humans
 pointing ``curl``/Prometheus at a running sweep, and ``repro top``
 running in another terminal. Both are served here:
 
-* :func:`render_registry_prometheus` — any
-  :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` dict (live, or
-  replayed from a trace's ``metrics_snapshot`` events) in the Prometheus
-  text exposition format (version 0.0.4). Counters and gauges map
+* :func:`render_registry_prometheus` — a metrics snapshot dict (a
+  job's or the cluster's, ``{name: {"kind": ..., "value": ...}}``) in
+  the Prometheus text exposition format (version 0.0.4);
+  :func:`render_trace_prometheus` renders every ``metrics_snapshot``
+  event of a trace into one exposition. Counters and gauges map
   directly; histograms render as summaries (``{quantile="0.5"}`` sample
   lines plus ``_count``/``_sum``), since log-bucket quantiles are what
-  the sketch answers natively.
+  the histogram answers natively.
 * :func:`render_hub_prometheus` — a :meth:`~repro.obs.hub.TelemetryHub.snapshot`
   as job-labelled series: rows/outputs/splits totals, running maps,
   grab-to-grant latency quantiles, CI half-widths, slot utilization.
@@ -18,6 +19,11 @@ running in another terminal. Both are served here:
   ``GET /metrics`` (Prometheus text) and ``GET /telemetry.json`` (the
   raw hub snapshot, which is what ``repro top`` renders). Binds
   ``port=0`` for an ephemeral port in tests.
+
+Every renderer groups its output by metric family, as the format
+requires: one ``# TYPE`` line per family, then all of that family's
+samples (a summary's ``_count`` and ``_sum`` included), whichever job or
+snapshot they came from.
 
 :func:`parse_exposition` is the matching strict-enough parser used by
 the CI smoke test (and anyone scripting against the endpoint) to check
@@ -47,7 +53,7 @@ class ExpositionError(ReproError):
 def sanitize_metric_name(name: str) -> str:
     """A valid Prometheus metric name: ``[a-zA-Z_:][a-zA-Z0-9_:]*``.
 
-    Registry names are free-form (``map_records_per_task``, or dotted
+    Snapshot names are free-form (``map_records_per_task``, or dotted
     like ``scan.rows``); dots, dashes, and anything else invalid become
     underscores.
     """
@@ -92,25 +98,31 @@ def _format_number(value) -> str:
 
 
 class _Lines:
-    """Accumulates exposition lines, emitting each # TYPE header once."""
+    """Exposition lines grouped by metric family.
+
+    A family's ``# HELP``/``# TYPE`` lines are written when it is first
+    declared; its samples join it whenever they arrive, and the text
+    lists the families in the order they were declared.
+    """
 
     def __init__(self) -> None:
-        self._lines: list[str] = []
-        self._typed: set[str] = set()
+        self._families: dict[str, list[str]] = {}
 
     def type_header(self, name: str, kind: str, help_text: str | None = None) -> None:
-        if name in self._typed:
+        if name in self._families:
             return
-        self._typed.add(name)
-        if help_text:
-            self._lines.append(f"# HELP {name} {help_text}")
-        self._lines.append(f"# TYPE {name} {kind}")
+        header = [f"# HELP {name} {help_text}"] if help_text else []
+        self._families[name] = [*header, f"# TYPE {name} {kind}"]
 
-    def sample(self, name: str, labels: dict | None, value) -> None:
-        self._lines.append(f"{name}{_labels(labels)} {_format_number(value)}")
+    def sample(self, name: str, labels: dict | None, value, *, suffix: str = "") -> None:
+        """A sample of family ``name``, written as ``name + suffix``."""
+        self._families[name].append(
+            f"{name}{suffix}{_labels(labels)} {_format_number(value)}"
+        )
 
     def text(self) -> str:
-        return "\n".join(self._lines) + "\n" if self._lines else ""
+        lines = [line for family in self._families.values() for line in family]
+        return "\n".join(lines) + "\n" if lines else ""
 
 
 def _render_histogram(
@@ -123,8 +135,8 @@ def _render_histogram(
         if value is None:
             continue
         lines.sample(name, {**(labels or {}), "quantile": str(q)}, value)
-    lines.sample(f"{name}_count", labels, stats.get("count", 0))
-    lines.sample(f"{name}_sum", labels, stats.get("total", 0.0))
+    lines.sample(name, labels, stats.get("count", 0), suffix="_count")
+    lines.sample(name, labels, stats.get("total", 0.0), suffix="_sum")
 
 
 def render_registry_prometheus(
@@ -133,14 +145,36 @@ def render_registry_prometheus(
     prefix: str = "repro",
     labels: dict | None = None,
 ) -> str:
-    """A ``MetricsRegistry.snapshot()`` dict as Prometheus text.
+    """A metrics snapshot dict as Prometheus text.
 
-    ``snapshot`` has the registry shape ``{name: {"kind": ..., "value":
-    ...}}``; histogram values are their stats dicts. Works identically
-    on live registries and on ``metrics_snapshot`` trace events replayed
-    from old runs (``repro metrics --format prometheus``).
+    ``snapshot`` has the shape ``{name: {"kind": ..., "value": ...}}``;
+    histogram values are their stats dicts. Works identically on a live
+    ``JobResult.metrics_snapshot`` and on a ``metrics_snapshot`` trace
+    event replayed from an old run.
     """
     lines = _Lines()
+    _render_snapshot(lines, snapshot, prefix, labels)
+    return lines.text()
+
+
+def render_trace_prometheus(events, *, prefix: str = "repro") -> str:
+    """Every ``metrics_snapshot`` event of a trace as one exposition
+    (``repro metrics --format prometheus``), each event's samples
+    labelled with its ``scope`` and, for a job, its ``job``."""
+    lines = _Lines()
+    for event in events:
+        if event["type"] != "metrics_snapshot":
+            continue
+        labels = {"scope": event["scope"]}
+        if event.get("job_id"):
+            labels["job"] = event["job_id"]
+        _render_snapshot(lines, event["metrics"], prefix, labels)
+    return lines.text()
+
+
+def _render_snapshot(
+    lines: _Lines, snapshot: dict, prefix: str, labels: dict | None
+) -> None:
     for name, entry in snapshot.items():
         kind = entry.get("kind")
         value = entry.get("value")
@@ -157,7 +191,6 @@ def render_registry_prometheus(
         else:
             lines.type_header(metric, "gauge")
             lines.sample(metric, labels, value)
-    return lines.text()
 
 
 def render_hub_prometheus(snapshot: dict, *, prefix: str = "repro") -> str:
@@ -253,15 +286,42 @@ def parse_exposition(text: str) -> dict[str, list[tuple[dict, float]]]:
     """Parse Prometheus text exposition into ``{metric: [(labels, value)]}``.
 
     Strict enough to catch real malformations (bad label syntax,
-    non-numeric values, unknown line shapes) — the CI smoke test runs
-    every scraped payload through this. Raises :class:`ExpositionError`.
+    non-numeric values, unknown line shapes, a second ``# TYPE`` line
+    for one metric, a family whose samples another family splits) — the
+    CI smoke test runs every scraped payload through this. Raises
+    :class:`ExpositionError`.
     """
     samples: dict[str, list[tuple[dict, float]]] = {}
+    types: dict[str, str] = {}
+    families: set[str] = set()
+    current = None
+
+    def enter(family: str, lineno: int) -> None:
+        nonlocal current
+        if family == current:
+            return
+        if family in families:
+            raise ExpositionError(
+                f"line {lineno}: family {family} resumes after another family"
+            )
+        families.add(family)
+        current = family
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line:
+            continue
+        if line.startswith("#"):
+            parts = line.split()
+            if len(parts) >= 3 and parts[1] == "TYPE":
+                name = parts[2]
+                if name in types:
+                    raise ExpositionError(f"line {lineno}: second TYPE line for {name}")
+                types[name] = parts[3] if len(parts) > 3 else "untyped"
+                enter(name, lineno)
             continue
         name, labels, rest = _parse_sample_head(line, lineno)
+        enter(_family(name, types), lineno)
         parts = rest.split()
         if len(parts) not in (1, 2):  # value [timestamp]
             raise ExpositionError(f"line {lineno}: malformed sample {raw!r}")
@@ -273,6 +333,16 @@ def parse_exposition(text: str) -> dict[str, list[tuple[dict, float]]]:
             ) from exc
         samples.setdefault(name, []).append((labels, value))
     return samples
+
+
+def _family(name: str, types: dict[str, str]) -> str:
+    """The family a sample belongs to: a summary's or histogram's
+    ``_count``/``_sum``/``_bucket`` samples belong to its base name."""
+    for suffix in ("_count", "_sum", "_bucket"):
+        base = name[: -len(suffix)]
+        if name.endswith(suffix) and types.get(base) in ("summary", "histogram"):
+            return base
+    return name
 
 
 def _parse_sample_head(line: str, lineno: int) -> tuple[str, dict, str]:

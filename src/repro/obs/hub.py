@@ -5,7 +5,7 @@ post-hoc — you learn what a job did after it finishes. The
 :class:`TelemetryHub` is the live complement: a thread-safe aggregator
 that subscribes to :class:`~repro.obs.trace.TraceRecorder` event streams
 as a listener (:meth:`~TelemetryHub.attach`) and folds every event into
-windowed ring-buffer time series and streaming quantile sketches,
+windowed ring-buffer time series and log-bucket histograms,
 multiplexed across concurrent jobs by job id. The stream is its only
 input, so a hub sees exactly the runs whose recorder it is attached to.
 Besides the logged events it folds the recorder's two listener-only
@@ -18,7 +18,7 @@ events (:meth:`~repro.obs.trace.TraceRecorder.publish`):
   so long-running worker scans appear in the live series *before*
   their task completes.
 
-Maintained live series and sketches:
+Maintained live series and histograms:
 
 =====================  ==================================================
 rows/s                 per-job cumulative scanned rows (ring series;
@@ -27,7 +27,7 @@ slot utilization       cluster-wide ``busy/total`` map slots, from
                        provider evaluations and ``cluster_status``
 grab-to-grant          per-job latency from an Input Provider granting a
                        split to that split's map task starting
-                       (quantile sketch: p50/p95/p99 at any instant)
+                       (histogram: p50/p95/p99 at any instant)
 per-job progress       splits added/completed, running maps, outputs
 CI half-width          accuracy jobs' interval convergence over time
 =====================  ==================================================
@@ -51,7 +51,8 @@ from __future__ import annotations
 import threading
 from time import perf_counter
 
-from repro.obs.timeseries import QuantileSketch, TimeSeries
+from repro.obs.metrics import Histogram
+from repro.obs.timeseries import TimeSeries
 
 #: Default ring-buffer capacity per series (bounded memory per job).
 DEFAULT_CAPACITY = 512
@@ -79,7 +80,7 @@ class JobTelemetry:
         self.outputs_total = 0
         self.evaluations = 0
         self.rows_series = TimeSeries(capacity)
-        self.grab_to_grant = QuantileSketch("grab_to_grant_s")
+        self.grab_to_grant = Histogram("grab_to_grant_s")
         self.ci_series = TimeSeries(capacity)
         self.ci_last: dict | None = None
         # Pending grant markers: (event_time, wall_time), one per granted
@@ -96,7 +97,7 @@ class JobTelemetry:
         # scan_span that clears them.
         self.worker_live: dict[int, int] = {}
         # Worker-side chunk scan rates (rows/s per flushed chunk).
-        self.worker_rate = QuantileSketch("worker_rows_per_s")
+        self.worker_rate = Histogram("worker_rows_per_s")
         self.worker_deltas = 0
 
     @property

@@ -1,85 +1,34 @@
-"""Named metrics: counters, gauges, histograms, and a registry of them.
+"""The log-bucket histogram behind every snapshot's distributions.
 
-One :class:`MetricsRegistry` per scope (a job, a cluster, a benchmark
-run). The registry replaces the ad-hoc integer fields that used to be
-scattered across ``Job``, ``ClusterMetrics``, and the perf harness, and
-gives every scope the same ``snapshot()`` shape for trace export.
+Counts are plain integer attributes on the object that owns the fact
+(``Job``, ``ClusterMetrics``); each scope has one function that builds
+its snapshot from them once, in the shape ``{name: {"kind": ...,
+"value": ...}}`` sorted by name (:func:`metric`), which trace export and
+``repro metrics`` read. This module holds what those functions and the
+telemetry hub share: the :class:`Histogram` that answers a
+distribution's quantiles.
 
 Design constraints, in force everywhere this module is used:
 
-* **Picklable.** Registries travel inside ``WorkloadResult`` through
-  the sweep engine's ``ProcessPoolExecutor``, so there are no locks,
+* **Picklable.** Snapshots travel inside ``JobResult`` through the
+  sweep engine's ``ProcessPoolExecutor``, so there are no locks,
   lambdas, or open files here — plain attributes only.
 * **Deterministic on the sim substrate.** Job- and cluster-scoped
-  metrics hold only counts and simulated-time durations. Wall-clock
+  snapshots hold only counts and simulated-time values. Wall-clock
   readings live in trace span events, which are never part of job
   output.
-* **Cheap when idle.** Metric objects are created on first use and
-  updated with plain attribute arithmetic; the scan engine's per-row
-  hot loop never touches a registry (tasks fold their totals in at
-  completion, see DESIGN.md §9).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Iterable
 
 from repro.errors import ReproError
 
 
 class MetricsError(ReproError):
-    """Invalid metric usage (name collisions across metric types, etc.)."""
-
-
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("name", "value")
-
-    kind = "counter"
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int | float = 1) -> None:
-        # ``amount < 0`` alone would let NaN through (every comparison
-        # against NaN is False) and one NaN poisons the sum forever.
-        if not math.isfinite(amount):
-            raise MetricsError(
-                f"counter {self.name!r} increment must be finite (inc {amount})"
-            )
-        if amount < 0:
-            raise MetricsError(f"counter {self.name!r} cannot decrease (inc {amount})")
-        self.value += amount
-
-    def snapshot(self) -> int | float:
-        return self.value
-
-
-class Gauge:
-    """A value that can move both ways (pending splits, queue depth)."""
-
-    __slots__ = ("name", "value")
-
-    kind = "gauge"
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def set(self, value: int | float) -> None:
-        self.value = value
-
-    def inc(self, amount: int | float = 1) -> None:
-        self.value += amount
-
-    def dec(self, amount: int | float = 1) -> None:
-        self.value -= amount
-
-    def snapshot(self) -> int | float:
-        return self.value
+    """Invalid metric usage (a non-finite observation, a bad quantile)."""
 
 
 #: Log-bucket resolution: buckets per decade of value. 20 per decade
@@ -96,12 +45,17 @@ _BUCKET_CLAMP = 20 * BUCKETS_PER_DECADE
 SNAPSHOT_QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
 
 
+def metric(kind: str, value) -> dict:
+    """One snapshot entry: ``kind`` is counter, gauge or histogram."""
+    return {"kind": kind, "value": value}
+
+
 class Histogram:
     """Summary statistics plus bounded log-bucket quantile estimation.
 
     Stores count/sum/min/max and a bounded dict of logarithmic buckets
-    rather than raw samples, so a registry's size stays bounded no matter
-    how many observations flow through it. Positive values land in bucket
+    rather than raw samples, so its size stays bounded no matter how
+    many observations flow through it. Positive values land in bucket
     ``floor(log10(v) * BUCKETS_PER_DECADE)`` (clamped); zero and negative
     values share one underflow bucket. :meth:`quantile` walks the buckets
     and answers within half a bucket width (~6% relative error), clamped
@@ -110,9 +64,7 @@ class Histogram:
 
     __slots__ = ("name", "count", "total", "min", "max", "buckets", "underflow")
 
-    kind = "histogram"
-
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, values: Iterable[int | float] = ()) -> None:
         self.name = name
         self.count = 0
         self.total = 0.0
@@ -120,6 +72,8 @@ class Histogram:
         self.max = -math.inf
         self.buckets: dict[int, int] = {}
         self.underflow = 0
+        for value in values:
+            self.observe(value)
 
     def observe(self, value: int | float) -> None:
         if not math.isfinite(value):
@@ -170,33 +124,15 @@ class Histogram:
                 return min(max(midpoint, self.min), self.max)
         return self.max  # pragma: no cover - rank <= count by construction
 
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Fold ``other``'s observations into this histogram; returns self.
-
-        Log-bucket histograms are mergeable exactly: bucket counts add,
-        min/max combine, and every quantile answered by the merged
-        histogram is identical to the histogram that would have observed
-        both streams directly (the property tests pin associativity and
-        commutativity). This is what lets worker processes and the
-        telemetry hub keep independent sketches and combine them
-        losslessly.
-        """
-        self.count += other.count
-        self.total += other.total
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-        self.underflow += other.underflow
-        for index, count in other.buckets.items():
-            self.buckets[index] = self.buckets.get(index, 0) + count
-        return self
+    def quantiles(self) -> dict[str, float | None]:
+        """The standard snapshot quantiles (p50/p95/p99), None when empty."""
+        return {key: self.quantile(q) for key, q in SNAPSHOT_QUANTILES}
 
     def snapshot(self) -> dict:
         if not self.count:
             return {
                 "count": 0, "total": 0.0, "min": None, "max": None, "mean": None,
-                **{key: None for key, _q in SNAPSHOT_QUANTILES},
+                **self.quantiles(),
             }
         return {
             "count": self.count,
@@ -204,61 +140,5 @@ class Histogram:
             "min": self.min,
             "max": self.max,
             "mean": self.mean,
-            **{key: self.quantile(q) for key, q in SNAPSHOT_QUANTILES},
-        }
-
-
-class MetricsRegistry:
-    """A namespace of metrics, created lazily on first access.
-
-    ``counter``/``gauge``/``histogram`` return the existing metric when
-    the name is already registered — callers never need to cache metric
-    handles, though hot paths may for speed. Requesting a name as the
-    wrong kind raises :class:`MetricsError` instead of silently
-    shadowing.
-    """
-
-    def __init__(self, *, scope: str = "") -> None:
-        self.scope = scope
-        self._metrics: dict[str, Counter | Gauge | Histogram] = {}
-
-    def _get(self, name: str, cls):
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = cls(name)
-            self._metrics[name] = metric
-        elif type(metric) is not cls:
-            raise MetricsError(
-                f"metric {name!r} is a {metric.kind}, not a {cls.kind}"
-            )
-        return metric
-
-    def counter(self, name: str) -> Counter:
-        return self._get(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._get(name, Histogram)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    def __iter__(self) -> Iterator[Counter | Gauge | Histogram]:
-        for name in sorted(self._metrics):
-            yield self._metrics[name]
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def snapshot(self) -> dict:
-        """Plain-dict view, sorted by name — stable for trace export.
-
-        Shape: ``{name: {"kind": ..., "value": ...}}`` where ``value``
-        is a number for counters/gauges and a stats dict for histograms.
-        """
-        return {
-            name: {"kind": metric.kind, "value": metric.snapshot()}
-            for name, metric in sorted(self._metrics.items())
+            **self.quantiles(),
         }

@@ -1,61 +1,23 @@
-"""Windowed time series and streaming quantile sketches for live telemetry.
+"""Windowed time series for live telemetry.
 
 The post-hoc observability layers (trace, analyze, report) see a run
 only after it finishes; the :class:`~repro.obs.hub.TelemetryHub` needs
 bounded-memory structures it can update on every event *while* jobs run
-and read from other threads (the HTTP exporter, ``repro top``). Two
-primitives cover it:
-
-* :class:`TimeSeries` — a fixed-capacity ring buffer of ``(t, value)``
-  points. Appends are O(1), memory is bounded by ``capacity`` no matter
-  how long the run, and readers get a consistent chronological copy.
-  :meth:`rates` turns a cumulative-counter series into per-second
-  deltas (the rows/s sparkline input).
-* :class:`QuantileSketch` — the log-bucket
-  :class:`~repro.obs.metrics.Histogram` re-exported under its streaming
-  role. The histogram's bucket layout (20 buckets per decade, clamped)
-  is already a bounded mergeable sketch: merging two sketches by adding
-  bucket counts answers every quantile exactly as one sketch observing
-  both streams would. p50/p95/p99 therefore come out of live series at
-  any instant with ~6% relative rank error, and worker-side sketches
-  fold into the hub's without loss.
+and read from other threads (the HTTP exporter, ``repro top``).
+:class:`TimeSeries` is a fixed-capacity ring buffer of ``(t, value)``
+points: appends are O(1), memory is bounded by ``capacity`` no matter
+how long the run, and readers get a consistent chronological copy.
+:meth:`~TimeSeries.rates` turns a cumulative-counter series into
+per-second deltas (the rows/s sparkline input). The hub's latency
+quantiles come from the log-bucket
+:class:`~repro.obs.metrics.Histogram`, whose bounded buckets answer
+p50/p95/p99 at any instant with ~6% relative rank error.
 
 Everything here is plain data plus arithmetic — no locks (the hub
-serializes access), no wall-clock reads (callers stamp points), and no
-imports above :mod:`repro.obs.metrics` in the layer graph.
+serializes access) and no wall-clock reads (callers stamp points).
 """
 
 from __future__ import annotations
-
-from typing import Iterable
-
-from repro.obs.metrics import Histogram, SNAPSHOT_QUANTILES
-
-
-class QuantileSketch(Histogram):
-    """A mergeable streaming quantile sketch (log-bucket histogram).
-
-    Inherits everything from :class:`~repro.obs.metrics.Histogram` —
-    ``observe``, ``quantile``, ``merge``, ``snapshot`` — and exists as a
-    named type so telemetry code reads as what it is: the hub keeps one
-    sketch per (job, latency kind), not a registry metric.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def merged(cls, sketches: Iterable["Histogram"], name: str = "merged") -> "QuantileSketch":
-        """A fresh sketch holding the union of ``sketches``' observations."""
-        result = cls(name)
-        for sketch in sketches:
-            result.merge(sketch)
-        return result
-
-    def quantiles(self) -> dict[str, float | None]:
-        """The standard snapshot quantiles (p50/p95/p99), None when empty."""
-        if not self.count:
-            return {key: None for key, _q in SNAPSHOT_QUANTILES}
-        return {key: self.quantile(q) for key, q in SNAPSHOT_QUANTILES}
 
 
 class TimeSeries:

@@ -327,7 +327,8 @@ class TraceRecorder:
     def metrics_snapshot(
         self, time: float, *, scope: str, metrics: dict, job_id: str | None = None
     ) -> None:
-        """A registry ``snapshot()`` at a point in time (job end, run end)."""
+        """A job or cluster metrics snapshot at a point in time (job end,
+        run end)."""
         self.emit(
             "metrics_snapshot", time, scope=scope, job_id=job_id, metrics=metrics
         )

@@ -1,4 +1,5 @@
-"""Integration tests: the stats-aware provider end to end (LocalRunner).
+"""Integration tests: the stats-aware provider end to end (LocalRunner,
+and the simulated cluster's result accounting).
 
 Covers the PR 7 acceptance criteria: pruning reduces splits scanned
 without changing the result set, ``stats-mode=off`` is byte-identical to
@@ -9,7 +10,7 @@ splits-accounting invariant).
 
 import pytest
 
-from repro import LocalRunner, make_sampling_conf
+from repro import LocalRunner, SimulatedCluster, make_sampling_conf
 from repro.cluster import paper_topology
 from repro.data import (
     build_materialized_dataset,
@@ -18,7 +19,7 @@ from repro.data import (
 )
 from repro.dfs import DistributedFileSystem
 from repro.errors import JobConfError
-from repro.obs import TraceRecorder
+from repro.obs import TraceRecorder, load_trace
 from repro.obs.audit import audit_events
 
 ROWS = 8_000
@@ -98,6 +99,27 @@ class TestPruneMode:
         pred, _data, splits = stats_splits
         with pytest.raises(JobConfError, match="stats_mode"):
             run_mode(splits, pred, "zap", k=10)
+
+
+class TestSimulatedCluster:
+    def test_result_counts_the_providers_pruned_splits(self, stats_splits, tmp_path):
+        # Every split is either read or retired by statistics, and the
+        # result reports the count the provider's last evaluation traced.
+        pred, data, _splits = stats_splits
+        path = tmp_path / "trace.jsonl"
+        with TraceRecorder(path) as trace:
+            cluster = SimulatedCluster.paper_cluster(seed=0, trace=trace)
+            cluster.load_dataset("/t", data)
+            result = cluster.run_job(make_sampling_conf(
+                name="q", input_path="/t", predicate=pred, sample_size=ROWS,
+                policy_name="LA", stats_mode="prune",
+            ))
+        evaluations = [
+            e for e in load_trace(path) if e["type"] == "provider_evaluation"
+        ]
+        assert result.splits_pruned > 0
+        assert result.splits_processed + result.splits_pruned == PARTITIONS
+        assert result.splits_pruned == evaluations[-1]["response"]["pruned"]
 
 
 class TestRankAndStratified:

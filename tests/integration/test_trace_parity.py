@@ -184,6 +184,92 @@ class TestLocalRunnerSubstrate:
         assert serial == parallel
 
 
+def assert_pinned(snapshot: dict, expected: dict) -> None:
+    assert snapshot == expected
+    # repr also pins key order and int/float types.
+    assert repr(snapshot) == repr(expected)
+
+
+class TestSnapshotPins:
+    """Exact pins for the snapshots the golden traces do not hold: a
+    LocalRunner job's, which carries ``splits_pruned``, and a cluster's
+    after its monitor has taken samples."""
+
+    def test_local_runner_job_snapshot(self, tmp_path):
+        pred = predicate_for_skew(2)
+        data = build_materialized_dataset(
+            dataset_spec_for_scale(8_000 / 6_000_000, num_partitions=16),
+            {pred: 2.0}, seed=0, selectivity=0.005, layout="mmap",
+            mmap_path=str(tmp_path / "lineitem.rcs"), stats=True,
+        )
+        dfs = DistributedFileSystem(paper_topology().storage_locations())
+        dfs.write_dataset("/t", data)
+        conf = make_sampling_conf(
+            name="q", input_path="/t", predicate=pred, sample_size=5,
+            policy_name="C", stats_mode="prune",
+        )
+        path = tmp_path / "run.jsonl"
+        with TraceRecorder(path) as trace:
+            with LocalRunner(seed=0, trace=trace) as runner:
+                result = runner.run(conf, dfs.open_splits("/t"))
+        expected = {
+            "failed_map_attempts": {"kind": "counter", "value": 0},
+            "input_increments": {"kind": "counter", "value": 1},
+            "map_records_per_task": {"kind": "histogram", "value": {
+                "count": 4, "total": 1589.0, "min": 89, "max": 500,
+                "mean": 397.25, "p50": 473.15125896148027,
+                "p95": 473.15125896148027, "p99": 473.15125896148027,
+            }},
+            "outputs_produced": {"kind": "counter", "value": 12},
+            "provider_evaluations": {"kind": "counter", "value": 1},
+            "records_pending": {"kind": "gauge", "value": 0},
+            "records_processed": {"kind": "counter", "value": 1589},
+            "splits_pruned": {"kind": "counter", "value": 10},
+        }
+        [event] = [e for e in load_trace(path) if e["type"] == "metrics_snapshot"]
+        assert_pinned(event["metrics"], expected)
+        assert_pinned(result.metrics_snapshot, expected)
+
+    def test_cluster_snapshot_after_monitor_samples(self, profiled, tmp_path):
+        pred, data = profiled
+        path = tmp_path / "run.jsonl"
+        with TraceRecorder(path) as trace:
+            cluster = SimulatedCluster.paper_cluster(seed=0, trace=trace)
+            cluster.load_dataset("/d", data)
+            cluster.start_metrics()
+            cluster.run_job(make_sampling_conf(
+                name="q", input_path="/d", predicate=pred, sample_size=10_000,
+                policy_name="LA",
+            ))
+            cluster.snapshot_cluster_metrics()
+        low_bucket = 0.10592537251772889
+        expected = {
+            "cpu_utilization": {"kind": "histogram", "value": {
+                "count": 2, "total": 0.30000000000000004, "min": 0.1,
+                "max": 0.2, "mean": 0.15000000000000002, "p50": low_bucket,
+                "p95": 0.2, "p99": 0.2,
+            }},
+            "disk_read_bps": {"kind": "histogram", "value": {
+                "count": 2, "total": 14400000.0, "min": 4800000.0,
+                "max": 9600000.0, "mean": 7200000.0, "p50": 4800000.0,
+                "p95": 9440608.762859225, "p99": 9440608.762859225,
+            }},
+            "local_map_tasks": {"kind": "counter", "value": 13},
+            "remote_map_tasks": {"kind": "counter", "value": 22},
+            "slot_occupancy": {"kind": "histogram", "value": {
+                "count": 2, "total": 0.30000000000000004, "min": 0.1,
+                "max": 0.2, "mean": 0.15000000000000002, "p50": low_bucket,
+                "p95": 0.2, "p99": 0.2,
+            }},
+        }
+        [event] = [
+            e for e in load_trace(path)
+            if e["type"] == "metrics_snapshot" and e["scope"] == "cluster"
+        ]
+        assert_pinned(event["metrics"], expected)
+        assert_pinned(cluster.metrics.snapshot(), expected)
+
+
 class TestSweepTracing:
     def test_sweep_results_identical_with_trace(self, tmp_path):
         from repro.experiments.sweep import figure5_points, run_sweep

@@ -1,8 +1,7 @@
-"""Property-based tests for the mergeable quantile sketch.
+"""Property-based tests for the log-bucket histogram as a quantile sketch.
 
-The telemetry hub merges per-worker and per-task sketches freely, so the
-merge operation must be order-independent and the merged sketch must
-answer exactly what a single sketch observing the whole stream would.
+The telemetry hub keeps one :class:`~repro.obs.metrics.Histogram` per
+job and latency kind and reads p50/p95/p99 from it while the job runs.
 The rank-error contract is the log-bucket guarantee: a reported quantile
 and the true sample quantile always share a bucket, so their ratio is
 bounded by one bucket width (``10 ** (1 / BUCKETS_PER_DECADE)``).
@@ -13,8 +12,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.metrics import BUCKETS_PER_DECADE, SNAPSHOT_QUANTILES
-from repro.obs.timeseries import QuantileSketch
+from repro.obs.metrics import BUCKETS_PER_DECADE, Histogram
 
 #: One log-bucket width; estimate and truth always share a bucket.
 BUCKET_FACTOR = 10.0 ** (1.0 / BUCKETS_PER_DECADE) * (1.0 + 1e-9)
@@ -33,51 +31,8 @@ any_values = st.lists(
 quantiles = st.floats(min_value=0.0, max_value=1.0)
 
 
-def sketch_of(values) -> QuantileSketch:
-    sketch = QuantileSketch("s")
-    for value in values:
-        sketch.observe(value)
-    return sketch
-
-
-def state(sketch: QuantileSketch) -> tuple:
-    """The mergeable state, excluding the float-summed total."""
-    return (
-        sketch.count,
-        sketch.min,
-        sketch.max,
-        sketch.underflow,
-        dict(sketch.buckets),
-    )
-
-
-class TestMergeAlgebra:
-    @settings(max_examples=50, deadline=None)
-    @given(a=any_values, b=any_values)
-    def test_commutative(self, a, b):
-        ab = sketch_of(a).merge(sketch_of(b))
-        ba = sketch_of(b).merge(sketch_of(a))
-        assert state(ab) == state(ba)
-        assert math.isclose(ab.total, ba.total, rel_tol=1e-12, abs_tol=1e-12)
-
-    @settings(max_examples=50, deadline=None)
-    @given(a=any_values, b=any_values, c=any_values)
-    def test_associative(self, a, b, c):
-        left = sketch_of(a).merge(sketch_of(b)).merge(sketch_of(c))
-        right = sketch_of(a).merge(sketch_of(b).merge(sketch_of(c)))
-        assert state(left) == state(right)
-        # Float summation order differs, so totals agree only to rounding.
-        assert math.isclose(left.total, right.total, rel_tol=1e-9, abs_tol=1e-9)
-
-    @settings(max_examples=50, deadline=None)
-    @given(values=any_values, cut=st.integers(min_value=0, max_value=200))
-    def test_merge_equals_direct_observation(self, values, cut):
-        cut = min(cut, len(values))
-        merged = sketch_of(values[:cut]).merge(sketch_of(values[cut:]))
-        direct = sketch_of(values)
-        assert state(merged) == state(direct)
-        for _key, q in SNAPSHOT_QUANTILES:
-            assert merged.quantile(q) == direct.quantile(q)
+def sketch_of(values) -> Histogram:
+    return Histogram("s", values)
 
 
 class TestRankError:
@@ -104,12 +59,9 @@ class TestRankError:
 
 class TestEdges:
     def test_empty_sketch(self):
-        sketch = QuantileSketch("s")
+        sketch = Histogram("s")
         assert sketch.quantile(0.5) is None
         assert sketch.quantiles() == {"p50": None, "p95": None, "p99": None}
-        # Merging an empty sketch is the identity.
-        other = sketch_of([1.0, 2.0])
-        assert state(other.merge(QuantileSketch("e"))) == state(sketch_of([1.0, 2.0]))
 
     @settings(max_examples=50, deadline=None)
     @given(

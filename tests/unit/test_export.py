@@ -3,6 +3,7 @@ and the background HTTP exporter."""
 
 import json
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -13,11 +14,26 @@ from repro.obs.export import (
     parse_exposition,
     render_hub_prometheus,
     render_registry_prometheus,
+    render_trace_prometheus,
     sanitize_metric_name,
 )
 from repro.obs.hub import TelemetryHub
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import TraceRecorder
+from repro.obs.metrics import Histogram
+from repro.obs.trace import TraceRecorder, load_trace
+
+DATA = Path(__file__).resolve().parents[1] / "data"
+
+
+def family_runs(text: str, family: str) -> int:
+    """How many separate runs of lines the family's samples form."""
+    runs, inside = 0, False
+    for line in text.splitlines():
+        name = line.split("{")[0].split(" ")[0]
+        member = name in (family, f"{family}_count", f"{family}_sum")
+        if member and not inside:
+            runs += 1
+        inside = member
+    return runs
 
 
 class TestSanitize:
@@ -33,13 +49,12 @@ class TestSanitize:
 
 class TestRegistryRendering:
     def registry_snapshot(self) -> dict:
-        registry = MetricsRegistry(scope="scan")
-        registry.counter("rows.scanned").inc(1234)
-        registry.gauge("batch.size").set(4096)
-        hist = registry.histogram("map_task.wall_s")
-        for value in (0.01, 0.02, 0.5):
-            hist.observe(value)
-        return registry.snapshot()
+        wall = Histogram("map_task.wall_s", (0.01, 0.02, 0.5))
+        return {
+            "batch.size": {"kind": "gauge", "value": 4096},
+            "map_task.wall_s": {"kind": "histogram", "value": wall.snapshot()},
+            "rows.scanned": {"kind": "counter", "value": 1234},
+        }
 
     def test_counter_gets_total_suffix(self):
         text = render_registry_prometheus(self.registry_snapshot())
@@ -138,6 +153,28 @@ class TestHubRendering:
         samples = parse_exposition(text)
         assert samples  # non-empty and no ExpositionError raised
 
+    def test_each_family_is_one_group_across_jobs(self):
+        text = render_hub_prometheus(self.hub_snapshot())
+        for family in (
+            "repro_job_rows_total",
+            "repro_job_running_maps",
+            "repro_job_grab_to_grant_seconds",
+        ):
+            assert family_runs(text, family) == 1, family
+
+
+class TestTraceRendering:
+    def test_one_type_line_per_family_across_snapshots(self):
+        # Nine job snapshots share one family per metric.
+        text = render_trace_prometheus(load_trace(DATA / "dispatch_trace.jsonl"))
+        type_lines = [l for l in text.splitlines() if l.startswith("# TYPE")]
+        assert len(type_lines) == len(set(type_lines))
+        assert family_runs(text, "repro_failed_map_attempts_total") == 1
+        assert family_runs(text, "repro_map_records_per_task") == 1
+        jobs = [labels["job"] for labels, _ in
+                parse_exposition(text)["repro_records_processed_total"]]
+        assert len(jobs) == len(set(jobs)) == 9
+
 
 class TestParser:
     def test_rejects_bad_value(self):
@@ -159,6 +196,24 @@ class TestParser:
     def test_label_value_with_comma_and_quote(self):
         samples = parse_exposition('m{a="x,y",b="q\\"z"} 2\n')
         assert samples["m"] == [({"a": "x,y", "b": 'q"z'}, 2.0)]
+
+    def test_rejects_repeated_type_line(self):
+        with pytest.raises(ExpositionError, match="second TYPE"):
+            parse_exposition("# TYPE x gauge\nx 1\n# TYPE x gauge\nx 2\n")
+
+    def test_rejects_split_family(self):
+        with pytest.raises(ExpositionError, match="resumes"):
+            parse_exposition('x{j="1"} 1\ny 2\nx{j="2"} 3\n')
+
+    def test_summary_count_and_sum_belong_to_their_family(self):
+        text = (
+            "# TYPE s summary\n"
+            's{quantile="0.5"} 1\ns_count 2\ns_sum 3\n'
+            "# TYPE t gauge\nt 4\n"
+        )
+        assert parse_exposition(text)["s_sum"] == [({}, 3.0)]
+        with pytest.raises(ExpositionError, match="resumes"):
+            parse_exposition(text + "s_count 5\n")
 
 
 class TestExporter:

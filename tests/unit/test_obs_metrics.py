@@ -1,48 +1,11 @@
-"""Unit tests for the metrics registry (counters, gauges, histograms)."""
-
-import pickle
+"""Unit tests for the log-bucket histogram and the snapshot shape."""
 
 import pytest
 
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.cluster.metrics import ClusterMetrics
+from repro.engine.job import job_metrics_snapshot
+from repro.obs import Histogram
 from repro.obs.metrics import MetricsError
-
-
-class TestCounter:
-    def test_starts_at_zero_and_accumulates(self):
-        counter = Counter("records")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-        assert counter.snapshot() == 5
-
-    def test_negative_increment_rejected(self):
-        with pytest.raises(MetricsError):
-            Counter("records").inc(-1)
-
-    def test_non_finite_increment_rejected(self):
-        # NaN slips past a bare ``amount < 0`` check (all NaN comparisons
-        # are False) and would poison the running sum forever.
-        counter = Counter("records")
-        for bad in (float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(MetricsError):
-                counter.inc(bad)
-        assert counter.value == 0
-
-
-class TestGauge:
-    def test_moves_both_ways(self):
-        gauge = Gauge("pending")
-        gauge.inc(10)
-        gauge.dec(3)
-        assert gauge.value == 7
-        gauge.set(2)
-        assert gauge.snapshot() == 2
-
-    def test_can_go_negative(self):
-        gauge = Gauge("delta")
-        gauge.dec(5)
-        assert gauge.value == -5
 
 
 class TestHistogram:
@@ -155,40 +118,22 @@ class TestHistogram:
         assert hist.quantile(0.51) == pytest.approx(1000.0, rel=0.07)
 
 
-class TestRegistry:
-    def test_lazy_creation_returns_same_metric(self):
-        registry = MetricsRegistry(scope="job:test")
-        assert registry.counter("a") is registry.counter("a")
-        assert len(registry) == 1
-        assert "a" in registry
-
-    def test_kind_mismatch_rejected(self):
-        registry = MetricsRegistry()
-        registry.counter("records")
-        with pytest.raises(MetricsError):
-            registry.gauge("records")
-        with pytest.raises(MetricsError):
-            registry.histogram("records")
-
+class TestSnapshots:
     def test_snapshot_sorted_and_typed(self):
-        registry = MetricsRegistry(scope="cluster")
-        registry.gauge("zeta").set(1)
-        registry.counter("alpha").inc(2)
-        snap = registry.snapshot()
-        assert list(snap) == ["alpha", "zeta"]
-        assert snap["alpha"] == {"kind": "counter", "value": 2}
-        assert snap["zeta"] == {"kind": "gauge", "value": 1}
-
-    def test_registry_is_picklable(self):
-        registry = MetricsRegistry(scope="job:j1")
-        registry.counter("records").inc(3)
-        registry.histogram("per_task").observe(1.5)
-        clone = pickle.loads(pickle.dumps(registry))
-        assert clone.scope == "job:j1"
-        assert clone.snapshot() == registry.snapshot()
-
-    def test_iteration_is_name_ordered(self):
-        registry = MetricsRegistry()
-        registry.counter("b")
-        registry.counter("a")
-        assert [m.name for m in registry] == ["a", "b"]
+        job = job_metrics_snapshot(
+            [3, 5],
+            records_processed=8, outputs_produced=2, records_pending=0,
+            evaluations=1, input_increments=1, failed_map_attempts=0,
+            splits_pruned=4,
+        )
+        cluster = ClusterMetrics()
+        cluster.record_map_task(local=True)
+        cluster.record_sample(30.0, cpu=0.5, disk_bps=1e6, occupancy=0.25)
+        for snapshot in (job, cluster.snapshot()):
+            assert list(snapshot) == sorted(snapshot)
+            for entry in snapshot.values():
+                assert set(entry) == {"kind", "value"}
+                assert entry["kind"] in ("counter", "gauge", "histogram")
+        assert job["splits_pruned"] == {"kind": "counter", "value": 4}
+        assert job["map_records_per_task"]["value"]["count"] == 2
+        assert cluster.snapshot()["local_map_tasks"] == {"kind": "counter", "value": 1}

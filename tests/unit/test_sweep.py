@@ -1,11 +1,13 @@
 """Unit tests for the sweep engine: points, cache keys, serial runs."""
 
 import pickle
+import shutil
 
 import pytest
 
 from repro.cluster.costmodel import CostModel
 from repro.errors import SweepError
+from repro.experiments import sweep
 from repro.experiments.sweep import (
     ResultCache,
     SweepPoint,
@@ -97,6 +99,20 @@ class TestCacheKeys:
         before.put(point, "result")
         assert ResultCache.is_hit(before.get(point))
         assert not ResultCache.is_hit(after.get(point))
+
+    def test_source_edit_invalidates(self, tmp_path, monkeypatch):
+        """A one-byte edit to any package source must miss every cell."""
+        copy = tmp_path / "repro"
+        shutil.copytree(
+            sweep.PACKAGE_ROOT, copy, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        default = code_fingerprint()
+        monkeypatch.setattr(sweep, "PACKAGE_ROOT", copy)
+        # Relative paths only: the same sources anywhere hash the same.
+        assert code_fingerprint() == default
+        source = copy / "engine" / "cluster_engine.py"
+        source.write_bytes(source.read_bytes() + b"\n")
+        assert code_fingerprint() != default
 
     def test_torn_entry_reads_as_miss(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -1,9 +1,11 @@
-"""Unit tests for the live-telemetry primitives (ring series, sketch)."""
+"""Unit tests for the live-telemetry primitives: the ring series, and
+the log-bucket histogram the hub uses as its quantile sketch."""
 
 import pytest
 
 from repro.errors import ReproError
-from repro.obs.timeseries import QuantileSketch, TimeSeries
+from repro.obs.metrics import Histogram
+from repro.obs.timeseries import TimeSeries
 
 
 class TestTimeSeries:
@@ -75,7 +77,7 @@ class TestTimeSeries:
 
 class TestQuantileSketch:
     def test_quantiles_dict_shape(self):
-        sketch = QuantileSketch("lat")
+        sketch = Histogram("lat")
         assert sketch.quantiles() == {"p50": None, "p95": None, "p99": None}
         for value in (1.0, 2.0, 3.0):
             sketch.observe(value)
@@ -83,34 +85,8 @@ class TestQuantileSketch:
         assert set(quantiles) == {"p50", "p95", "p99"}
         assert all(v is not None for v in quantiles.values())
 
-    def test_merged_classmethod(self):
-        a = QuantileSketch("a")
-        b = QuantileSketch("b")
-        for value in (1.0, 10.0):
-            a.observe(value)
-        for value in (100.0, 1000.0):
-            b.observe(value)
-        union = QuantileSketch.merged([a, b])
-        assert union.count == 4
-        assert union.min == 1.0
-        assert union.max == 1000.0
-        # Merging must not mutate the sources.
-        assert a.count == 2 and b.count == 2
-
-    def test_merge_matches_direct_observation(self):
-        values = [0.001, 0.5, 2.0, 2.1, 7.0, 300.0]
-        direct = QuantileSketch("direct")
-        left = QuantileSketch("l")
-        right = QuantileSketch("r")
-        for index, value in enumerate(values):
-            direct.observe(value)
-            (left if index % 2 else right).observe(value)
-        merged = QuantileSketch.merged([left, right])
-        for q in (0.0, 0.25, 0.5, 0.9, 1.0):
-            assert merged.quantile(q) == direct.quantile(q)
-
     def test_invalid_quantile_raises(self):
-        sketch = QuantileSketch("x")
+        sketch = Histogram("x")
         sketch.observe(1.0)
         with pytest.raises(ReproError):
             sketch.quantile(1.5)
