@@ -56,8 +56,6 @@ class Node:
         self._disk_readers: list[int] = [0] * spec.disks
         self.running_map_tasks = 0
         self.running_reduce_tasks = 0
-        self.local_map_tasks = 0
-        self.remote_map_tasks = 0
 
     # ------------------------------------------------------------------
     # Introspection

@@ -16,7 +16,6 @@ used when rows are not materialized).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -54,8 +53,6 @@ STATS_MODES = ("off", "prune", "rank", "stratified")
 JOB_PRIORITY = "mapred.job.priority"
 PRIORITY_LEVELS = ("VERY_LOW", "LOW", "NORMAL", "HIGH", "VERY_HIGH")
 DEFAULT_PRIORITY = "NORMAL"
-
-_job_ids = itertools.count(1)
 
 
 def _parse_bool(text: str) -> bool:
@@ -240,8 +237,3 @@ class JobConf:
             user=self.user,
             predicate=self.predicate,
         )
-
-
-def next_job_id() -> str:
-    """Globally unique job id, Hadoop style."""
-    return f"job_{next(_job_ids):06d}"

@@ -101,10 +101,6 @@ class TaskTracker:
                 start_time=now,
             )
         )
-        if local:
-            node.local_map_tasks += 1
-        else:
-            node.remote_map_tasks += 1
         self._sim.schedule(
             duration,
             self._finish_map,

@@ -26,10 +26,10 @@ On top of the stream sit pure read-side consumers:
   reports, including a two-trace diff mode;
 * :mod:`repro.obs.progress` — an opt-in live stderr reporter attached
   as a recorder listener;
-* :mod:`repro.obs.hub` + :mod:`repro.obs.timeseries` — the live
-  telemetry hub: windowed ring-buffer series and latency histograms
-  maintained *while* jobs run, multiplexed across concurrent jobs, fed
-  only by the event streams of the recorders it attaches to;
+* :mod:`repro.obs.hub` — the live telemetry hub: bounded series,
+  latency histograms and live alerts maintained *while* jobs run,
+  multiplexed across concurrent jobs, fed only by the event streams of
+  the recorders it attaches to;
 * :mod:`repro.obs.export` — Prometheus text exposition plus the
   background HTTP exporter (``--metrics-port``);
 * :mod:`repro.obs.top` — the ``repro top`` live terminal dashboard;
@@ -40,8 +40,8 @@ On top of the stream sit pure read-side consumers:
   span graph (stragglers, starvation, stalls, skew, drift, pruning
   regressions, CI stalls), each with a suggested knob change;
 * :mod:`repro.obs.doctor` — ``repro doctor``: the byte-deterministic
-  findings report with the critical path rendered, a two-trace diff,
-  and the live :class:`Watchdog` behind the hub's alert gauges;
+  findings report with the critical path rendered, and a two-trace
+  diff;
 * :mod:`repro.obs.slo` — ``repro slo check``: JSON run-quality
   objectives evaluated against traces for CI gating.
 
@@ -82,7 +82,6 @@ _LAZY = {
     "render_doctor": "repro.obs.doctor",
     "doctor_json": "repro.obs.doctor",
     "render_doctor_diff": "repro.obs.doctor",
-    "Watchdog": "repro.obs.doctor",
     "parse_slo_spec": "repro.obs.slo",
     "evaluate_trace_slo": "repro.obs.slo",
     "render_slo": "repro.obs.slo",
@@ -90,7 +89,6 @@ _LAZY = {
     "render_report": "repro.obs.report",
     "ProgressReporter": "repro.obs.progress",
     "TelemetryHub": "repro.obs.hub",
-    "TimeSeries": "repro.obs.timeseries",
     "TelemetryExporter": "repro.obs.export",
     "render_hub_prometheus": "repro.obs.export",
     "render_registry_prometheus": "repro.obs.export",
@@ -136,7 +134,6 @@ __all__ = [
     "render_doctor",
     "doctor_json",
     "render_doctor_diff",
-    "Watchdog",
     "parse_slo_spec",
     "evaluate_trace_slo",
     "render_slo",
@@ -144,7 +141,6 @@ __all__ = [
     "render_report",
     "ProgressReporter",
     "TelemetryHub",
-    "TimeSeries",
     "TelemetryExporter",
     "render_hub_prometheus",
     "render_registry_prometheus",

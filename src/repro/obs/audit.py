@@ -377,7 +377,12 @@ def audit_events(events: Iterable[dict]) -> AuditReport:
     violations — raising is reserved for untraceable input)."""
     from repro.obs.analyze import analyze_trace
 
-    model = analyze_trace(events)
+    return audit_model(analyze_trace(events))
+
+
+def audit_model(model) -> AuditReport:
+    """Audit a trace already folded into a run model
+    (:func:`~repro.obs.analyze.analyze_trace`), as ``repro doctor`` has."""
     report = AuditReport()
     for job in model.jobs.values():
         report.jobs_checked += 1

@@ -14,7 +14,8 @@ running in another terminal. Both are served here:
   the histogram answers natively.
 * :func:`render_hub_prometheus` — a :meth:`~repro.obs.hub.TelemetryHub.snapshot`
   as job-labelled series: rows/outputs/splits totals, running maps,
-  grab-to-grant latency quantiles, CI half-widths, slot utilization.
+  grab-to-grant latency quantiles, CI half-widths, slot utilization and
+  the live alerts.
 * :class:`TelemetryExporter` — a daemon-thread HTTP server exposing
   ``GET /metrics`` (Prometheus text) and ``GET /telemetry.json`` (the
   raw hub snapshot, which is what ``repro top`` renders). Binds
@@ -215,10 +216,10 @@ def render_hub_prometheus(snapshot: dict, *, prefix: str = "repro") -> str:
         lines.sample(name, {"state": "done"}, sweep.get("done", 0))
         lines.sample(name, {"state": "cached"}, sweep.get("cached", 0))
 
-    # Watchdog alerts: the count gauge is emitted whenever the snapshot
-    # carries the key (even at 0), so a scraper can tell "no alerts"
-    # apart from "producer predates the watchdog"; one labelled gauge
-    # per active alert carries the detail.
+    # The hub's live alerts: the count gauge is emitted whenever the
+    # snapshot carries the key (even at 0), so a scraper can tell "no
+    # alerts" apart from "producer predates live alerts"; one labelled
+    # gauge per active alert carries the detail.
     alerts = snapshot.get("alerts")
     if alerts is not None:
         name = f"{prefix}_alerts_active"

@@ -63,7 +63,8 @@ def fetch_snapshot(url: str, *, timeout: float = 2.0) -> dict:
 def _rates_from_points(points: list) -> list[float]:
     """Per-second rates from a cumulative ``[(t, value), ...]`` series.
 
-    Mirrors ``TimeSeries.rates`` but over the JSON wire shape (lists).
+    Zero-duration intervals are skipped, and a counter reset (value
+    decreasing) reads as a zero rate, never a negative one.
     """
     rates: list[float] = []
     for (t0, v0), (t1, v1) in zip(points, points[1:]):
@@ -126,7 +127,7 @@ def render_top(snapshot: dict, *, name_width: int = 18) -> str:
         header += f", {events} events"
     lines.append(header)
 
-    # Watchdog alert banner. Older producers serve snapshots without an
+    # Live alert banner. Older producers serve snapshots without an
     # "alerts" key at all — render nothing rather than guessing.
     alerts = snapshot.get("alerts")
     if alerts:

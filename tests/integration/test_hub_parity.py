@@ -7,7 +7,8 @@ and cluster samples all flowing to it) must produce a pickle-identical
 executors. For the process executor this additionally pins the chunked
 worker scan (a listener is attached, so workers send deltas) against
 the batch-sized scan (no listener), i.e. chunking-independence of the
-batch matcher.
+batch matcher. The hub's per-job split counts must agree with the
+results it watched.
 """
 
 import pickle
@@ -106,6 +107,50 @@ class TestLocalRunnerSubstrate:
         job = snapshot["jobs"][observed.job_id]
         assert job["rows_total"] == observed.records_processed
         assert job["splits_completed"] == observed.splits_processed
+
+
+class TestSplitsAdded:
+    """The hub's ``splits_added`` counts the splits the job was given: a
+    static job's whole input, a dynamic job's initial grab plus every
+    later grant. Every granted split here runs, so it equals the
+    result's ``splits_processed`` on both substrates."""
+
+    @staticmethod
+    def _conf(pred, path, policy):
+        if policy is None:
+            return make_scan_conf(name="q", input_path=path, predicate=pred)
+        return make_sampling_conf(
+            name="q", input_path=path, predicate=pred, sample_size=25,
+            policy_name=policy,
+        )
+
+    @pytest.mark.parametrize("policy", [None, "C"])
+    def test_local_runner(self, materialized, policy):
+        pred, splits = materialized
+        trace = TraceRecorder()
+        with TelemetryHub() as hub:
+            hub.attach(trace)
+            result = LocalRunner(seed=0, trace=trace).run(
+                self._conf(pred, "/t", policy), splits
+            )
+            job = hub.snapshot()["jobs"][result.job_id]
+        if policy is not None:
+            # Part of the input: the LocalRunner's job_submitted event
+            # counts all of it, which splits_added must not include.
+            assert result.splits_processed < len(splits)
+        assert job["splits_added"] == result.splits_processed
+
+    @pytest.mark.parametrize("policy", [None, "C"])
+    def test_simulated_cluster(self, profiled, policy):
+        pred, data = profiled
+        trace = TraceRecorder()
+        with TelemetryHub() as hub:
+            hub.attach(trace)
+            cluster = SimulatedCluster.paper_cluster(seed=0, trace=trace)
+            cluster.load_dataset("/d", data)
+            result = cluster.run_job(self._conf(pred, "/d", policy))
+            job = hub.snapshot()["jobs"][result.job_id]
+        assert job["splits_added"] == result.splits_processed
 
 
 class TestProcessExecutor:

@@ -1,9 +1,9 @@
 """Unit tests for the TelemetryHub: event folding, multiplexing, worker
-deltas, and detaching on leaving its context."""
+deltas, bounded series, and detaching on leaving its context."""
 
 import pytest
 
-from repro.obs.hub import TelemetryHub
+from repro.obs.hub import SERIES_POINTS, TelemetryHub
 from repro.obs.trace import TraceRecorder
 from repro.scan.proc import WorkerDelta
 
@@ -228,6 +228,27 @@ class TestEventFolding:
         recorder.sweep_point(index=1, kind="cell", params={}, cached=False)
         sweep = hub.snapshot()["sweep"]
         assert sweep == {"points": 4, "done": 2, "cached": 1}
+
+
+class TestSeries:
+    def test_a_series_keeps_only_the_newest_points(self):
+        recorder = TraceRecorder()
+        hub, clock = make_hub()
+        feed(hub, recorder)
+        recorder.record(0.0, "job_submitted", "local_1", name="q")
+        spans = SERIES_POINTS + 3
+        for index in range(spans):
+            clock.advance(1.0)
+            recorder.scan_span(
+                0.0, job_id="local_1", task_id=f"local_1_m_{index:06d}",
+                split_id=f"/d:{index}", mode="batch",
+                rows=1, outputs=0, elapsed_s=0.001,
+            )
+        series = hub.snapshot()["jobs"]["local_1"]["rows_series"]
+        # One point per span; the three oldest fell off the front.
+        assert len(series) == SERIES_POINTS
+        assert series[0] == (clock.now - (SERIES_POINTS - 1), 4.0)
+        assert series[-1] == (clock.now, float(spans))
 
 
 class TestWorkerTelemetry:

@@ -7,7 +7,6 @@ from repro.engine.jobconf import (
     DYNAMIC_INPUT_PROVIDER,
     DYNAMIC_JOB,
     DYNAMIC_JOB_POLICY,
-    next_job_id,
 )
 from repro.errors import JobConfError
 
@@ -116,6 +115,3 @@ class TestConstruction:
         clone = original.copy()
         clone.set("k", "other")
         assert original.get("k") == "v"
-
-    def test_job_ids_unique(self):
-        assert next_job_id() != next_job_id()

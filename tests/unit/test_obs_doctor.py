@@ -1,9 +1,9 @@
 """Unit tests for ``repro doctor`` (:mod:`repro.obs.doctor`).
 
-Covers the post-hoc half (diagnosis, byte-deterministic rendering,
-audit folding, the two-trace diff) and the live half (the Watchdog's
+Covers the diagnosis (byte-deterministic rendering, audit folding, the
+two-trace diff) and its live counterpart, the telemetry hub's
 incremental alerts: raise, update, clear, and the all-zero-timestamp
-LocalRunner case that must never alert).
+LocalRunner case that must never alert.
 """
 
 import importlib.util
@@ -18,12 +18,12 @@ from repro.data import (
     predicate_for_skew,
 )
 from repro.obs.doctor import (
-    Watchdog,
     diagnose,
     doctor_json,
     render_doctor,
     render_doctor_diff,
 )
+from repro.obs.hub import TelemetryHub
 from repro.obs.trace import TraceRecorder
 
 DATA = Path(__file__).parent.parent / "data"
@@ -172,7 +172,7 @@ class TestErrorBoundedTrace:
 
 
 # ---------------------------------------------------------------------------
-# Watchdog
+# Live alerts: the watchdog the telemetry hub runs on each event
 # ---------------------------------------------------------------------------
 def _ev(type_: str, *, time: float, job_id: str = "j1", task_id=None, **extra):
     event = {"v": 1, "seq": 0, "time": time, "type": type_, "job_id": job_id}
@@ -196,8 +196,8 @@ def _grant(*, time, splits, interval=4.0, ci=None, job_id="j1"):
     )
 
 
-def _alerts(watchdog):
-    return {(a["job_id"], a["detector"]) for a in watchdog.alerts()}
+def _alerts(hub):
+    return {(a["job_id"], a["detector"]) for a in hub.snapshot()["alerts"]}
 
 
 class TestWatchdogStraggler:
@@ -208,125 +208,125 @@ class TestWatchdogStraggler:
         running one) so the fixture isolates the straggler check — no
         idle time accrues that would trip slot_starvation alongside.
         """
-        watchdog = Watchdog()
+        hub = TelemetryHub()
         for i in range(4):
-            watchdog.on_event(_ev("map_started", time=float(i), task_id=f"m{i}"))
+            hub.on_event(_ev("map_started", time=float(i), task_id=f"m{i}"))
         for i in range(4):
-            watchdog.on_event(_ev("map_finished", time=float(i) + 2.0,
-                                  task_id=f"m{i}", detail={}))
-        watchdog.on_event(_ev("map_started", time=5.0, task_id="slow"))
-        return watchdog
+            hub.on_event(_ev("map_finished", time=float(i) + 2.0,
+                             task_id=f"m{i}", detail={}))
+        hub.on_event(_ev("map_started", time=5.0, task_id="slow"))
+        return hub
 
     def test_overdue_attempt_raises_then_clears_on_finish(self):
-        watchdog = self._warmed()
-        assert _alerts(watchdog) == set()
+        hub = self._warmed()
+        assert _alerts(hub) == set()
         # Any later event advances the clock; 8.5s > 3x the 2s median.
-        watchdog.on_event(_grant(time=13.5, splits=0))
-        assert _alerts(watchdog) == {("j1", "straggler")}
-        (alert,) = watchdog.alerts()
+        hub.on_event(_grant(time=13.5, splits=0))
+        assert _alerts(hub) == {("j1", "straggler")}
+        (alert,) = hub.snapshot()["alerts"]
         assert alert["severity"] == "warning"
         assert "slow" in alert["message"]
-        watchdog.on_event(_ev("map_finished", time=14.0, task_id="slow",
-                              detail={}))
-        assert _alerts(watchdog) == set()
+        hub.on_event(_ev("map_finished", time=14.0, task_id="slow",
+                         detail={}))
+        assert _alerts(hub) == set()
 
     def test_on_pace_attempt_stays_quiet(self):
-        watchdog = self._warmed()
-        watchdog.on_event(_grant(time=7.0, splits=0))  # 2s in: on pace
-        assert _alerts(watchdog) == set()
+        hub = self._warmed()
+        hub.on_event(_grant(time=7.0, splits=0))  # 2s in: on pace
+        assert _alerts(hub) == set()
 
 
 class TestWatchdogStall:
     def test_undispatched_grant_raises_then_dispatch_clears(self):
-        watchdog = Watchdog()
-        watchdog.on_event(_grant(time=0.0, splits=2, interval=4.0))
-        assert _alerts(watchdog) == set()
-        watchdog.on_event(_grant(time=9.0, splits=0))  # 9s > 2x4s
-        assert _alerts(watchdog) == {("j1", "scheduler_stall")}
-        (alert,) = watchdog.alerts()
+        hub = TelemetryHub()
+        hub.on_event(_grant(time=0.0, splits=2, interval=4.0))
+        assert _alerts(hub) == set()
+        hub.on_event(_grant(time=9.0, splits=0))  # 9s > 2x4s
+        assert _alerts(hub) == {("j1", "scheduler_stall")}
+        (alert,) = hub.snapshot()["alerts"]
         assert alert["severity"] == "critical"
-        watchdog.on_event(_ev("map_started", time=9.5, task_id="m1"))
-        watchdog.on_event(_ev("map_started", time=9.5, task_id="m2"))
-        assert _alerts(watchdog) == set()
+        hub.on_event(_ev("map_started", time=9.5, task_id="m1"))
+        hub.on_event(_ev("map_started", time=9.5, task_id="m2"))
+        assert _alerts(hub) == set()
 
     def test_prompt_dispatch_never_alerts(self):
-        watchdog = Watchdog()
-        watchdog.on_event(_grant(time=0.0, splits=1, interval=4.0))
-        watchdog.on_event(_ev("map_started", time=1.0, task_id="m1"))
-        watchdog.on_event(_grant(time=20.0, splits=0))
-        assert _alerts(watchdog) == set()
+        hub = TelemetryHub()
+        hub.on_event(_grant(time=0.0, splits=1, interval=4.0))
+        hub.on_event(_ev("map_started", time=1.0, task_id="m1"))
+        hub.on_event(_grant(time=20.0, splits=0))
+        assert _alerts(hub) == set()
 
 
 class TestWatchdogStarvation:
     def test_idle_gap_between_waves_raises(self):
-        watchdog = Watchdog()
-        watchdog.on_event(_ev("map_started", time=0.0, task_id="m1"))
-        watchdog.on_event(_ev("map_finished", time=2.0, task_id="m1", detail={}))
+        hub = TelemetryHub()
+        hub.on_event(_ev("map_started", time=0.0, task_id="m1"))
+        hub.on_event(_ev("map_finished", time=2.0, task_id="m1", detail={}))
         # 8s with nothing running, then the next wave dispatches: 8s of
         # 12s elapsed map phase idle, well over the 30% bar.
-        watchdog.on_event(_ev("map_started", time=10.0, task_id="m2"))
-        watchdog.on_event(_ev("map_finished", time=12.0, task_id="m2", detail={}))
-        assert ("j1", "slot_starvation") in _alerts(watchdog)
-        alert = next(a for a in watchdog.alerts()
+        hub.on_event(_ev("map_started", time=10.0, task_id="m2"))
+        hub.on_event(_ev("map_finished", time=12.0, task_id="m2", detail={}))
+        assert ("j1", "slot_starvation") in _alerts(hub)
+        alert = next(a for a in hub.snapshot()["alerts"]
                      if a["detector"] == "slot_starvation")
         assert "idle" in alert["message"]
 
     def test_back_to_back_waves_stay_quiet(self):
-        watchdog = Watchdog()
-        watchdog.on_event(_ev("map_started", time=0.0, task_id="m1"))
-        watchdog.on_event(_ev("map_finished", time=4.0, task_id="m1", detail={}))
-        watchdog.on_event(_ev("map_started", time=4.5, task_id="m2"))
-        watchdog.on_event(_ev("map_finished", time=8.5, task_id="m2", detail={}))
-        assert _alerts(watchdog) == set()
+        hub = TelemetryHub()
+        hub.on_event(_ev("map_started", time=0.0, task_id="m1"))
+        hub.on_event(_ev("map_finished", time=4.0, task_id="m1", detail={}))
+        hub.on_event(_ev("map_started", time=4.5, task_id="m2"))
+        hub.on_event(_ev("map_finished", time=8.5, task_id="m2", detail={}))
+        assert _alerts(hub) == set()
 
 
 class TestWatchdogCi:
     def test_flat_interval_raises_until_met(self):
-        watchdog = Watchdog()
+        hub = TelemetryHub()
         for i in range(5):
-            watchdog.on_event(_grant(
+            hub.on_event(_grant(
                 time=float(i), splits=0,
                 ci={"estimate": 100.0, "half_width": 10.0, "met": False},
             ))
-        assert _alerts(watchdog) == {("j1", "ci_stall")}
-        watchdog.on_event(_grant(
+        assert _alerts(hub) == {("j1", "ci_stall")}
+        hub.on_event(_grant(
             time=5.0, splits=0,
             ci={"estimate": 100.0, "half_width": 10.0, "met": True},
         ))
-        assert _alerts(watchdog) == set()
+        assert _alerts(hub) == set()
 
 
 class TestWatchdogLifecycle:
     def test_job_end_clears_every_alert(self):
-        watchdog = Watchdog()
-        watchdog.on_event(_grant(time=0.0, splits=2, interval=4.0))
-        watchdog.on_event(_grant(time=9.0, splits=0))
-        assert _alerts(watchdog)
-        watchdog.on_event(_ev("job_succeeded", time=10.0, detail={}))
-        assert watchdog.alerts() == []
+        hub = TelemetryHub()
+        hub.on_event(_grant(time=0.0, splits=2, interval=4.0))
+        hub.on_event(_grant(time=9.0, splits=0))
+        assert _alerts(hub)
+        hub.on_event(_ev("job_succeeded", time=10.0, detail={}))
+        assert hub.snapshot()["alerts"] == []
 
     def test_jobs_are_tracked_independently(self):
-        watchdog = Watchdog()
-        watchdog.on_event(_grant(time=0.0, splits=2, interval=4.0, job_id="a"))
-        watchdog.on_event(_grant(time=9.0, splits=0, job_id="a"))
-        watchdog.on_event(_grant(time=9.0, splits=1, interval=4.0, job_id="b"))
-        assert _alerts(watchdog) == {("a", "scheduler_stall")}
+        hub = TelemetryHub()
+        hub.on_event(_grant(time=0.0, splits=2, interval=4.0, job_id="a"))
+        hub.on_event(_grant(time=9.0, splits=0, job_id="a"))
+        hub.on_event(_grant(time=9.0, splits=1, interval=4.0, job_id="b"))
+        assert _alerts(hub) == {("a", "scheduler_stall")}
 
     def test_local_runner_zero_timestamps_never_alert(self):
         # The LocalRunner stamps every event 0.0; with no event-clock
-        # progression there is no "overdue" and the watchdog stays
+        # progression there is no "overdue" and the hub stays
         # silent (the post-hoc doctor covers those runs).
-        watchdog = Watchdog()
-        watchdog.on_event(_grant(time=0.0, splits=4))
+        hub = TelemetryHub()
+        hub.on_event(_grant(time=0.0, splits=4))
         for i in range(6):
-            watchdog.on_event(_ev("map_started", time=0.0, task_id=f"m{i}"))
-            watchdog.on_event(_ev("map_finished", time=0.0, task_id=f"m{i}",
-                                  detail={}))
-        watchdog.on_event(_ev("job_succeeded", time=0.0, detail={}))
-        assert watchdog.alerts() == []
+            hub.on_event(_ev("map_started", time=0.0, task_id=f"m{i}"))
+            hub.on_event(_ev("map_finished", time=0.0, task_id=f"m{i}",
+                             detail={}))
+        hub.on_event(_ev("job_succeeded", time=0.0, detail={}))
+        assert hub.snapshot()["alerts"] == []
 
     def test_events_without_job_id_are_ignored(self):
-        watchdog = Watchdog()
-        watchdog.on_event({"v": 1, "seq": 0, "time": 1.0,
-                           "type": "metrics_snapshot", "scope": "cluster"})
-        assert watchdog.alerts() == []
+        hub = TelemetryHub()
+        hub.on_event({"v": 1, "seq": 0, "time": 1.0,
+                      "type": "metrics_snapshot", "scope": "cluster"})
+        assert hub.snapshot()["alerts"] == []

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.metrics import ClusterMetrics
 from repro.engine.job import job_metrics_snapshot
+from repro.errors import ReproError
 from repro.obs import Histogram
 from repro.obs.metrics import MetricsError
 
@@ -68,6 +69,21 @@ class TestHistogram:
         with pytest.raises(MetricsError):
             hist.observe(float("nan"))
         assert hist.quantile(0.5) is None  # still empty
+
+    def test_invalid_quantile_raises(self):
+        hist = Histogram("x")
+        hist.observe(1.0)
+        with pytest.raises(ReproError):
+            hist.quantile(1.5)
+
+    def test_quantiles_dict_shape(self):
+        hist = Histogram("lat")
+        assert hist.quantiles() == {"p50": None, "p95": None, "p99": None}
+        for value in (1.0, 2.0, 3.0):
+            hist.observe(value)
+        quantiles = hist.quantiles()
+        assert set(quantiles) == {"p50", "p95", "p99"}
+        assert all(v is not None for v in quantiles.values())
 
     def test_bucket_count_stays_bounded(self):
         hist = Histogram("latency")

@@ -1,4 +1,5 @@
-"""Unit tests for the trace renderers (``repro trace`` / ``repro metrics``)."""
+"""Unit tests for the trace renderers (``repro trace`` / ``repro metrics``)
+and the helpers behind ``repro top``'s frames."""
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.obs.render import (
     render_timeline,
     sparkline,
 )
+from repro.obs.top import _rates_from_points
 from repro.obs.trace import LIFECYCLE_EVENT_TYPES
 
 
@@ -256,6 +258,27 @@ class TestSparkline:
         line = sparkline([1.0, 5.0], width=10)
         assert len(line) == 10
         assert line.startswith(" ")
+
+
+class TestRatesFromPoints:
+    """Per-second rates of a cumulative series: the rows/s sparkline's
+    input in ``repro top``."""
+
+    def test_rates_of_cumulative_series(self):
+        points = [(0.0, 0.0), (1.0, 100.0), (3.0, 300.0)]
+        assert _rates_from_points(points) == [100.0, 100.0]
+
+    def test_rates_skip_zero_dt_and_clamp_resets(self):
+        points = [
+            (0.0, 100.0),
+            (0.0, 150.0),  # same instant: no rate point
+            (1.0, 50.0),  # counter reset: rate clamps to 0, not negative
+        ]
+        assert _rates_from_points(points) == [0.0]
+
+    def test_zero_rate_is_kept(self):
+        # A flat cumulative series is a real 0.0 rate, not a missing one.
+        assert _rates_from_points([(0.0, 10.0), (1.0, 10.0)]) == [0.0]
 
 
 class TestProgressBar:

@@ -160,15 +160,15 @@ class TestRealExecution:
 
 class TestLocalityAccounting:
     def test_local_tasks_counted(self):
-        sim, topo, tracker, pred, _data, splits = build_world()
-        tracker.submit_job(
+        sim, _topo, tracker, pred, _data, splits = build_world()
+        job = tracker.submit_job(
             make_scan_conf(name="s", input_path="/d", predicate=pred,
                            fallback_selectivity=0.0005),
             splits, input_complete=True, total_splits_known=len(splits),
         )
         sim.run()
-        local = sum(node.local_map_tasks for node in topo.nodes)
-        remote = sum(node.remote_map_tasks for node in topo.nodes)
+        local = sum(1 for task in job.completed_maps if task.local)
+        remote = sum(1 for task in job.completed_maps if not task.local)
         assert local + remote == len(splits)
         # 8 splits over 40 free slots: every task can run at its data.
         assert local == len(splits)
